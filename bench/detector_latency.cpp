@@ -470,11 +470,9 @@ void write_json(const std::string& path, const std::string& channel,
   std::fprintf(f,
                "  \"host\": {\"compiler\": \"%s\", \"flags\": \"%s\", "
                "\"geosphere_native\": %s, \"simd_tier\": \"%s\", "
-               "\"simd_width\": %zu, \"tree_lanes\": %zu, "
-               "\"hardware_concurrency\": %u},\n",
+               "\"simd_width\": %zu, \"hardware_concurrency\": %u},\n",
                json_escape(compiler_id()).c_str(), json_escape(build_flags()).c_str(),
                native_build() ? "true" : "false", kern.name, kern.width,
-               geosphere::sphere::simd::tree_lane_count(kern.width),
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"snr_db\": 25.0,\n  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -555,8 +553,7 @@ int main(int argc, char** argv) {
   std::printf("detector latency on %s %zux%zu @ 25 dB (%zu channel draws, %.0f ms/timer)\n",
               channel.c_str(), probe.h.front().rows(), probe.h.front().cols(), kDraws,
               budget_ms);
-  std::printf("kernel tier: %s (width %zu, tree lanes %zu), %s build\n\n", kern.name,
-              kern.width, geosphere::sphere::simd::tree_lane_count(kern.width),
+  std::printf("kernel tier: %s (width %zu), %s build\n\n", kern.name, kern.width,
               native_build() ? "native" : "portable");
   std::printf("%-18s %5s %11s %11s %9s %10s %10s %10s %10s %10s %11s %10s %13s %10s %11s"
               " %10s\n",

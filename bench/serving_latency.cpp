@@ -2,7 +2,7 @@
 // detection latency of the streaming serve layer (src/serve) on a fixed
 // two-cell scenario, at 1 thread and at all cores. Each record reports the
 // p50/p90/p99/max of the per-frame detection latency distribution (TTI
-// dispatch -> the frame's last (cell, subcarrier) work item completing)
+// dispatch -> the frame's work item completing)
 // plus the run's total goodput -- the serving-layer counterpart of
 // detector_latency's per-call numbers.
 //

@@ -7,15 +7,6 @@
 
 namespace geosphere::coding {
 
-namespace {
-
-QuantizedViterbiWorkspace& thread_workspace() {
-  static thread_local QuantizedViterbiWorkspace ws;
-  return ws;
-}
-
-}  // namespace
-
 std::int16_t QuantizedViterbi::quantize(double confidence) {
   const long v = std::lround(confidence * static_cast<double>(simd::kQuantOne));
   if (v < 0) return 0;
@@ -48,8 +39,9 @@ void QuantizedViterbi::decode_soft(const double* confidence, std::size_t size,
 }
 
 BitVector QuantizedViterbi::decode_soft(const std::vector<double>& confidence) const {
+  QuantizedViterbiWorkspace ws;
   BitVector out;
-  decode_soft(confidence.data(), confidence.size(), thread_workspace(), out);
+  decode_soft(confidence.data(), confidence.size(), ws, out);
   return out;
 }
 

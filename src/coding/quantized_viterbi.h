@@ -49,7 +49,7 @@ class QuantizedViterbi {
   void decode_soft(const double* confidence, std::size_t size,
                    QuantizedViterbiWorkspace& ws, BitVector& out) const;
 
-  /// Convenience wrapper over a thread-local workspace (tests, one-offs).
+  /// Convenience wrapper over a call-local workspace (tests, one-offs).
   BitVector decode_soft(const std::vector<double>& confidence) const;
 };
 

@@ -1,17 +1,7 @@
-// Runtime kernel dispatch for the quantized Viterbi ACS kernel, mirroring
-// the tree-search dispatch (src/detect/sphere/simd/dispatch.h) so one
-// environment contract covers both hot paths.
-//
-// Selection order:
-//   1. A programmatic override (set_viterbi_kernel_override, used by the
-//      parity tests and the coded-throughput bench).
-//   2. The GEOSPHERE_KERNEL environment variable: "scalar", "sse2", "avx2"
-//      or "auto" (unknown / unsupported names throw on first use -- a typo
-//      must not silently fall back to a different tier). The SAME variable
-//      pins the detection kernels, so GEOSPHERE_KERNEL=scalar pins the
-//      entire pipeline for golden comparisons.
-//   3. Auto: the widest kernel that is both compiled into the binary and
-//      supported by the host CPU (cpuid-checked for AVX2).
+// Runtime kernel dispatch for the quantized Viterbi ACS kernel. Selection
+// (override > GEOSPHERE_KERNEL > cpuid) is shared with the detection
+// kernel layers, so one variable pins the entire pipeline; see
+// common/kernel_dispatch.h.
 //
 // Every tier is bit-identical (pure int16 arithmetic on a fixed
 // renormalization schedule), so dispatch only changes speed -- but the
@@ -31,19 +21,17 @@ const ViterbiKernel& scalar_viterbi_kernel();
 std::vector<const ViterbiKernel*> compiled_viterbi_kernels();
 
 /// The compiled kernels the host CPU can execute, scalar first, widest
-/// last. This is the menu GEOSPHERE_KERNEL and the override select from.
+/// last.
 std::vector<const ViterbiKernel*> supported_viterbi_kernels();
 
-/// The kernel QuantizedViterbi uses right now (override > env > auto). The
-/// env/auto choice is resolved once and cached; overrides take effect
-/// immediately. Throws std::invalid_argument if GEOSPHERE_KERNEL names an
-/// unknown or unsupported kernel.
+/// The kernel QuantizedViterbi uses right now. Throws
+/// std::invalid_argument if GEOSPHERE_KERNEL names an unknown or
+/// unsupported kernel.
 const ViterbiKernel& active_viterbi_kernel();
 
 /// Force a tier by name ("scalar"/"sse2"/"avx2"), or pass nullptr to
 /// restore the default env/auto selection. Throws std::invalid_argument
-/// for names not in supported_viterbi_kernels(). Not thread-safe against
-/// concurrent decoding -- a test/bench hook, not a production switch.
+/// for names not in supported_viterbi_kernels(). A test/bench hook.
 void set_viterbi_kernel_override(const char* name);
 
 }  // namespace geosphere::coding::simd

@@ -17,11 +17,6 @@ unsigned parity(unsigned x) {
   return x & 1u;
 }
 
-ViterbiWorkspace& thread_workspace() {
-  static thread_local ViterbiWorkspace ws;
-  return ws;
-}
-
 }  // namespace
 
 void viterbi_traceback(const std::uint64_t* decisions, std::size_t steps,
@@ -62,14 +57,16 @@ ViterbiDecoder::ViterbiDecoder() {
 }
 
 BitVector ViterbiDecoder::decode(const BitVector& coded) const {
+  ViterbiWorkspace ws;
   BitVector out;
-  decode(coded, thread_workspace(), out);
+  decode(coded, ws, out);
   return out;
 }
 
 BitVector ViterbiDecoder::decode_soft(const std::vector<double>& confidence) const {
+  ViterbiWorkspace ws;
   BitVector out;
-  decode_soft(confidence.data(), confidence.size(), thread_workspace(), out);
+  decode_soft(confidence.data(), confidence.size(), ws, out);
   return out;
 }
 

@@ -55,7 +55,8 @@ class ViterbiDecoder {
 
   /// Allocation-free variants: identical results, all scratch lives in the
   /// workspace and `out` is reused. The vector-returning overloads above
-  /// are thin wrappers over these with a thread-local workspace.
+  /// wrap these with a call-local workspace (one-offs and tests; hot paths
+  /// keep a workspace warm across calls).
   void decode(const BitVector& coded, ViterbiWorkspace& ws, BitVector& out) const;
   void decode_soft(const double* confidence, std::size_t size, ViterbiWorkspace& ws,
                    BitVector& out) const;

@@ -1,92 +1,24 @@
 #include "detect/prepare/simd/dispatch.h"
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
+#include "common/kernel_dispatch.h"
 
 namespace geosphere::prepare::simd {
 
-namespace detail {
-// Each kernel TU defines its tier or a nullptr stub, so the set of compiled
-// kernels is decided entirely at compile time (the "kernel factory"); this
-// file never needs ISA-specific flags.
+namespace detail {  // Defined by the kernel TUs; nullptr when built without the ISA.
 const Kernel* sse2_kernel_or_null();
 const Kernel* avx2_kernel_or_null();
 }  // namespace detail
 
 namespace {
-
-bool cpu_has_avx2() {
-#if (defined(__GNUC__) || defined(__clang__)) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-const Kernel* find_supported(const std::string& name) {
-  for (const Kernel* k : supported_kernels())
-    if (name == k->name) return k;
-  return nullptr;
-}
-
-std::string supported_names() {
-  std::string names = "auto";
-  for (const Kernel* k : supported_kernels()) {
-    names += ", ";
-    names += k->name;
-  }
-  return names;
-}
-
-const Kernel* g_override = nullptr;
-
-const Kernel& resolve_default() {
-  const char* env = std::getenv("GEOSPHERE_KERNEL");
-  const std::string name = (env != nullptr) ? env : "auto";
-  if (name == "auto" || name.empty()) return *supported_kernels().back();
-  if (const Kernel* k = find_supported(name)) return *k;
-  throw std::invalid_argument("GEOSPHERE_KERNEL: unknown or unsupported kernel '" + name +
-                              "' (valid here: " + supported_names() + ")");
-}
-
+using Dispatch = dispatch::KernelDispatch<Kernel, scalar_kernel, detail::sse2_kernel_or_null,
+                                          detail::avx2_kernel_or_null>;
 }  // namespace
 
-std::vector<const Kernel*> compiled_kernels() {
-  std::vector<const Kernel*> out{&scalar_kernel()};
-  if (const Kernel* k = detail::sse2_kernel_or_null()) out.push_back(k);
-  if (const Kernel* k = detail::avx2_kernel_or_null()) out.push_back(k);
-  return out;
-}
-
-std::vector<const Kernel*> supported_kernels() {
-  std::vector<const Kernel*> out;
-  for (const Kernel* k : compiled_kernels()) {
-    // SSE2 is part of the x86-64 baseline, so compiled implies supported;
-    // AVX2 is compiled unconditionally (given -mavx2 support) and gated
-    // here by cpuid.
-    if (std::string(k->name) == "avx2" && !cpu_has_avx2()) continue;
-    out.push_back(k);
-  }
-  return out;
-}
-
-const Kernel& active_kernel() {
-  if (g_override != nullptr) return *g_override;
-  static const Kernel& resolved = resolve_default();
-  return resolved;
-}
-
+std::vector<const Kernel*> compiled_kernels() { return Dispatch::compiled(); }
+std::vector<const Kernel*> supported_kernels() { return Dispatch::supported(); }
+const Kernel& active_kernel() { return Dispatch::active(); }
 void set_kernel_override(const char* name) {
-  if (name == nullptr) {
-    g_override = nullptr;
-    return;
-  }
-  const Kernel* k = find_supported(name);
-  if (k == nullptr)
-    throw std::invalid_argument("set_kernel_override: unknown or unsupported kernel '" +
-                                std::string(name) + "' (valid here: " + supported_names() + ")");
-  g_override = k;
+  Dispatch::set_override("set_kernel_override", name);
 }
 
 }  // namespace geosphere::prepare::simd

@@ -1,19 +1,7 @@
-// Runtime kernel dispatch: which SIMD tier drives the batched channel-
-// preparation layer in this process.
-//
-// Selection order (shared with the other kernel layers -- one env switch
-// covers the whole binary):
-//   1. A programmatic override (set_kernel_override, used by parity tests
-//      and the latency bench).
-//   2. The GEOSPHERE_KERNEL environment variable: "scalar", "sse2", "avx2",
-//      or "auto" (unknown / unsupported names throw on first use -- a typo
-//      must not silently fall back to a different tier).
-//   3. Auto: the widest kernel that is both compiled into the binary and
-//      supported by the host CPU (cpuid-checked for AVX2).
-//
-// The scalar reference kernel is always compiled and always supported; it
-// is the tier golden comparisons pin (GEOSPHERE_KERNEL=scalar) and the only
-// tier on non-x86 builds.
+// Runtime kernel dispatch for the batched channel-preparation layer: which
+// SIMD tier runs the packed factorizations in this process. Selection
+// (override > GEOSPHERE_KERNEL > cpuid) is shared with the other kernel
+// layers; see common/kernel_dispatch.h.
 #pragma once
 
 #include <vector>
@@ -29,20 +17,17 @@ const Kernel& scalar_kernel();
 std::vector<const Kernel*> compiled_kernels();
 
 /// The compiled kernels the host CPU can execute, scalar first, widest
-/// last. This is the menu GEOSPHERE_KERNEL and set_kernel_override select
-/// from.
+/// last.
 std::vector<const Kernel*> supported_kernels();
 
-/// The kernel the batched-prepare drivers use right now (override > env >
-/// auto). The env/auto choice is resolved once and cached; overrides take
-/// effect immediately. Throws std::invalid_argument if GEOSPHERE_KERNEL
-/// names an unknown or unsupported kernel.
+/// The kernel the batched-prepare drivers use right now. Throws
+/// std::invalid_argument if GEOSPHERE_KERNEL names an unknown or
+/// unsupported kernel.
 const Kernel& active_kernel();
 
 /// Force a tier by name ("scalar"/"sse2"/"avx2"), or pass nullptr to
 /// restore the default env/auto selection. Throws std::invalid_argument for
-/// names not in supported_kernels(). Not thread-safe against concurrent
-/// detection -- a test/bench hook, not a production switch.
+/// names not in supported_kernels(). A test/bench hook.
 void set_kernel_override(const char* name);
 
 }  // namespace geosphere::prepare::simd

@@ -177,46 +177,26 @@ void SoftGeosphereDetector::do_solve_batch(const linalg::CMatrix& y_batch,
                                            BatchResult& out) {
   if (y_batch.rows() != na_)
     throw std::invalid_argument("SoftGeosphereDetector: shape mismatch");
-  // One SIMD-batched rotation for the whole batch; row v is bit-identical
-  // to load(y_v) (see simd/rotate.h).
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-
+  // One SIMD-batched rotation and packed root centers for the whole batch;
+  // row v is bit-identical to load(y_v) (see simd/rotate.h).
   const std::size_t nc = scale_.size();
+  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
+  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
+                                    rot_scratch_);
+
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
   out.indices.resize(count * nc);
   DetectionStats stats;
-
-  if (sphere::LaneTreeSearch<sphere::GeoEnumerator>::lanes() == 1) {
-    // Sequential lane policy (the default; see simd::tree_lane_count):
-    // per-vector unconstrained searches straight off the rotated rows, with
-    // the root-center divides packed batch-wide. With infinite initial
-    // radius every search finds the ML solution; there is no column
-    // permutation here, so the winning paths copy directly into
-    // out.indices.
-    sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1],
-                                      root_centers_, rot_scratch_);
-    for (std::size_t v = 0; v < count; ++v) {
-      const Search ml = search(yhat_t_batch_.row_data(v), root_centers_[v], kInf, -1,
-                               nullptr, stats);
-      std::copy(ml.best.begin(), ml.best.end(),
-                out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
-    }
-    out.stats = stats;
-    return;
-  }
-
-  // Lockstep lane policy (GEOSPHERE_LANES): the columns' unconstrained
-  // searches run as lockstep lanes of the SoA engine.
-  jobs_.assign(count, sphere::LaneJob{});
+  // With infinite initial radius every search finds the ML solution; there
+  // is no column permutation here, so the paths copy straight out.
   for (std::size_t v = 0; v < count; ++v) {
-    jobs_[v].yhat = yhat_t_batch_.row_data(v);
-    jobs_[v].best_out = out.indices.data() + v * nc;
-    jobs_[v].radius_sq = kInf;
+    const Search ml = search(yhat_t_batch_.row_data(v), root_centers_[v], kInf, -1,
+                             nullptr, stats);
+    std::copy(ml.best.begin(), ml.best.end(),
+              out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
   }
-  lane_engine_.configure(r_, scale_, diag_, constellation(), enum_proto_);
-  lane_engine_.run(jobs_.data(), count, stats);
   out.stats = stats;
 }
 
@@ -224,136 +204,48 @@ void SoftGeosphereDetector::do_solve_soft_batch(const linalg::CMatrix& y_batch,
                                                 SoftBatchResult& out) {
   if (y_batch.rows() != na_)
     throw std::invalid_argument("SoftGeosphereDetector: shape mismatch");
-  // One SIMD-batched transposed rotation for the whole batch (row v of
-  // (Q^H Y)^T is bit-identical to load(y_v)); the ~1 + streams*Q searches
-  // per vector then run against warm enumeration workspaces.
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-
+  // One SIMD-batched rotation and packed root centers for the whole batch
+  // (row v of (Q^H Y)^T is bit-identical to load(y_v)); every search of
+  // one vector shares its root center.
   const std::size_t nc = scale_.size();
-  const Constellation& cons = constellation();
-  const unsigned bits = cons.bits_per_symbol();
+  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
+  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
+                                    rot_scratch_);
+
+  const unsigned bits = constellation().bits_per_symbol();
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
   out.indices.resize(count * nc);
   out.llrs.resize(count * nc * bits);
   DetectionStats stats;
-
-  if (sphere::LaneTreeSearch<sphere::GeoEnumerator>::lanes() == 1) {
-    // Sequential lane policy (the default): each vector's full soft solve
-    // -- unconstrained search plus its streams*Q counter-hypothesis
-    // searches -- runs per-vector against its rotated row, exactly the
-    // solve_soft_loaded sequence. Only the root-center divides are packed
-    // batch-wide; every search of one vector shares that root center
-    // (identical value, identical reset accounting). Searches are fully
-    // independent and the counters are order-independent sums, so results
-    // are bit-identical to the lockstep two-pass path below.
-    sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1],
-                                      root_centers_, rot_scratch_);
-    ml_bits_.resize(bits);
-    for (std::size_t v = 0; v < count; ++v) {
-      const cf64* yhat = yhat_t_batch_.row_data(v);
-      const cf64 root = root_centers_[v];
-      const Search ml = search(yhat, root, kInf, -1, nullptr, stats);
-      std::copy(ml.best.begin(), ml.best.end(),
-                out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
-      // Counter-hypothesis radius: LLR magnitudes are clamped, so any
-      // solution farther than d_ml + clamp * N0 cannot change the result.
-      const double counter_radius = ml.best_dist + llr_clamp_ * noise_var_;
-      for (std::size_t k = 0; k < nc; ++k) {
-        cons.bits_from_index(ml.best[k], ml_bits_.data());
-        for (unsigned b = 0; b < bits; ++b) {
-          // Allowed set: symbols whose bit b complements the ML bit.
-          const unsigned want = ml_bits_[b] ^ 1u;
-          const std::vector<std::uint8_t>& mask = bit_masks_[b * 2 + want];
-          const Search counter = search(yhat, root, counter_radius,
-                                        static_cast<std::ptrdiff_t>(k), &mask, stats);
-          const double delta = counter.found
-                                   ? (counter.best_dist - ml.best_dist) / noise_var_
-                                   : llr_clamp_;
-          // Positive LLR favours bit 0.
-          const double magnitude = std::min(delta, llr_clamp_);
-          out.llrs[(v * nc + k) * bits + b] = (ml_bits_[b] == 0) ? magnitude : -magnitude;
-        }
-      }
-    }
-    out.stats = stats;
-    return;
-  }
-
-  lane_engine_.configure(r_, scale_, diag_, cons, enum_proto_);
-
-  // Pass 1: every column's unconstrained ML search, as lockstep lanes.
-  jobs_.assign(count, sphere::LaneJob{});
-  for (std::size_t v = 0; v < count; ++v) {
-    jobs_[v].yhat = yhat_t_batch_.row_data(v);
-    jobs_[v].best_out = out.indices.data() + v * nc;
-    jobs_[v].radius_sq = kInf;
-  }
-  lane_engine_.run(jobs_.data(), count, stats);
-
-  // Pass 2: the counter-hypothesis searches of the WHOLE batch pooled into
-  // one job list -- each (vector, stream, bit) constrained search is a
-  // lane, so one vector's ~streams*Q problems pack into SIMD width
-  // alongside its neighbours'. Only found/best_dist are needed per job.
-  ml_dist_.resize(count);
-  ml_bits_batch_.resize(count * nc * bits);
-  counter_jobs_.assign(count * nc * bits, sphere::LaneJob{});
-  for (std::size_t v = 0; v < count; ++v) {
-    ml_dist_[v] = jobs_[v].best_dist;
-    // Counter-hypothesis radius: LLR magnitudes are clamped, so any
-    // solution farther than d_ml + clamp * N0 cannot change the result.
-    const double counter_radius = jobs_[v].best_dist + llr_clamp_ * noise_var_;
-    for (std::size_t k = 0; k < nc; ++k) {
-      std::uint8_t* sym_bits = ml_bits_batch_.data() + (v * nc + k) * bits;
-      cons.bits_from_index(out.indices[v * nc + k], sym_bits);
-      for (unsigned b = 0; b < bits; ++b) {
-        sphere::LaneJob& jb = counter_jobs_[(v * nc + k) * bits + b];
-        jb.yhat = yhat_t_batch_.row_data(v);
-        jb.radius_sq = counter_radius;
-        jb.mask_level = static_cast<std::ptrdiff_t>(k);
-        // Allowed set: symbols whose bit b complements the ML bit.
-        jb.mask = bit_masks_[b * 2 + (sym_bits[b] ^ 1u)].data();
-      }
-    }
-  }
-  lane_engine_.run(counter_jobs_.data(), counter_jobs_.size(), stats);
-
-  // LLR assembly: identical formulas to the per-vector path.
-  for (std::size_t v = 0; v < count; ++v) {
-    for (std::size_t k = 0; k < nc; ++k) {
-      for (unsigned b = 0; b < bits; ++b) {
-        const sphere::LaneJob& jb = counter_jobs_[(v * nc + k) * bits + b];
-        const double delta =
-            jb.found ? (jb.best_dist - ml_dist_[v]) / noise_var_ : llr_clamp_;
-        // Positive LLR favours bit 0.
-        const double magnitude = std::min(delta, llr_clamp_);
-        const std::uint8_t ml_bit = ml_bits_batch_[(v * nc + k) * bits + b];
-        out.llrs[(v * nc + k) * bits + b] = (ml_bit == 0) ? magnitude : -magnitude;
-      }
-    }
-  }
+  for (std::size_t v = 0; v < count; ++v)
+    solve_soft_row(yhat_t_batch_.row_data(v), root_centers_[v], out.indices.data() + v * nc,
+                   out.llrs.data() + v * nc * bits, stats);
   out.stats = stats;
 }
 
 void SoftGeosphereDetector::do_solve_soft(const CVector& y, SoftDetectionResult& out) {
   load(y);
-  solve_soft_loaded(out);
+  const std::size_t nc = scale_.size();
+  out.indices.resize(nc);
+  out.llrs.resize(nc * constellation().bits_per_symbol());
+  DetectionStats stats;
+  solve_soft_row(yhat_.data(), root_center_of(yhat_.data()), out.indices.data(),
+                 out.llrs.data(), stats);
+  out.stats = stats;
 }
 
-void SoftGeosphereDetector::solve_soft_loaded(SoftDetectionResult& out) {
+void SoftGeosphereDetector::solve_soft_row(const cf64* yhat, cf64 root_center,
+                                           unsigned* indices, double* llrs,
+                                           DetectionStats& stats) {
   const std::size_t nc = scale_.size();
   const Constellation& cons = constellation();
-
-  DetectionStats stats;
-  const cf64 root = root_center_of(yhat_.data());
+  const unsigned bits = cons.bits_per_symbol();
 
   // Unconstrained pass: ML solution.
-  const Search ml = search(yhat_.data(), root, kInf, -1, nullptr, stats);
-  out.indices = ml.best;
-
-  const unsigned bits = cons.bits_per_symbol();
-  out.llrs.assign(nc * bits, 0.0);
+  const Search ml = search(yhat, root_center, kInf, -1, nullptr, stats);
+  std::copy(ml.best.begin(), ml.best.end(), indices);
   ml_bits_.resize(bits);
 
   // Counter-hypothesis radius: LLR magnitudes are clamped, so any solution
@@ -366,17 +258,16 @@ void SoftGeosphereDetector::solve_soft_loaded(SoftDetectionResult& out) {
       // Allowed set: symbols whose bit b is the complement of the ML bit.
       const unsigned want = ml_bits_[b] ^ 1u;
       const std::vector<std::uint8_t>& mask = bit_masks_[b * 2 + want];
-      const Search counter = search(yhat_.data(), root, counter_radius,
+      const Search counter = search(yhat, root_center, counter_radius,
                                     static_cast<std::ptrdiff_t>(k), &mask, stats);
       const double delta = counter.found
                                ? (counter.best_dist - ml.best_dist) / noise_var_
                                : llr_clamp_;
       // Positive LLR favours bit 0.
       const double magnitude = std::min(delta, llr_clamp_);
-      out.llrs[k * bits + b] = (ml_bits_[b] == 0) ? magnitude : -magnitude;
+      llrs[k * bits + b] = (ml_bits_[b] == 0) ? magnitude : -magnitude;
     }
   }
-  out.stats = stats;
 }
 
 }  // namespace geosphere

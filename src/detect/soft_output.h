@@ -21,6 +21,7 @@
 // subcarrier.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -28,7 +29,6 @@
 #include "detect/detector.h"
 #include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
-#include "detect/sphere/lane_engine.h"
 #include "detect/sphere/simd/rotate.h"
 #include "linalg/matrix.h"
 
@@ -61,18 +61,13 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   void do_solve_soft(const CVector& y, SoftDetectionResult& out) override;
 
   /// One SIMD-batched Q^H Y rotation (vectors as lanes, see simd/rotate.h)
-  /// plus packed root-center divides, then the columns' unconstrained
-  /// searches run per-vector (the default W = 1 lane policy) or as
-  /// lockstep lanes of the SoA engine (see lane_engine.h).
+  /// plus packed root-center divides, then one unconstrained search per
+  /// column.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
-  /// SIMD-batched rotation shared across the batch, then the ~1 +
-  /// streams*Q searches per vector. Under the default W = 1 lane policy
-  /// each vector's soft solve runs sequentially against its rotated row;
-  /// under a lockstep policy (GEOSPHERE_LANES) two lane-engine passes run
-  /// instead -- every column's unconstrained search first, then the pooled
-  /// ~count*streams*Q counter-hypothesis searches, each constrained search
-  /// a lane. Bit-identical either way.
+  /// SIMD-batched rotation and packed root centers shared across the
+  /// batch, then each column's ~1 + streams*Q searches against its rotated
+  /// row -- the per-vector soft solve, bit-identical to looping it.
   void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) override;
 
   /// Packed Householder QR across the batch (prepare/batch_qr.h); select
@@ -112,10 +107,11 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
     return cf64(yhat[root].real() / d, yhat[root].imag() / d);
   }
 
-  /// The soft solve against the already-loaded yhat_ (everything in
-  /// do_solve_soft after load()): unconstrained search + per-bit
-  /// counter-hypothesis searches.
-  void solve_soft_loaded(SoftDetectionResult& out);
+  /// The soft solve of one rotated vector: the unconstrained search plus
+  /// the per-bit counter-hypothesis searches, writing nc decisions to
+  /// `indices` and nc * Q LLRs (stream-major) to `llrs`.
+  void solve_soft_row(const cf64* yhat, cf64 root_center, unsigned* indices, double* llrs,
+                      DetectionStats& stats);
 
   double llr_clamp_;
 
@@ -151,17 +147,10 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   std::vector<double> partial_;
   std::vector<std::uint8_t> ml_bits_;
 
-  // Per-batch workspaces. (The per-vector soft path keeps its own scalar
-  // search; the batch paths below share the SIMD rotation and -- under a
-  // lockstep lane policy -- the lane engine.)
+  // Per-batch workspaces (shared SIMD rotation and root centers).
   linalg::CMatrix yhat_t_batch_;  ///< (Q^H Y)^T -- one row per vector.
   sphere::simd::RotateScratch rot_scratch_;
   std::vector<cf64> root_centers_;  ///< Packed per-vector root centers.
-  sphere::LaneTreeSearch<sphere::GeoEnumerator> lane_engine_;
-  std::vector<sphere::LaneJob> jobs_;          ///< Unconstrained searches.
-  std::vector<sphere::LaneJob> counter_jobs_;  ///< Per-(vector, stream, bit).
-  std::vector<double> ml_dist_;              ///< Per-vector ML distance.
-  std::vector<std::uint8_t> ml_bits_batch_;  ///< count x streams x Q ML bits.
 };
 
 }  // namespace geosphere

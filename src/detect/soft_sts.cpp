@@ -336,42 +336,23 @@ void SoftGeosphereStsDetector::do_solve_batch(const linalg::CMatrix& y_batch,
                                               BatchResult& out) {
   if (y_batch.rows() != na_)
     throw std::invalid_argument("SoftGeosphereStsDetector: shape mismatch");
-  // One SIMD-batched rotation for the whole batch; row v is bit-identical
-  // to load(y_v) (see simd/rotate.h).
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-
+  // One SIMD-batched rotation and packed root centers for the whole batch;
+  // row v is bit-identical to load(y_v) (see simd/rotate.h).
   const std::size_t nc = scale_.size();
+  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
+  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
+                                    rot_scratch_);
+
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
   out.indices.resize(count * nc);
   DetectionStats stats;
-
-  if (sphere::LaneTreeSearch<sphere::GeoEnumerator>::lanes() == 1) {
-    // Sequential lane policy (the default): per-vector unconstrained
-    // searches straight off the rotated rows, root-center divides packed
-    // batch-wide.
-    sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1],
-                                      root_centers_, rot_scratch_);
-    for (std::size_t v = 0; v < count; ++v) {
-      const Search ml = search_ml(yhat_t_batch_.row_data(v), root_centers_[v], stats);
-      std::copy(ml.best.begin(), ml.best.end(),
-                out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
-    }
-    out.stats = stats;
-    return;
-  }
-
-  // Lockstep lane policy (GEOSPHERE_LANES): the columns' unconstrained
-  // searches run as lockstep lanes of the SoA engine.
-  jobs_.assign(count, sphere::LaneJob{});
   for (std::size_t v = 0; v < count; ++v) {
-    jobs_[v].yhat = yhat_t_batch_.row_data(v);
-    jobs_[v].best_out = out.indices.data() + v * nc;
-    jobs_[v].radius_sq = kInf;
+    const Search ml = search_ml(yhat_t_batch_.row_data(v), root_centers_[v], stats);
+    std::copy(ml.best.begin(), ml.best.end(),
+              out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
   }
-  lane_engine_.configure(r_, scale_, diag_, constellation(), enum_proto_);
-  lane_engine_.run(jobs_.data(), count, stats);
   out.stats = stats;
 }
 
@@ -381,13 +362,12 @@ void SoftGeosphereStsDetector::do_solve_soft_batch(const linalg::CMatrix& y_batc
     throw std::invalid_argument("SoftGeosphereStsDetector: shape mismatch");
   // One SIMD-batched transposed rotation for the whole batch (row v of
   // (Q^H Y)^T is bit-identical to load(y_v)) and packed root-center
-  // divides; then one STS pass per column against warm workspaces. The
-  // walk is a single radius-stateful search per vector -- there is no pool
-  // of independent constrained lanes left to pack -- so this path does not
-  // consult the lane policy and is byte-identical under GEOSPHERE_LANES.
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-
+  // divides; then one STS pass per column against warm workspaces.
   const std::size_t nc = scale_.size();
+  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
+  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
+                                    rot_scratch_);
+
   const unsigned bits = constellation().bits_per_symbol();
   const std::size_t count = y_batch.cols();
   out.count = count;
@@ -395,9 +375,6 @@ void SoftGeosphereStsDetector::do_solve_soft_batch(const linalg::CMatrix& y_batc
   out.indices.resize(count * nc);
   out.llrs.resize(count * nc * bits);
   DetectionStats stats;
-
-  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1],
-                                    root_centers_, rot_scratch_);
   for (std::size_t v = 0; v < count; ++v) {
     sts_search(yhat_t_batch_.row_data(v), root_centers_[v], stats);
     std::copy(ml_best_.begin(), ml_best_.end(),

@@ -48,11 +48,10 @@
 //
 // SoftGeosphereStsDetector implements the full three-phase contract:
 // prepare(h, n0) QR-factorizes once; solve()/solve_batch() run the plain
-// unconstrained search (same ML decisions as the hard Geosphere detector,
-// lane-engine lockstep under GEOSPHERE_LANES); solve_soft()/
-// solve_soft_batch() run one STS pass per vector, with the batch path
-// sharing the SIMD-batched Q^H Y rotation and packed root-center divides
-// (src/detect/sphere/simd/). DetectionStats::tree_searches records the
+// unconstrained search (same ML decisions as the hard Geosphere detector);
+// solve_soft()/solve_soft_batch() run one STS pass per vector, with the
+// batch path sharing the SIMD-batched Q^H Y rotation and packed
+// root-center divides (src/detect/sphere/simd/). DetectionStats::tree_searches records the
 // collapse: 1 per vector here vs 1 + streams*Q for soft-geosphere.
 #pragma once
 
@@ -64,7 +63,6 @@
 #include "detect/detector.h"
 #include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
-#include "detect/sphere/lane_engine.h"
 #include "detect/sphere/simd/rotate.h"
 #include "linalg/matrix.h"
 
@@ -96,17 +94,12 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   void do_solve_soft(const CVector& y, SoftDetectionResult& out) override;
 
   /// One SIMD-batched Q^H Y rotation plus packed root-center divides, then
-  /// per-vector unconstrained searches (W = 1) or lockstep lane-engine
-  /// searches (GEOSPHERE_LANES) -- identical to the soft-geosphere hard
-  /// batch path.
+  /// one unconstrained search per column -- identical to the
+  /// soft-geosphere hard batch path.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
   /// SIMD-batched rotation and packed root centers shared across the
-  /// batch, then one STS pass per column. The STS walk is a single
-  /// radius-stateful search per vector -- there is no pool of independent
-  /// constrained searches left to pack into lockstep lanes -- so this path
-  /// is the same per-vector code under every lane policy (byte-identical
-  /// results with or without GEOSPHERE_LANES, which tests assert).
+  /// batch, then one STS pass per column.
   void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) override;
 
   /// Packed Householder QR across the batch (prepare/batch_qr.h); select
@@ -205,13 +198,10 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   std::vector<std::uint64_t> radius_epoch_;
   std::vector<double> radius_cache_;
 
-  // Per-batch workspaces (shared SIMD rotation; lane engine for the hard
-  // batch path's lockstep policy).
+  // Per-batch workspaces (shared SIMD rotation and root centers).
   linalg::CMatrix yhat_t_batch_;  ///< (Q^H Y)^T -- one row per vector.
   sphere::simd::RotateScratch rot_scratch_;
   std::vector<cf64> root_centers_;  ///< Packed per-vector root centers.
-  sphere::LaneTreeSearch<sphere::GeoEnumerator> lane_engine_;
-  std::vector<sphere::LaneJob> jobs_;
 };
 
 }  // namespace geosphere

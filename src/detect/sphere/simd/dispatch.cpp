@@ -1,123 +1,24 @@
 #include "detect/sphere/simd/dispatch.h"
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
+#include "common/kernel_dispatch.h"
 
 namespace geosphere::sphere::simd {
 
-namespace detail {
-// Each kernel TU defines its tier or a nullptr stub, so the set of compiled
-// kernels is decided entirely at compile time (the "kernel factory"); this
-// file never needs ISA-specific flags.
+namespace detail {  // Defined by the kernel TUs; nullptr when built without the ISA.
 const Kernel* sse2_kernel_or_null();
 const Kernel* avx2_kernel_or_null();
 }  // namespace detail
 
 namespace {
-
-bool cpu_has_avx2() {
-#if (defined(__GNUC__) || defined(__clang__)) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-const Kernel* find_supported(const std::string& name) {
-  for (const Kernel* k : supported_kernels())
-    if (name == k->name) return k;
-  return nullptr;
-}
-
-std::string supported_names() {
-  std::string names = "auto";
-  for (const Kernel* k : supported_kernels()) {
-    names += ", ";
-    names += k->name;
-  }
-  return names;
-}
-
-const Kernel* g_override = nullptr;
-std::size_t g_lane_override = 0;
-
-std::size_t clamp_lanes(long n) {
-  if (n < 1) return 1;
-  if (n > static_cast<long>(kMaxLanes)) return kMaxLanes;
-  return static_cast<std::size_t>(n);
-}
-
-const Kernel& resolve_default() {
-  const char* env = std::getenv("GEOSPHERE_KERNEL");
-  const std::string name = (env != nullptr) ? env : "auto";
-  if (name == "auto" || name.empty()) return *supported_kernels().back();
-  if (const Kernel* k = find_supported(name)) return *k;
-  throw std::invalid_argument("GEOSPHERE_KERNEL: unknown or unsupported kernel '" + name +
-                              "' (valid here: " + supported_names() + ")");
-}
-
+using Dispatch = dispatch::KernelDispatch<Kernel, scalar_kernel, detail::sse2_kernel_or_null,
+                                          detail::avx2_kernel_or_null>;
 }  // namespace
 
-std::vector<const Kernel*> compiled_kernels() {
-  std::vector<const Kernel*> out{&scalar_kernel()};
-  if (const Kernel* k = detail::sse2_kernel_or_null()) out.push_back(k);
-  if (const Kernel* k = detail::avx2_kernel_or_null()) out.push_back(k);
-  return out;
-}
-
-std::vector<const Kernel*> supported_kernels() {
-  std::vector<const Kernel*> out;
-  for (const Kernel* k : compiled_kernels()) {
-    // SSE2 is part of the x86-64 baseline, so compiled implies supported;
-    // AVX2 is compiled unconditionally (given -mavx2 support) and gated
-    // here by cpuid.
-    if (std::string(k->name) == "avx2" && !cpu_has_avx2()) continue;
-    out.push_back(k);
-  }
-  return out;
-}
-
-const Kernel& active_kernel() {
-  if (g_override != nullptr) return *g_override;
-  static const Kernel& resolved = resolve_default();
-  return resolved;
-}
-
-std::size_t tree_lane_count(std::size_t kernel_width) {
-  if (g_lane_override != 0) return g_lane_override;
-  // Resolved once: the policy must be stable across a process (the parity
-  // contract is per-configuration, not per-call).
-  static const long env_lanes = [] {
-    const char* env = std::getenv("GEOSPHERE_LANES");
-    if (env == nullptr || *env == '\0') return 1L;  // Default: sequential.
-    const std::string name(env);
-    if (name == "auto") return -1L;  // Width-derived, resolved per kernel.
-    const long n = std::strtol(env, nullptr, 10);
-    if (n < 1)
-      throw std::invalid_argument("GEOSPHERE_LANES: expected a positive lane count or 'auto', got '" +
-                                  name + "'");
-    return n;
-  }();
-  if (env_lanes == -1)
-    return kernel_width <= 1 ? 1 : clamp_lanes(static_cast<long>(kernel_width * 2));
-  return clamp_lanes(env_lanes);
-}
-
-void set_lane_override(std::size_t lanes) {
-  g_lane_override = lanes == 0 ? 0 : clamp_lanes(static_cast<long>(lanes));
-}
-
+std::vector<const Kernel*> compiled_kernels() { return Dispatch::compiled(); }
+std::vector<const Kernel*> supported_kernels() { return Dispatch::supported(); }
+const Kernel& active_kernel() { return Dispatch::active(); }
 void set_kernel_override(const char* name) {
-  if (name == nullptr) {
-    g_override = nullptr;
-    return;
-  }
-  const Kernel* k = find_supported(name);
-  if (k == nullptr)
-    throw std::invalid_argument("set_kernel_override: unknown or unsupported kernel '" +
-                                std::string(name) + "' (valid here: " + supported_names() + ")");
-  g_override = k;
+  Dispatch::set_override("set_kernel_override", name);
 }
 
 }  // namespace geosphere::sphere::simd

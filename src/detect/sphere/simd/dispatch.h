@@ -1,18 +1,7 @@
-// Runtime kernel dispatch: which SIMD tier drives the tree-search lane
-// engine in this process.
-//
-// Selection order:
-//   1. A programmatic override (set_kernel_override, used by parity tests
-//      and the latency bench).
-//   2. The GEOSPHERE_KERNEL environment variable: "scalar", "sse2", "avx2",
-//      or "auto" (unknown / unsupported names throw on first use -- a typo
-//      must not silently fall back to a different tier).
-//   3. Auto: the widest kernel that is both compiled into the binary and
-//      supported by the host CPU (cpuid-checked for AVX2).
-//
-// The scalar reference kernel is always compiled and always supported; it
-// is the tier golden comparisons pin (GEOSPHERE_KERNEL=scalar) and the only
-// tier on non-x86 builds.
+// Runtime kernel dispatch for the tree-search layer: which SIMD tier runs
+// the batched rotation, the packed root centers and the level-major center
+// groups in this process. Selection (override > GEOSPHERE_KERNEL > cpuid)
+// is shared with the other kernel layers; see common/kernel_dispatch.h.
 #pragma once
 
 #include <vector>
@@ -28,37 +17,16 @@ const Kernel& scalar_kernel();
 std::vector<const Kernel*> compiled_kernels();
 
 /// The compiled kernels the host CPU can execute, scalar first, widest
-/// last. This is the menu GEOSPHERE_KERNEL and set_kernel_override select
-/// from.
+/// last.
 std::vector<const Kernel*> supported_kernels();
 
-/// The kernel the lane engine uses right now (override > env > auto). The
-/// env/auto choice is resolved once and cached; overrides take effect
-/// immediately. Throws std::invalid_argument if GEOSPHERE_KERNEL names an
-/// unknown or unsupported kernel.
+/// The kernel in use right now. Throws std::invalid_argument if
+/// GEOSPHERE_KERNEL names an unknown or unsupported kernel.
 const Kernel& active_kernel();
 
 /// Force a tier by name ("scalar"/"sse2"/"avx2"), or pass nullptr to
 /// restore the default env/auto selection. Throws std::invalid_argument for
-/// names not in supported_kernels(). Not thread-safe against concurrent
-/// detection -- a test/bench hook, not a production switch.
+/// names not in supported_kernels(). A test/bench hook.
 void set_kernel_override(const char* name);
-
-/// How many lockstep lanes the depth-first tree engine packs per run.
-/// Default 1 (sequential): a depth-first search's own instruction-level
-/// parallelism already overlaps its divide/center latency with the zigzag
-/// control flow on out-of-order hosts, so superstep packing of W
-/// independent searches costs more in gather/scatter bookkeeping than the
-/// packed arithmetic recovers (measured ~0.6-0.8x at 4x4). The level-major
-/// searches (K-Best, FSD) stay packed regardless -- their lanes never
-/// desynchronize. GEOSPHERE_LANES=N (clamped to [1, kMaxLanes]) or "auto"
-/// (two registers' worth for the active tier) forces lockstep packing --
-/// the parity tests pin it to prove lane-engine bit-exactness, and perf
-/// work on other microarchitectures can re-evaluate the default.
-std::size_t tree_lane_count(std::size_t kernel_width);
-
-/// Force the tree lane count (0 restores the GEOSPHERE_LANES/default
-/// policy). Same caveats as set_kernel_override.
-void set_lane_override(std::size_t lanes);
 
 }  // namespace geosphere::sphere::simd

@@ -1,9 +1,10 @@
-// SIMD kernel table for the structure-of-arrays tree-search lane engine.
+// SIMD kernel table for the batched tree-search solve.
 //
-// A Kernel is a set of elementwise operations over packed lane arrays
-// (double[n], n <= kMaxLanes): the per-level PED pipeline of the sphere
-// search (budget quotients, center accumulation, partial-distance updates)
-// expressed so that one instruction covers `width` lanes at a time.
+// A Kernel is a set of elementwise operations over packed lane arrays: the
+// arithmetic of the batched Q^H Y rotation (one received vector per lane),
+// the packed root-center divides, and the level-major center groups of the
+// K-Best and FSD searches (one surviving path per lane), expressed so that
+// one instruction covers `width` lanes at a time.
 //
 // Bit-identity contract: every operation is specified as an exact IEEE-754
 // sequence -- one rounding per arithmetic op, no FMA contraction, operands
@@ -14,7 +15,7 @@
 // tiers differ only in how many lanes one instruction covers. The kernel
 // translation units are compiled with -ffp-contract=off so this holds even
 // under GEOSPHERE_NATIVE. Parity is locked by tests
-// (tests/lane_engine_test.cpp) at both the op level and the full-detector
+// (tests/sphere_kernel_test.cpp) at both the op level and the full-detector
 // level.
 #pragma once
 
@@ -22,9 +23,8 @@
 
 namespace geosphere::sphere::simd {
 
-/// Upper bound on lanes per packed call. The lane engine packs at most one
-/// register's worth of searches (kernel width), but grouped helpers (K-best
-/// survivors, FSD paths) chunk longer lane lists by this.
+/// Upper bound on lanes per grouped center call: tree_center_lanes (K-best
+/// survivors, FSD paths) chunks longer lane lists by this.
 inline constexpr std::size_t kMaxLanes = 8;
 
 struct Kernel {
@@ -38,10 +38,6 @@ struct Kernel {
   /// center normalization (component / (r_ll * alpha)).
   void (*quotients)(const double* num, const double* den, double* out, std::size_t n);
 
-  /// out[i] = dx[i]*dx[i] + dy[i]*dy[i] (mul, mul, add) -- the exact
-  /// squared grid distance the enumerators' cost_of computes.
-  void (*ped_costs)(const double* dx, const double* dy, double* out, std::size_t n);
-
   /// Center accumulation step, one broadcast r(l, j) times per-lane symbol:
   ///   t_re = r_re*s_re[i] - r_im*s_im[i]
   ///   t_im = r_re*s_im[i] + r_im*s_re[i]
@@ -50,11 +46,6 @@ struct Kernel {
   /// lanes.
   void (*center_accum)(double r_re, double r_im, const double* s_re, const double* s_im,
                        double* acc_re, double* acc_im, std::size_t n);
-
-  /// out[i] = base[i] + scale[i] * cost[i] (mul then add) -- the partial
-  /// Euclidean distance update d(s^(l)) = d(s^(l+1)) + |r_ll alpha|^2 c.
-  void (*pd_update)(const double* base, const double* scale, const double* cost,
-                    double* out, std::size_t n);
 
   /// Complex multiply-accumulate on INTERLEAVED complex arrays (`b` and
   /// `acc` hold n complex values as [re0, im0, re1, im1, ...]), one

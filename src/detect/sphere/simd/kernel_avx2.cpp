@@ -30,20 +30,6 @@ void quotients_avx2(const double* num, const double* den, double* out, std::size
   for (; i < n; ++i) out[i] = num[i] / den[i];
 }
 
-void ped_costs_avx2(const double* dx, const double* dy, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(dx + i);
-    const __m256d y = _mm256_loadu_pd(dy + i);
-    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)));
-  }
-  for (; i < n; ++i) {
-    const double xx = dx[i] * dx[i];
-    const double yy = dy[i] * dy[i];
-    out[i] = xx + yy;
-  }
-}
-
 void center_accum_avx2(double r_re, double r_im, const double* s_re, const double* s_im,
                        double* acc_re, double* acc_im, std::size_t n) {
   const __m256d rre = _mm256_set1_pd(r_re);
@@ -63,16 +49,6 @@ void center_accum_avx2(double r_re, double r_im, const double* s_re, const doubl
     acc_re[i] -= t_re;
     acc_im[i] -= t_im;
   }
-}
-
-void pd_update_avx2(const double* base, const double* scale, const double* cost,
-                    double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(scale + i), _mm256_loadu_pd(cost + i));
-    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(base + i), prod));
-  }
-  for (; i < n; ++i) out[i] = base[i] + scale[i] * cost[i];
 }
 
 void cmul_accum_avx2(double a_re, double a_im, const double* b, double* acc,
@@ -101,8 +77,7 @@ void cmul_accum_avx2(double a_re, double a_im, const double* b, double* acc,
 }  // namespace
 
 const Kernel* avx2_kernel_or_null() {
-  static constexpr Kernel k{"avx2", 4, quotients_avx2, ped_costs_avx2, center_accum_avx2,
-                            pd_update_avx2, cmul_accum_avx2};
+  static constexpr Kernel k{"avx2", 4, quotients_avx2, center_accum_avx2, cmul_accum_avx2};
   return &k;
 }
 

@@ -11,14 +11,6 @@ void quotients_scalar(const double* num, const double* den, double* out, std::si
   for (std::size_t i = 0; i < n; ++i) out[i] = num[i] / den[i];
 }
 
-void ped_costs_scalar(const double* dx, const double* dy, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xx = dx[i] * dx[i];
-    const double yy = dy[i] * dy[i];
-    out[i] = xx + yy;
-  }
-}
-
 void center_accum_scalar(double r_re, double r_im, const double* s_re, const double* s_im,
                          double* acc_re, double* acc_im, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -27,11 +19,6 @@ void center_accum_scalar(double r_re, double r_im, const double* s_re, const dou
     acc_re[i] -= t_re;
     acc_im[i] -= t_im;
   }
-}
-
-void pd_update_scalar(const double* base, const double* scale, const double* cost,
-                      double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = base[i] + scale[i] * cost[i];
 }
 
 void cmul_accum_scalar(double a_re, double a_im, const double* b, double* acc,
@@ -47,8 +34,8 @@ void cmul_accum_scalar(double a_re, double a_im, const double* b, double* acc,
 }  // namespace
 
 const Kernel& scalar_kernel() {
-  static constexpr Kernel k{"scalar", 1, quotients_scalar, ped_costs_scalar,
-                            center_accum_scalar, pd_update_scalar, cmul_accum_scalar};
+  static constexpr Kernel k{"scalar", 1, quotients_scalar, center_accum_scalar,
+                            cmul_accum_scalar};
   return k;
 }
 

@@ -26,20 +26,6 @@ void quotients_sse2(const double* num, const double* den, double* out, std::size
   for (; i < n; ++i) out[i] = num[i] / den[i];
 }
 
-void ped_costs_sse2(const double* dx, const double* dy, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d x = _mm_loadu_pd(dx + i);
-    const __m128d y = _mm_loadu_pd(dy + i);
-    _mm_storeu_pd(out + i, _mm_add_pd(_mm_mul_pd(x, x), _mm_mul_pd(y, y)));
-  }
-  for (; i < n; ++i) {
-    const double xx = dx[i] * dx[i];
-    const double yy = dy[i] * dy[i];
-    out[i] = xx + yy;
-  }
-}
-
 void center_accum_sse2(double r_re, double r_im, const double* s_re, const double* s_im,
                        double* acc_re, double* acc_im, std::size_t n) {
   const __m128d rre = _mm_set1_pd(r_re);
@@ -61,16 +47,6 @@ void center_accum_sse2(double r_re, double r_im, const double* s_re, const doubl
   }
 }
 
-void pd_update_sse2(const double* base, const double* scale, const double* cost,
-                    double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d prod = _mm_mul_pd(_mm_loadu_pd(scale + i), _mm_loadu_pd(cost + i));
-    _mm_storeu_pd(out + i, _mm_add_pd(_mm_loadu_pd(base + i), prod));
-  }
-  for (; i < n; ++i) out[i] = base[i] + scale[i] * cost[i];
-}
-
 void cmul_accum_sse2(double a_re, double a_im, const double* b, double* acc,
                      std::size_t n) {
   const __m128d are = _mm_set1_pd(a_re);
@@ -90,8 +66,7 @@ void cmul_accum_sse2(double a_re, double a_im, const double* b, double* acc,
 }  // namespace
 
 const Kernel* sse2_kernel_or_null() {
-  static constexpr Kernel k{"sse2", 2, quotients_sse2, ped_costs_sse2, center_accum_sse2,
-                            pd_update_sse2, cmul_accum_sse2};
+  static constexpr Kernel k{"sse2", 2, quotients_sse2, center_accum_sse2, cmul_accum_sse2};
   return &k;
 }
 

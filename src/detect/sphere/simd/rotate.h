@@ -1,8 +1,8 @@
 // Batched SIMD rotation into the triangular basis: out = (Q^H Y)^T with the
-// received vectors as SIMD lanes. This is the one place in the batched
-// detection hot path where lanes never diverge -- every vector multiplies by
-// the same Q^H row -- so packing the batch dimension is a pure win, unlike
-// the lockstep tree searches (see simd::tree_lane_count).
+// received vectors as SIMD lanes. Lanes never diverge here -- every vector
+// multiplies by the same Q^H row -- so packing the batch dimension is a
+// pure win. The depth-first searches that follow run one vector at a time:
+// their lanes would diverge at every zigzag step.
 //
 // Bit-identity contract: per output element this performs the exact
 // accumulation sequence of linalg::multiply_transpose_into's buffered

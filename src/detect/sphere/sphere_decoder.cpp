@@ -18,9 +18,6 @@ void SphereDecoder<Enumerator>::do_prepare(const linalg::CMatrix& h,
     throw std::invalid_argument("SphereDecoder: requires 1 <= n_c <= n_a");
 
   perm_ = config_.sorted_qr ? column_norm_order(h) : identity_order(nc);
-  perm_is_identity_ = true;
-  for (std::size_t j = 0; j < nc; ++j)
-    if (perm_[j] != j) perm_is_identity_ = false;
   const linalg::CMatrix hp = config_.sorted_qr ? h.select_cols(perm_) : h;
 
   auto [q, r] = linalg::householder_qr(hp);
@@ -78,7 +75,6 @@ void SphereDecoder<Enumerator>::prepare_adopted(const linalg::CMatrix& h,
             "SphereDecoder: channel matrix is (numerically) rank deficient");
 
     perm_ = identity_order(nc);
-    perm_is_identity_ = true;
     na_ = na;
     nc_ = nc;
     qh_ = qh;
@@ -97,7 +93,6 @@ void SphereDecoder<Enumerator>::do_prepare_batch(const linalg::CMatrix* hs,
   if (batch_shape_bad_) return;  // do_prepare's invalid_argument, at select.
 
   slot_perm_.assign(count, {});
-  slot_perm_identity_.assign(count, 1);
   if (config_.sorted_qr) {
     // Per-slot detection order, then QR of the permuted copies -- the rank
     // tolerance inside the packed driver then reads hp's Frobenius norm in
@@ -105,11 +100,6 @@ void SphereDecoder<Enumerator>::do_prepare_batch(const linalg::CMatrix* hs,
     batch_hp_.resize(count);
     for (std::size_t s = 0; s < count; ++s) {
       slot_perm_[s] = column_norm_order(hs[s]);
-      for (std::size_t j = 0; j < nc; ++j)
-        if (slot_perm_[s][j] != j) {
-          slot_perm_identity_[s] = 0;
-          break;
-        }
       batch_hp_[s] = hs[s].select_cols(slot_perm_[s]);
     }
     batch_qr_.run(batch_hp_.data(), count, slot_qr_);
@@ -131,7 +121,6 @@ void SphereDecoder<Enumerator>::do_select_prepared(std::size_t i) {
   na_ = batch_na_;
   nc_ = batch_nc_;
   perm_ = slot_perm_[i];
-  perm_is_identity_ = slot_perm_identity_[i] != 0;
   qh_ = slot.qh;
   r_ = slot.r;
   finish_install();
@@ -219,60 +208,23 @@ void SphereDecoder<Enumerator>::do_solve_batch(const linalg::CMatrix& y_batch,
   // One SIMD-batched transposed rotation for the whole batch (vectors as
   // lanes; see simd/rotate.h): row v of (Q^H Y)^T is bit-identical to
   // Q^H y_v, so every search sees exactly the per-vector input, read in
-  // place from one contiguous span.
+  // place from one contiguous span. The root-center divides are the only
+  // other batch-wide work, packed the same way.
   simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
+  simd::packed_root_centers(yhat_t_batch_, nc_ - 1, level_diag_[nc_ - 1], root_centers_,
+                            rot_scratch_);
 
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc_;
   out.indices.resize(count * nc_);
   DetectionStats stats;
-
-  if (LaneTreeSearch<Enumerator>::lanes() == 1) {
-    // Sequential lane policy (the default; see simd::tree_lane_count): the
-    // per-vector search runs each row directly -- only the root-center
-    // divides remain batch-wide lockstep work, packed here.
-    simd::packed_root_centers(yhat_t_batch_, nc_ - 1, level_diag_[nc_ - 1],
-                              root_centers_, rot_scratch_);
-    for (std::size_t v = 0; v < count; ++v) {
-      if (!search(yhat_t_batch_.row_data(v), stats, root_centers_[v]))
-        throw std::runtime_error(
-            "SphereDecoder: no solution inside the configured initial radius");
-      unsigned* dst = out.indices.data() + v * nc_;
-      if (perm_is_identity_) {
-        for (std::size_t j = 0; j < nc_; ++j) dst[j] = best_[j];
-      } else {
-        for (std::size_t j = 0; j < nc_; ++j) dst[perm_[j]] = best_[j];
-      }
-    }
-    out.stats = stats;
-    return;
-  }
-
-  // Lockstep lane policy (GEOSPHERE_LANES): the rows become lane jobs and
-  // the engine runs W searches in lockstep through the dispatched SIMD
-  // kernel, refilling lanes as searches retire. With the unsorted QR the
-  // winning paths land directly in out.indices; sorted QR goes through
-  // lane_best_ and undoes the permutation after.
-  jobs_.assign(count, LaneJob{});
-  if (!perm_is_identity_) lane_best_.resize(count * nc_);
   for (std::size_t v = 0; v < count; ++v) {
-    jobs_[v].yhat = yhat_t_batch_.row_data(v);
-    jobs_[v].best_out =
-        perm_is_identity_ ? out.indices.data() + v * nc_ : lane_best_.data() + v * nc_;
-    jobs_[v].radius_sq = config_.initial_radius_sq;
-  }
-  lane_engine_.configure(r_, level_scale_, level_diag_, constellation(), prototype_);
-  lane_engine_.run(jobs_.data(), count, stats);
-
-  for (std::size_t v = 0; v < count; ++v)
-    if (!jobs_[v].found)
+    if (!search(yhat_t_batch_.row_data(v), stats, root_centers_[v]))
       throw std::runtime_error(
           "SphereDecoder: no solution inside the configured initial radius");
-  if (!perm_is_identity_) {
-    for (std::size_t v = 0; v < count; ++v)
-      for (std::size_t j = 0; j < nc_; ++j)
-        out.indices[v * nc_ + perm_[j]] = lane_best_[v * nc_ + j];
+    unsigned* dst = out.indices.data() + v * nc_;
+    for (std::size_t j = 0; j < nc_; ++j) dst[perm_[j]] = best_[j];
   }
   out.stats = stats;
 }

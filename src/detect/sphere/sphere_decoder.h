@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -22,7 +21,6 @@
 #include "detect/detector.h"
 #include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
-#include "detect/sphere/lane_engine.h"
 #include "detect/sphere/preprocess.h"
 #include "detect/sphere/simd/rotate.h"
 
@@ -63,11 +61,9 @@ class SphereDecoder final : public Detector {
   void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// One SIMD-batched Q^H Y rotation for the whole batch (vectors as lanes,
-  /// see simd/rotate.h) plus packed root-center divides, then the rows run
-  /// through the per-vector search (the default W = 1 lane policy) or as
-  /// lockstep lanes of the SoA engine (see lane_engine.h and
-  /// simd::tree_lane_count). Bit-identical to looping do_solve over the
-  /// columns on every tier and under either policy.
+  /// see simd/rotate.h) plus packed root-center divides, then one search
+  /// per row. Bit-identical to looping do_solve over the columns on every
+  /// tier.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed Householder QR across the batch (prepare/batch_qr.h), with
   /// per-slot column orderings first when sorted QR is configured; select
@@ -102,7 +98,6 @@ class SphereDecoder final : public Detector {
   std::size_t na_ = 0;                ///< Receive antennas of the prepared H.
   std::size_t nc_ = 0;                ///< Streams of the prepared H.
   std::vector<std::size_t> perm_;     ///< Detection-order column permutation.
-  bool perm_is_identity_ = true;      ///< Unsorted QR: emit is a straight copy.
   linalg::CMatrix r_;                 ///< Upper-triangular QR factor.
   linalg::CMatrix qh_;                ///< Q^H, applied to each received vector.
   CVector yhat_;                      ///< Q^H y (per-solve scratch).
@@ -120,19 +115,14 @@ class SphereDecoder final : public Detector {
   prepare::BatchQr batch_qr_;
   std::vector<prepare::QrSlot> slot_qr_;
   std::vector<std::vector<std::size_t>> slot_perm_;
-  std::vector<std::uint8_t> slot_perm_identity_;
   std::vector<linalg::CMatrix> batch_hp_;  ///< Permuted copies (sorted QR only).
   bool batch_shape_bad_ = false;  ///< Deferred shape invalid_argument.
   std::size_t batch_na_ = 0;
   std::size_t batch_nc_ = 0;
 
-  // Batched-solve state: SIMD rotation scratch (see simd/rotate.h) and the
-  // lane engine for the lockstep policy (see lane_engine.h).
+  // Batched-solve state: SIMD rotation scratch (see simd/rotate.h).
   simd::RotateScratch rot_scratch_;
   std::vector<cf64> root_centers_;  ///< Packed per-vector root centers.
-  LaneTreeSearch<Enumerator> lane_engine_;
-  std::vector<LaneJob> jobs_;
-  std::vector<unsigned> lane_best_;  ///< Pre-permutation paths (sorted QR only).
 };
 
 /// Geosphere: 2D zigzag enumeration + geometric pruning (the full system).

@@ -28,12 +28,14 @@ double LatencyRecorder::bucket_floor_ns(std::size_t index) {
 void LatencyRecorder::record(std::uint64_t ns) {
   ++counts_[bucket_of(ns)];
   ++count_;
+  min_ns_ = std::min(min_ns_, ns);
   max_ns_ = std::max(max_ns_, ns);
 }
 
 void LatencyRecorder::merge(const LatencyRecorder& o) {
   for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += o.counts_[i];
   count_ += o.count_;
+  min_ns_ = std::min(min_ns_, o.min_ns_);
   max_ns_ = std::max(max_ns_, o.max_ns_);
 }
 
@@ -43,15 +45,14 @@ double LatencyRecorder::percentile_ns(double p) const {
   const auto rank = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
              std::ceil(clamped * static_cast<double>(count_))));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += counts_[i];
-    if (seen >= rank) {
-      // Geometric midpoint of [floor, floor * ratio): sqrt(ratio) * floor.
-      return bucket_floor_ns(i) * std::sqrt(kRatio);
-    }
-  }
-  return bucket_floor_ns(kBuckets - 1) * std::sqrt(kRatio);
+  std::size_t i = 0;  // First bucket whose cumulative count reaches rank.
+  for (std::uint64_t seen = counts_[0]; seen < rank && i + 1 < kBuckets;)
+    seen += counts_[++i];
+  // Geometric midpoint of [floor, floor * ratio): sqrt(ratio) * floor. A
+  // bucket's midpoint can lie past the largest (or below the smallest)
+  // sample it holds, so clamp to the exact observed range.
+  return std::clamp(bucket_floor_ns(i) * std::sqrt(kRatio), static_cast<double>(min_ns_),
+                    static_cast<double>(max_ns_));
 }
 
 }  // namespace geosphere::serve

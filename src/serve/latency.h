@@ -18,8 +18,8 @@ namespace geosphere::serve {
 /// (each 2^(1/4) wider than the last) from kMinNs up, covering ~nine
 /// decades in 128 buckets with <= ~9% relative quantization error per
 /// bucket. record() is O(1) with no allocation; percentile() reports the
-/// geometric midpoint of the bucket containing the requested rank (max()
-/// is exact).
+/// geometric midpoint of the bucket containing the requested rank, clamped
+/// to the exact observed [min, max].
 class LatencyRecorder {
  public:
   static constexpr std::size_t kBuckets = 128;
@@ -31,11 +31,14 @@ class LatencyRecorder {
   void merge(const LatencyRecorder& o);
 
   std::uint64_t count() const { return count_; }
+  /// Smallest recorded latency (0 when empty).
+  std::uint64_t min_ns() const { return count_ == 0 ? 0 : min_ns_; }
   std::uint64_t max_ns() const { return max_ns_; }
 
   /// The latency at rank ceil(p * count) (p in [0, 1]; p50 = percentile
   /// 0.5): the geometric midpoint of the first bucket whose cumulative
-  /// count reaches the rank. Returns 0 when empty.
+  /// count reaches the rank, clamped to [min_ns(), max_ns()] so no
+  /// percentile lies outside the observed range. Returns 0 when empty.
   double percentile_ns(double p) const;
 
   /// The bucket index `ns` lands in (exposed for tests).
@@ -46,6 +49,7 @@ class LatencyRecorder {
  private:
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
+  std::uint64_t min_ns_ = ~std::uint64_t{0};
   std::uint64_t max_ns_ = 0;
 };
 

@@ -7,12 +7,13 @@
 //                choice (serve::CellScheduler), then frame assembly (link
 //                draw, per-user encoding, pre-drawn noise), parallelized
 //                across cells.
-//   detect    -- the TTI's frames decompose into (cell, subcarrier, batch)
-//                work items fed through one sim::ThreadPool dispatch: each
-//                item prepares the subcarrier's channel once and batch-
-//                solves all of the frame's OFDM symbols on it (the
-//                prepare/solve_batch contract), using per-worker cached
-//                detector instances.
+//   detect    -- each scheduled frame is one work item, fed through one
+//                sim::ThreadPool dispatch: the worker batch-prepares the
+//                frame's subcarrier channels in one prepare_batch call,
+//                then selects each subcarrier and batch-solves all of the
+//                frame's OFDM symbols on it (the prepare_batch /
+//                solve_batch contract), using per-worker cached detector
+//                instances.
 //   deliver   -- per cell: per-user Viterbi decoding, goodput/error
 //                accounting, queue feedback (delivered frames leave the
 //                queue, failed ones stay for retransmission).
@@ -22,8 +23,8 @@
 // randomness derives from Rng::derive_seed(seed, cell, tti, frame) and
 // counter merges are associative integer sums. The per-frame detection
 // LATENCY distribution (time from a TTI's detect dispatch to the frame's
-// last work item completing) is the one host-dependent output and is
-// reported separately through serve::LatencyRecorder.
+// work item completing) is the one host-dependent output and is reported
+// separately through serve::LatencyRecorder.
 #pragma once
 
 #include <cstddef>

@@ -41,12 +41,6 @@ std::size_t bit_errors(const BitVector& a, const BitVector& b) {
   return n;
 }
 
-TEST(QuantizedViterbiKernel, ScalarTierAlwaysCompiled) {
-  const auto kernels = simd::compiled_viterbi_kernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_STREQ(kernels.front()->name, "scalar");
-}
-
 TEST(QuantizedViterbiKernel, SupportedTiersAreBitIdentical) {
   // The heart of the SIMD contract: every supported tier produces the SAME
   // decoded bits on the same (noisy, erasure-laden) inputs. The comparison
@@ -74,17 +68,6 @@ TEST(QuantizedViterbiKernel, SupportedTiersAreBitIdentical) {
       EXPECT_EQ(dec.decode_soft(conf), reference)
           << "tier " << kernel->name << " diverged from scalar on trial " << trial;
     }
-  }
-}
-
-TEST(QuantizedViterbiKernel, RejectsUnknownOverride) {
-  KernelOverrideGuard guard;
-  try {
-    simd::set_viterbi_kernel_override("avx512");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    // The error must name the valid choices.
-    EXPECT_NE(std::string(e.what()).find("scalar"), std::string::npos);
   }
 }
 

@@ -6,10 +6,12 @@
 // deterministic counter bit-identical for 1 vs 4 worker threads.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.h"
 #include "serve/latency.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -21,6 +23,7 @@ namespace {
 TEST(LatencyRecorder, EmptyRecorder) {
   const LatencyRecorder rec;
   EXPECT_EQ(rec.count(), 0u);
+  EXPECT_EQ(rec.min_ns(), 0u);
   EXPECT_EQ(rec.max_ns(), 0u);
   EXPECT_EQ(rec.percentile_ns(0.5), 0.0);
   EXPECT_EQ(rec.percentile_ns(1.0), 0.0);
@@ -78,6 +81,51 @@ TEST(LatencyRecorder, MergeMatchesCombinedRecording) {
   EXPECT_EQ(a.max_ns(), combined.max_ns());
   for (const double p : {0.1, 0.5, 0.9, 0.99, 1.0})
     EXPECT_EQ(a.percentile_ns(p), combined.percentile_ns(p));
+}
+
+TEST(LatencyRecorder, PercentileNeverExceedsTheObservedMax) {
+  // One sample just above a bucket's lower edge: the bucket's geometric
+  // midpoint lies ~9% above the only value ever recorded.
+  const auto ns =
+      static_cast<std::uint64_t>(LatencyRecorder::bucket_floor_ns(40)) + 1;
+  ASSERT_EQ(LatencyRecorder::bucket_of(ns), 40u);
+  LatencyRecorder rec;
+  rec.record(ns);
+  EXPECT_EQ(rec.max_ns(), ns);
+  for (const double p : {0.0, 0.5, 0.99, 1.0})
+    EXPECT_EQ(rec.percentile_ns(p), static_cast<double>(ns)) << "p=" << p;
+}
+
+TEST(LatencyRecorder, RandomSamplesGiveMonotoneClampedMergeOrderFreePercentiles) {
+  Rng rng(77);
+  for (int trial = 0; trial < 50; ++trial) {
+    // Log-uniform samples over ~6 decades, split across four partials the
+    // way serve workers record them.
+    std::vector<LatencyRecorder> parts(4);
+    const int n = 1 + rng.uniform_int(200);
+    for (int i = 0; i < n; ++i) {
+      const auto ns = static_cast<std::uint64_t>(std::exp(rng.uniform(3.0, 17.0)));
+      parts[static_cast<std::size_t>(rng.uniform_int(4))].record(ns);
+    }
+    LatencyRecorder forward;
+    for (const LatencyRecorder& part : parts) forward.merge(part);
+    LatencyRecorder backward;
+    for (auto it = parts.rbegin(); it != parts.rend(); ++it) backward.merge(*it);
+    ASSERT_EQ(forward.count(), static_cast<std::uint64_t>(n));
+    EXPECT_EQ(backward.min_ns(), forward.min_ns());
+    EXPECT_EQ(backward.max_ns(), forward.max_ns());
+
+    double prev = 0.0;
+    for (int pct = 0; pct <= 100; ++pct) {
+      const double p = pct / 100.0;
+      const double v = forward.percentile_ns(p);
+      EXPECT_GE(v, prev) << "trial " << trial << " p=" << p;
+      EXPECT_GE(v, static_cast<double>(forward.min_ns())) << "trial " << trial;
+      EXPECT_LE(v, static_cast<double>(forward.max_ns())) << "trial " << trial;
+      EXPECT_EQ(backward.percentile_ns(p), v) << "trial " << trial << " p=" << p;
+      prev = v;
+    }
+  }
 }
 
 TEST(CellScheduler, NeverExceedsAntennasAndOnlySchedulesBackloggedUsers) {

@@ -6,7 +6,7 @@
 //  * DetectionStats counters prove the collapse: ONE enumeration pass per
 //    vector (tree_searches == 1) vs 1 + streams*Q for the reference.
 //  * Batched solves are bit-identical to the per-vector loop, including
-//    the new counters, on every kernel tier / lane policy.
+//    the new counters.
 #include "detect/soft_sts.h"
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "common/db.h"
 #include "common/rng.h"
 #include "detect/soft_output.h"
-#include "detect/sphere/simd/dispatch.h"
 #include "detect/sphere/sphere_decoder.h"
 #include "test_util.h"
 
@@ -189,15 +188,10 @@ TEST(SoftSts, OneTreeSearchPerVector) {
   EXPECT_EQ(repeated.detect(y, h, n0).stats.tree_searches, 1u);
 }
 
-// Satellite: clamp saturation must be exact (+/- llr_clamp, not merely
-// near it) and byte-identical across the per-vector, batched, and
-// lockstep-lane (GEOSPHERE_LANES) paths -- for BOTH soft detectors.
+// Clamp saturation must be exact (+/- llr_clamp, not merely near it) and
+// byte-identical across the per-vector and batched paths -- for BOTH soft
+// detectors.
 TEST(SoftSts, ClampSaturationIdenticalAcrossPaths) {
-  struct LaneGuard {
-    explicit LaneGuard(std::size_t lanes) { sphere::simd::set_lane_override(lanes); }
-    ~LaneGuard() { sphere::simd::set_lane_override(0); }
-  };
-
   const Constellation& c = Constellation::qam(16);
   const double clamp = 3.0;  // Tight: at 20 dB almost every bit saturates.
   const double n0 = db_to_lin(-20.0);
@@ -233,7 +227,7 @@ TEST(SoftSts, ClampSaturationIdenticalAcrossPaths) {
     EXPECT_GT(saturated, ref_llrs.size() / 2) << which;
     for (const double l : ref_llrs) EXPECT_LE(std::abs(l), clamp) << which;
 
-    // Batched path, default lane policy.
+    // Batched path.
     const auto batch_det = make();
     batch_det->prepare(h, n0);
     SoftBatchResult batch;
@@ -241,19 +235,6 @@ TEST(SoftSts, ClampSaturationIdenticalAcrossPaths) {
     ASSERT_EQ(batch.llrs.size(), ref_llrs.size()) << which;
     for (std::size_t i = 0; i < ref_llrs.size(); ++i)
       EXPECT_EQ(batch.llrs[i], ref_llrs[i]) << which << " bit=" << i;
-
-    // Batched path under forced lockstep lanes.
-    {
-      LaneGuard lanes(4);
-      const auto lane_det = make();
-      lane_det->prepare(h, n0);
-      SoftBatchResult lane_batch;
-      lane_det->soft()->solve_soft_batch(y_batch, lane_batch);
-      ASSERT_EQ(lane_batch.llrs.size(), ref_llrs.size()) << which;
-      for (std::size_t i = 0; i < ref_llrs.size(); ++i)
-        EXPECT_EQ(lane_batch.llrs[i], ref_llrs[i]) << which << " lanes bit=" << i;
-      expect_same_stats(lane_batch.stats, batch.stats, std::string(which) + " lanes");
-    }
   }
 }
 

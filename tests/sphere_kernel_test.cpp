@@ -1,23 +1,20 @@
-// Tests for the SoA/SIMD tree-search kernel layer (src/detect/sphere/simd/):
-//  * kernel registry sanity: scalar first, widths ascending, every op
-//    populated, supported kernels are a subset of compiled kernels,
+// Tests for the SIMD tree-search kernel layer (src/detect/sphere/simd/):
 //  * per-op bit-exactness of every SIMD tier against the scalar reference,
 //    including the odd-count tails each tier falls back to scalar for,
 //  * batched rotation (rotate_transpose / packed_root_centers) bit-identity
 //    with the per-vector linalg products on every tier,
-//  * full-detector lane parity: for every tree-search detector x QAM
+//  * full-detector tier parity: for every tree-search detector x QAM
 //    {16, 64, 256} x batch sizes {1, W-1, W, 48}, solve_batch under every
-//    supported kernel tier -- both the default sequential lane policy and
-//    forced lockstep lanes -- is bit-identical (decisions, LLRs, stats
+//    supported kernel tier is bit-identical (decisions, LLRs, stats
 //    counters) to a per-vector loop on the scalar reference build,
-//  * the zigzag/enumerator edge cases the lane masks must preserve:
-//    boundary-sideways steps at constellation edges, radius-prune on the
-//    first candidate, 1-stream degenerate trees, and partial batches
-//    smaller than the lane count.
+//  * zigzag/enumerator edge cases: boundary-sideways steps at
+//    constellation edges, radius-prune on the first candidate, and
+//    1-stream degenerate trees.
+// The tier registry and override contract are tested once for all three
+// kernel layers in kernel_dispatch_test.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -48,12 +45,6 @@ struct KernelGuard {
   ~KernelGuard() { simd::set_kernel_override(nullptr); }
 };
 
-/// RAII tree-lane-count override (restores the default policy on exit).
-struct LaneGuard {
-  explicit LaneGuard(std::size_t lanes) { simd::set_lane_override(lanes); }
-  ~LaneGuard() { simd::set_lane_override(0); }
-};
-
 void expect_same_stats(const DetectionStats& a, const DetectionStats& b,
                        const std::string& who) {
   EXPECT_EQ(a.ped_computations, b.ped_computations) << who;
@@ -77,49 +68,6 @@ void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& 
   }
 }
 
-// ------------------------------------------------------------- registry --
-
-TEST(KernelRegistry, ScalarFirstWidthsAscendingAllOpsPopulated) {
-  const auto compiled = simd::compiled_kernels();
-  ASSERT_FALSE(compiled.empty());
-  EXPECT_STREQ(compiled.front()->name, "scalar");
-  EXPECT_EQ(compiled.front()->width, 1u);
-  for (std::size_t i = 1; i < compiled.size(); ++i)
-    EXPECT_GT(compiled[i]->width, compiled[i - 1]->width);
-
-  const auto supported = simd::supported_kernels();
-  ASSERT_FALSE(supported.empty());
-  EXPECT_EQ(supported.front(), compiled.front());  // Scalar always runs.
-  for (const simd::Kernel* k : supported) {
-    EXPECT_NE(std::find(compiled.begin(), compiled.end(), k), compiled.end()) << k->name;
-    EXPECT_NE(k->quotients, nullptr) << k->name;
-    EXPECT_NE(k->ped_costs, nullptr) << k->name;
-    EXPECT_NE(k->center_accum, nullptr) << k->name;
-    EXPECT_NE(k->pd_update, nullptr) << k->name;
-    EXPECT_NE(k->cmul_accum, nullptr) << k->name;
-  }
-
-  // active_kernel() honors the override for every supported tier.
-  for (const simd::Kernel* k : supported) {
-    KernelGuard guard(k->name);
-    EXPECT_STREQ(simd::active_kernel().name, k->name);
-  }
-  EXPECT_THROW(simd::set_kernel_override("avx1024"), std::invalid_argument);
-}
-
-TEST(KernelRegistry, LaneOverrideClampsToValidRange) {
-  {
-    LaneGuard guard(1);
-    EXPECT_EQ(simd::tree_lane_count(simd::active_kernel().width), 1u);
-  }
-  {
-    LaneGuard guard(simd::kMaxLanes + 100);
-    EXPECT_LE(simd::tree_lane_count(simd::active_kernel().width), simd::kMaxLanes);
-  }
-  // Default policy restored after the guards.
-  EXPECT_GE(simd::tree_lane_count(simd::active_kernel().width), 1u);
-}
-
 // ----------------------------------------------------------- kernel ops --
 
 /// Sizes that exercise full SIMD registers plus every tail length.
@@ -137,10 +85,6 @@ TEST(KernelOps, EveryTierBitIdenticalToScalarIncludingTails) {
   for (const std::size_t n : kOpSizes) {
     const auto num = random_doubles(rng, n, -10.0, 10.0);
     const auto den = random_doubles(rng, n, 0.1, 4.0);
-    const auto dx = random_doubles(rng, n, -7.0, 7.0);
-    const auto dy = random_doubles(rng, n, -7.0, 7.0);
-    const auto base = random_doubles(rng, n, 0.0, 50.0);
-    const auto scale = random_doubles(rng, n, 0.0, 3.0);
     const auto s_re = random_doubles(rng, n, -7.0, 7.0);
     const auto s_im = random_doubles(rng, n, -7.0, 7.0);
     const auto inter = random_doubles(rng, 2 * n, -5.0, 5.0);  // Interleaved complex.
@@ -150,27 +94,21 @@ TEST(KernelOps, EveryTierBitIdenticalToScalarIncludingTails) {
     const auto acc0_im = random_doubles(rng, n, -2.0, 2.0);
     const auto acc0_c = random_doubles(rng, 2 * n, -2.0, 2.0);
 
-    std::vector<double> q_ref(n), p_ref(n), u_ref(n);
+    std::vector<double> q_ref(n);
     std::vector<double> ca_re_ref = acc0_re, ca_im_ref = acc0_im, cm_ref = acc0_c;
     ref.quotients(num.data(), den.data(), q_ref.data(), n);
-    ref.ped_costs(dx.data(), dy.data(), p_ref.data(), n);
-    ref.pd_update(base.data(), scale.data(), p_ref.data(), u_ref.data(), n);
     ref.center_accum(r_re, r_im, s_re.data(), s_im.data(), ca_re_ref.data(),
                      ca_im_ref.data(), n);
     ref.cmul_accum(a_re, a_im, inter.data(), cm_ref.data(), n);
 
     for (const simd::Kernel* k : simd::supported_kernels()) {
       const std::string who = std::string(k->name) + " n=" + std::to_string(n);
-      std::vector<double> q(n), p(n), u(n);
+      std::vector<double> q(n);
       std::vector<double> ca_re = acc0_re, ca_im = acc0_im, cm = acc0_c;
       k->quotients(num.data(), den.data(), q.data(), n);
-      k->ped_costs(dx.data(), dy.data(), p.data(), n);
-      k->pd_update(base.data(), scale.data(), p_ref.data(), u.data(), n);
       k->center_accum(r_re, r_im, s_re.data(), s_im.data(), ca_re.data(), ca_im.data(), n);
       k->cmul_accum(a_re, a_im, inter.data(), cm.data(), n);
       expect_bits_equal(q, q_ref, who + " quotients");
-      expect_bits_equal(p, p_ref, who + " ped_costs");
-      expect_bits_equal(u, u_ref, who + " pd_update");
       expect_bits_equal(ca_re, ca_re_ref, who + " center_accum re");
       expect_bits_equal(ca_im, ca_im_ref, who + " center_accum im");
       expect_bits_equal(cm, cm_ref, who + " cmul_accum");
@@ -228,9 +166,9 @@ const char* kTreeSearchSpecs[] = {"geosphere", "geosphere-2dzz", "geosphere-sqrd
                                   "hybrid",    "kbest:8",        "fsd",
                                   "soft-geosphere"};
 
-class LaneParity : public ::testing::TestWithParam<const char*> {};
+class TierParity : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(LaneParity, EveryKernelTierAndLanePolicyMatchesScalarLoop) {
+TEST_P(TierParity, EveryKernelTierMatchesScalarLoop) {
   const DetectorSpec spec = DetectorSpec::parse(GetParam());
   const double n0 = db_to_lin(-25.0);
   // W is the widest supported SIMD width: batch sizes {1, W-1, W, 48}
@@ -251,8 +189,8 @@ TEST_P(LaneParity, EveryKernelTierAndLanePolicyMatchesScalarLoop) {
         y_batch.set_col(v, transmit(rng, h, c, sent, n0));
       }
 
-      // Reference: a per-vector loop on the scalar tier with the default
-      // (sequential) lane policy -- the configuration the goldens pin.
+      // Reference: a per-vector loop on the scalar tier -- the
+      // configuration the goldens pin.
       std::vector<unsigned> ref_indices;
       std::vector<double> ref_llrs;
       DetectionStats ref_stats;
@@ -277,37 +215,30 @@ TEST_P(LaneParity, EveryKernelTierAndLanePolicyMatchesScalarLoop) {
       }
 
       for (const simd::Kernel* k : simd::supported_kernels()) {
-        // Lanes=1 runs the sequential packed-rotation path; lanes=4 forces
-        // the lockstep lane engine (a no-op for the level-major searches,
-        // which are always packed).
-        for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
-          const std::string who = spec.text() + " kernel=" + k->name +
-                                  " lanes=" + std::to_string(lanes) +
-                                  " qam=" + std::to_string(qam) +
-                                  " count=" + std::to_string(count);
-          KernelGuard kernel(k->name);
-          LaneGuard lane(lanes);
-          const auto det = spec.create(c);
-          det->prepare(h, n0);
-          if (SoftDetector* soft = det->soft()) {
-            SoftBatchResult out;
-            soft->solve_soft_batch(y_batch, out);
-            EXPECT_EQ(out.indices, ref_indices) << who;
-            expect_bits_equal(out.llrs, ref_llrs, who + " llrs");
-            expect_same_stats(out.stats, ref_stats, who);
-          } else {
-            BatchResult out;
-            det->solve_batch(y_batch, out);
-            EXPECT_EQ(out.indices, ref_indices) << who;
-            expect_same_stats(out.stats, ref_stats, who);
-          }
+        const std::string who = spec.text() + " kernel=" + k->name +
+                                " qam=" + std::to_string(qam) +
+                                " count=" + std::to_string(count);
+        KernelGuard kernel(k->name);
+        const auto det = spec.create(c);
+        det->prepare(h, n0);
+        if (SoftDetector* soft = det->soft()) {
+          SoftBatchResult out;
+          soft->solve_soft_batch(y_batch, out);
+          EXPECT_EQ(out.indices, ref_indices) << who;
+          expect_bits_equal(out.llrs, ref_llrs, who + " llrs");
+          expect_same_stats(out.stats, ref_stats, who);
+        } else {
+          BatchResult out;
+          det->solve_batch(y_batch, out);
+          EXPECT_EQ(out.indices, ref_indices) << who;
+          expect_same_stats(out.stats, ref_stats, who);
         }
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTreeSearchDetectors, LaneParity,
+INSTANTIATE_TEST_SUITE_P(AllTreeSearchDetectors, TierParity,
                          ::testing::ValuesIn(kTreeSearchSpecs),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            std::string name = info.param;
@@ -318,7 +249,7 @@ INSTANTIATE_TEST_SUITE_P(AllTreeSearchDetectors, LaneParity,
 
 // ------------------------------------------------------------ edge cases --
 
-TEST(LaneEdgeCases, CornerCenterSlicesToConstellationEdgeOnAllTiers) {
+TEST(TreeSearchEdgeCases, CornerCenterSlicesToConstellationEdgeOnAllTiers) {
   // A received vector far outside the constellation corner: slicing clamps
   // to the edge and every zigzag step is boundary-sideways (one direction
   // exhausted immediately). The detector must return the corner point, per
@@ -348,31 +279,26 @@ TEST(LaneEdgeCases, CornerCenterSlicesToConstellationEdgeOnAllTiers) {
   for (const char* name : {"geosphere", "geosphere-2dzz", "eth-sd", "shabany"}) {
     for (const simd::Kernel* k : simd::supported_kernels()) {
       KernelGuard kernel(k->name);
-      for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
-        LaneGuard lane(lanes);
-        const auto det = DetectorSpec::parse(name).create(c);
-        det->prepare(h, n0);
-        const DetectionResult r = det->solve(y);
-        ASSERT_EQ(r.indices.size(), 2u) << name;
-        EXPECT_EQ(r.indices[0], corner) << name << " " << k->name;
-        EXPECT_EQ(r.indices[1], corner) << name << " " << k->name;
-        const BatchResult b = det->solve_batch(y_batch);
-        for (std::size_t v = 0; v < count; ++v) {
-          EXPECT_EQ(b.indices[2 * v], corner) << name << " " << k->name << " v=" << v;
-          EXPECT_EQ(b.indices[2 * v + 1], corner) << name << " " << k->name << " v=" << v;
-        }
+      const auto det = DetectorSpec::parse(name).create(c);
+      det->prepare(h, n0);
+      const DetectionResult r = det->solve(y);
+      ASSERT_EQ(r.indices.size(), 2u) << name;
+      EXPECT_EQ(r.indices[0], corner) << name << " " << k->name;
+      EXPECT_EQ(r.indices[1], corner) << name << " " << k->name;
+      const BatchResult b = det->solve_batch(y_batch);
+      for (std::size_t v = 0; v < count; ++v) {
+        EXPECT_EQ(b.indices[2 * v], corner) << name << " " << k->name << " v=" << v;
+        EXPECT_EQ(b.indices[2 * v + 1], corner) << name << " " << k->name << " v=" << v;
       }
     }
   }
 }
 
-TEST(LaneEdgeCases, RadiusPruneOnFirstCandidateClosesEnumeratorCleanly) {
+TEST(TreeSearchEdgeCases, RadiusPruneOnFirstCandidateClosesEnumeratorCleanly) {
   // A budget below the first (sliced, cheapest) candidate's cost: next()
-  // must report exhaustion immediately -- the lane engine retires such a
-  // lane on its very first superstep, so the enumerator must not leave a
-  // half-open column behind. Enumerators are seeded identically and must
-  // agree they are exhausted, and a later call with the same budget stays
-  // exhausted.
+  // must report exhaustion immediately and must not leave a half-open
+  // column behind. Enumerators are seeded identically and must agree they
+  // are exhausted, and a later call with the same budget stays exhausted.
   const Constellation& c = Constellation::qam(16);
   DetectionStats stats;
 
@@ -404,10 +330,10 @@ TEST(LaneEdgeCases, RadiusPruneOnFirstCandidateClosesEnumeratorCleanly) {
   EXPECT_EQ(child->cost_grid, 0.0);
 }
 
-TEST(LaneEdgeCases, SingleStreamTreeMatchesBruteForceOnAllTiers) {
-  // 1-stream channel: the "tree" is a single level, the root center is the
-  // whole center computation, and lockstep lanes degenerate to independent
-  // slicing problems. Decisions must equal the brute-force ML argmin.
+TEST(TreeSearchEdgeCases, SingleStreamTreeMatchesBruteForceOnAllTiers) {
+  // 1-stream channel: the "tree" is a single level and the root center is
+  // the whole center computation, so every vector is an independent
+  // slicing problem. Decisions must equal the brute-force ML argmin.
   const Constellation& c = Constellation::qam(64);
   const double n0 = db_to_lin(-18.0);
   Rng rng(8080);
@@ -436,7 +362,6 @@ TEST(LaneEdgeCases, SingleStreamTreeMatchesBruteForceOnAllTiers) {
   for (const char* name : {"geosphere", "eth-sd", "shabany", "kbest:8", "fsd"}) {
     for (const simd::Kernel* k : simd::supported_kernels()) {
       KernelGuard kernel(k->name);
-      LaneGuard lane(4);
       const auto det = DetectorSpec::parse(name).create(c);
       det->prepare(h, n0);
       const BatchResult b = det->solve_batch(y_batch);
@@ -444,46 +369,6 @@ TEST(LaneEdgeCases, SingleStreamTreeMatchesBruteForceOnAllTiers) {
       for (std::size_t v = 0; v < count; ++v)
         EXPECT_EQ(b.indices[v], want[v]) << name << " " << k->name << " v=" << v;
     }
-  }
-}
-
-TEST(LaneEdgeCases, PartialBatchSmallerThanLaneCountMatchesLoop) {
-  // Lane count forced above the batch size: the engine must mask out the
-  // unfilled lanes, not read or write them. Results match the per-vector
-  // loop exactly, including counters.
-  const Constellation& c = Constellation::qam(16);
-  const double n0 = db_to_lin(-22.0);
-  Rng rng(9090);
-  const auto h = random_channel(rng, 4, 4);
-  const std::size_t count = 3;  // < kMaxLanes and < the forced lane count.
-  linalg::CMatrix y_batch(4, count);
-  for (std::size_t v = 0; v < count; ++v) {
-    const auto sent = random_indices(rng, c, 4);
-    y_batch.set_col(v, transmit(rng, h, c, sent, n0));
-  }
-
-  for (const char* name : {"geosphere", "soft-geosphere"}) {
-    const DetectorSpec spec = DetectorSpec::parse(name);
-    std::vector<unsigned> ref_indices;
-    DetectionStats ref_stats;
-    {
-      const auto det = spec.create(c);
-      det->prepare(h, n0);
-      CVector y;
-      for (std::size_t v = 0; v < count; ++v) {
-        y_batch.col_into(v, y);
-        const DetectionResult r = det->solve(y);
-        ref_indices.insert(ref_indices.end(), r.indices.begin(), r.indices.end());
-        ref_stats += r.stats;
-      }
-    }
-    LaneGuard lane(simd::kMaxLanes);
-    const auto det = spec.create(c);
-    det->prepare(h, n0);
-    BatchResult out;
-    det->solve_batch(y_batch, out);
-    EXPECT_EQ(out.indices, ref_indices) << name;
-    expect_same_stats(out.stats, ref_stats, name);
   }
 }
 
