@@ -1,8 +1,8 @@
 // Engineering benchmark (not a paper figure): end-to-end per-frame
-// detection latency of the streaming serve layer (src/serve) on a fixed
+// receive latency of the streaming serve layer (src/serve) on a fixed
 // two-cell scenario, at 1 thread and at all cores. Each record reports the
-// p50/p90/p99/max of the per-frame detection latency distribution (TTI
-// dispatch -> the frame's work item completing)
+// p50/p90/p99/max of the per-frame latency distribution (TTI dispatch ->
+// the frame detected and decoded, queueing behind other frames included)
 // plus the run's total goodput -- the serving-layer counterpart of
 // detector_latency's per-call numbers.
 //

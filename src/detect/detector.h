@@ -64,7 +64,7 @@ namespace geosphere {
 
 /// Which decision the link layer asks a detector for: hard symbol indices
 /// or per-bit max-log LLRs. A DetectorSpec carries one of these, and
-/// LinkSimulator::simulate_frame dispatches on it.
+/// link::FrameReceiver::receive dispatches on it.
 enum class DecisionMode { kHard, kSoft };
 
 inline const char* to_string(DecisionMode mode) {
@@ -122,6 +122,7 @@ struct DetectionStats {
     counter_updates += o.counter_updates;
     return *this;
   }
+  bool operator==(const DetectionStats&) const = default;
 };
 
 /// Result of detecting one received vector (one OFDM subcarrier use).

@@ -26,6 +26,8 @@ struct StreamDecodeResult {
   std::size_t payload_bits = 0;
   std::size_t bit_errors = 0;
   bool crc_ok = false;
+
+  bool operator==(const StreamDecodeResult&) const = default;
 };
 
 class CodedPipeline {

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "channel/noise.h"
-#include "link/coded_pipeline.h"
+#include "link/frame_receiver.h"
 
 namespace geosphere::link {
 
@@ -96,128 +96,24 @@ void LinkSimulator::init_stats(LinkStats& stats) const {
 
 void LinkSimulator::simulate_frame(Detector& detector, DecisionMode mode, Rng& rng,
                                    LinkStats& stats) const {
-  if (detector.constellation().order() != scenario_.frame.qam_order)
-    throw std::invalid_argument("LinkSimulator: detector/frame constellation mismatch");
-  SoftDetector* soft = nullptr;
-  if (mode == DecisionMode::kSoft) {
-    soft = detector.soft();
-    if (soft == nullptr)
-      throw std::invalid_argument("LinkSimulator: detector \"" + detector.name() +
-                                  "\" cannot produce soft decisions");
-  }
   init_stats(stats);
-
-  const std::size_t nc = channel_->num_tx();
-  const std::size_t na = channel_->num_rx();
-  const std::size_t nsc = scenario_.frame.data_subcarriers;
-  const std::size_t ofdm_symbols = codec_.ofdm_symbols_per_frame();
-  const unsigned q = detector.constellation().bits_per_symbol();
-
-  std::vector<phy::EncodedFrame> tx(nc);
-  // Hard path: per-client detected symbol indices in transmitted order.
-  std::vector<std::vector<unsigned>> rx(soft == nullptr ? nc : 0);
-  // Soft path: per-client per-coded-bit confidences in transmitted order.
-  std::vector<std::vector<double>> rx_conf(soft != nullptr ? nc : 0);
 
   // Identical draw order in both modes (link, jitter, payloads, noise), so
   // hard and soft runs of the same seed are paired on identical channels.
-  const channel::Link link = channel_->draw_link(rng, nsc);
+  DrawnFrame frame;
+  frame.link = channel_->draw_link(rng, scenario_.frame.data_subcarriers);
   const double snr_db =
       scenario_.snr_db + (scenario_.snr_jitter_db > 0.0
                               ? rng.uniform(-scenario_.snr_jitter_db, scenario_.snr_jitter_db)
                               : 0.0);
-  const double n0 = channel::noise_variance_for_snr_db(snr_db);
+  frame.n0 = channel::noise_variance_for_snr_db(snr_db);
+  draw_streams(codec_, rng, frame);
 
-  for (std::size_t k = 0; k < nc; ++k) {
-    tx[k] = codec_.encode(rng.bits(scenario_.frame.payload_bits()));
-    if (soft != nullptr)
-      rx_conf[k].assign(ofdm_symbols * nsc * q, 0.5);
-    else
-      rx[k].assign(ofdm_symbols * nsc, 0);
-  }
+  FrameReceiver receiver;
+  stats.detection_calls += receiver.receive(detector, mode, codec_, frame, stats.detection);
 
-  // Detection iterates subcarrier-major so each of the nsc channel
-  // matrices is prepared (QR / ordering / filter inversion) exactly once
-  // and reused for all ofdm_symbols received vectors on that subcarrier --
-  // but the RNG stream must stay bit-identical to the historical
-  // symbol-major loop (and therefore to any recorded results), so all
-  // noise is drawn up front in that order.
-  std::vector<cf64> noise;
-  if (n0 > 0.0) {  // add_awgn semantics: no draws at non-positive variance.
-    noise.resize(ofdm_symbols * nsc * na);
-    for (auto& v : noise) v = rng.cgaussian(n0);
-  }
-
-  // Frame-local workspaces, reused across all ofdm_symbols * nsc uses.
-  CVector x(nc);
-  CVector y(na);
-  linalg::CMatrix y_batch;
-  BatchResult batch;
-  SoftBatchResult soft_batch;
-  std::vector<double> conf;
-
-  // One batched preparation covers the frame's nsc channel matrices (the
-  // packed SIMD drivers under src/detect/prepare/ factorize them as lanes);
-  // select_prepared(sc) below activates each slot exactly as the historical
-  // per-subcarrier prepare() did, bit for bit. Accounting rule: the batch
-  // counts ONE prepare_batch_call, and each select still counts one
-  // preprocess_call -- the logical factorization count is unchanged.
-  detector.prepare_batch(link.subcarriers, n0);
-  ++stats.detection.prepare_batch_calls;
-
-  for (std::size_t sc = 0; sc < nsc; ++sc) {
-    const linalg::CMatrix& h = link.subcarriers[sc];
-    detector.select_prepared(sc);
-    ++stats.detection.preprocess_calls;
-
-    // Assemble all of the subcarrier's received vectors as columns of one
-    // batch. Each column is computed exactly as the per-vector path did
-    // (same multiply_into, same pre-drawn noise), so the batched solve --
-    // itself bit-identical to a loop of per-vector solves -- reproduces
-    // every decision, LLR and counter of the historical implementation.
-    y_batch.assign_shape(na, ofdm_symbols);
-    for (std::size_t sym = 0; sym < ofdm_symbols; ++sym) {
-      for (std::size_t k = 0; k < nc; ++k)
-        x[k] = detector.constellation().point(tx[k].symbol_at(sym, sc, nsc));
-      multiply_into(h, x, y);
-      if (n0 > 0.0) {
-        const cf64* w = &noise[(sym * nsc + sc) * na];
-        for (std::size_t i = 0; i < na; ++i) y[i] += w[i];
-      }
-      for (std::size_t i = 0; i < na; ++i) y_batch(i, sym) = y[i];
-    }
-
-    if (soft != nullptr) {
-      soft->solve_soft_batch(y_batch, soft_batch);
-      stats.detection += soft_batch.stats;
-      stats.detection_calls += soft_batch.count;
-      llrs_to_confidence(soft_batch.llrs, conf);
-      for (std::size_t sym = 0; sym < ofdm_symbols; ++sym)
-        for (std::size_t k = 0; k < nc; ++k)
-          for (unsigned b = 0; b < q; ++b)
-            rx_conf[k][(sym * nsc + sc) * q + b] = conf[(sym * nc + k) * q + b];
-    } else {
-      detector.solve_batch(y_batch, batch);
-      stats.detection += batch.stats;
-      stats.detection_calls += batch.count;
-      for (std::size_t sym = 0; sym < ofdm_symbols; ++sym)
-        for (std::size_t k = 0; k < nc; ++k)
-          rx[k][sym * nsc + sc] = batch.indices[sym * nc + k];
-    }
-  }
-
-  // All streams of the frame decode through one pipeline (shared codec
-  // workspace, back-to-back Viterbi), each scored for bit errors and CRC
-  // delivery. Thread-local: simulators are shared across worker threads.
-  static thread_local CodedPipeline pipeline;
-  static thread_local std::vector<StreamDecodeResult> results;
-  if (soft != nullptr)
-    pipeline.decode_frame_soft(codec_, rx_conf, ofdm_symbols, tx, results);
-  else
-    pipeline.decode_frame_hard(codec_, rx, ofdm_symbols, tx, results);
-
-  for (std::size_t k = 0; k < nc; ++k) {
-    const StreamDecodeResult& r = results[k];
+  for (std::size_t k = 0; k < stats.clients; ++k) {
+    const StreamDecodeResult& r = receiver.results()[k];
     stats.bit_errors += r.bit_errors;
     stats.payload_bits += r.payload_bits;
     stats.client_frame_errors[k] += r.bit_errors != 0 ? 1 : 0;
@@ -228,7 +124,7 @@ void LinkSimulator::simulate_frame(Detector& detector, DecisionMode mode, Rng& r
       ++stats.crc_frames_error;
     }
   }
-  stats.ofdm_symbol_slots += ofdm_symbols;
+  stats.ofdm_symbol_slots += codec_.ofdm_symbols_per_frame();
   ++stats.frames;
 }
 

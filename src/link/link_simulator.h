@@ -1,20 +1,12 @@
 // Frame-level Monte-Carlo simulation of the uplink multi-user MIMO system:
-// per-client coding chains, per-subcarrier joint detection, per-client
-// decoding -- the engine behind every throughput and complexity experiment.
-// Hard and soft decision detection run through one mode-dispatched path:
-// simulate_frame(detector, DecisionMode, ...) feeds either hard symbol
-// indices to the hard Viterbi or max-log LLRs to the soft Viterbi.
-//
-// Detection follows the three-phase Detector contract: the frame loop is
-// subcarrier-major, preparing each of the nsc per-subcarrier channel
-// matrices once (Detector::prepare), assembling all ofdm_symbols received
-// vectors that use it as the columns of one batch, and solving the batch
-// in a single call (Detector::solve_batch / SoftDetector::solve_soft_batch)
-// -- so LinkStats shows preprocess_calls == batch_calls == frames * nsc
-// while detection_calls == frames * nsc * ofdm_symbols. The RNG draw order
-// (and therefore every statistic) is bit-identical to the historical
-// symbol-major per-vector loop: all noise is pre-drawn in that order, and
-// batched solves are bit-identical to per-vector solves by contract.
+// per-client coding chains, joint detection, per-client decoding -- the
+// engine behind every throughput and complexity experiment. Each frame is
+// drawn here (link, SNR jitter, then link::draw_streams) and received by
+// a link::FrameReceiver (link/frame_receiver.h), which documents the
+// detection loop, its accounting and its bit-identity to the historical
+// per-vector loop. Hard and soft decisions share that one path:
+// DecisionMode picks symbol indices for the hard Viterbi or max-log LLRs
+// for the soft Viterbi.
 #pragma once
 
 #include <cstddef>
@@ -104,12 +96,11 @@ class LinkSimulator {
   /// of parallelism: feed it Rng::for_frame(seed, frame_index) and the
   /// frame's result depends only on (seed, frame_index, mode).
   ///
-  /// DecisionMode::kHard feeds the detector's symbol decisions to the hard
-  /// Viterbi; DecisionMode::kSoft requires detector.soft() != nullptr
-  /// (throws std::invalid_argument otherwise) and feeds max-log LLRs to
-  /// the soft Viterbi -- the full-system version of the paper's Section 7
-  /// extension, at considerably more computation per subcarrier (one
-  /// constrained search per bit).
+  /// The frame goes through a call-local FrameReceiver, which throws
+  /// std::invalid_argument when the detector does not match the frame's
+  /// QAM order or, in DecisionMode::kSoft, has no soft() interface. Soft
+  /// decisions are the full-system version of the paper's Section 7
+  /// extension.
   void simulate_frame(Detector& detector, DecisionMode mode, Rng& rng,
                       LinkStats& stats) const;
 

@@ -4,15 +4,6 @@
 
 namespace geosphere::phy {
 
-namespace {
-
-CodecWorkspace& thread_workspace() {
-  static thread_local CodecWorkspace ws;
-  return ws;
-}
-
-}  // namespace
-
 FrameCodec::FrameCodec(const FrameConfig& config)
     : config_(config),
       constellation_(&Constellation::qam(config.qam_order)),
@@ -88,15 +79,17 @@ void FrameCodec::finish_decode(CodecWorkspace& ws, BitVector& out) const {
 
 BitVector FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
                              std::size_t ofdm_symbols) const {
+  CodecWorkspace ws;
   BitVector out;
-  decode(symbol_indices, ofdm_symbols, thread_workspace(), out);
+  decode(symbol_indices, ofdm_symbols, ws, out);
   return out;
 }
 
 BitVector FrameCodec::decode_soft(const std::vector<double>& bit_confidences,
                                   std::size_t ofdm_symbols) const {
+  CodecWorkspace ws;
   BitVector out;
-  decode_soft(bit_confidences, ofdm_symbols, thread_workspace(), out);
+  decode_soft(bit_confidences, ofdm_symbols, ws, out);
   return out;
 }
 

@@ -108,7 +108,7 @@ class FrameCodec {
   /// Allocation-free variants (the hot path for the coded pipeline): all
   /// scratch lives in `ws`, the payload bits land in `out`. Identical
   /// results to the vector-returning overloads, which wrap these with a
-  /// thread-local workspace.
+  /// call-local workspace.
   void decode(const std::vector<unsigned>& symbol_indices, std::size_t ofdm_symbols,
               CodecWorkspace& ws, BitVector& out) const;
   void decode_soft(const std::vector<double>& bit_confidences, std::size_t ofdm_symbols,

@@ -1,11 +1,11 @@
 // Fixed-bucket log-scale latency histogram for the serving layer.
 //
 // Latency is the one host-dependent output of a serve run (everything else
-// is deterministic counters), so the recorder is built for cheap lock-free
-// per-worker recording and associative merging: each worker owns one
-// LatencyRecorder, and the per-cell / total distributions are merges of
-// the worker partials -- counts are exact regardless of which worker
-// completed which frame, only the values themselves depend on the host.
+// is deterministic counters), so the recorder is built for cheap recording
+// and associative merging: the server records each frame into its cell's
+// LatencyRecorder and merges the cells into the total -- counts are exact
+// regardless of which worker completed which frame, only the values
+// themselves depend on the host.
 #pragma once
 
 #include <array>

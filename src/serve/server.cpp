@@ -8,7 +8,6 @@
 
 #include "channel/noise.h"
 #include "common/rng.h"
-#include "phy/frame.h"
 
 namespace geosphere::serve {
 
@@ -35,49 +34,25 @@ void CellCounters::hash_mix(std::uint64_t value) {
 
 namespace {
 
-/// One scheduled MU-MIMO frame in flight through a TTI: the transmit-side
-/// state built in the schedule phase and the receive-side buffers the
-/// detect phase scatters into. A frame is one work item: the worker that
-/// takes it batch-prepares all nsc subcarrier channels in one call, then
-/// solves them slot by slot.
+/// One cell's frame in flight through a TTI: built by the schedule phase,
+/// received (detected and decoded) by one worker, folded into the cell's
+/// counters by the calling thread.
 struct FrameJob {
-  std::size_t cell = 0;
-  std::vector<std::size_t> users;  ///< Scheduled users, stream k = users[k].
-  unsigned qam = 0;
-  std::size_t streams = 0;
-  std::size_t antennas = 0;
-  std::size_t nsc = 0;
-  std::size_t ofdm_symbols = 0;
-  unsigned q = 0;  ///< Bits per symbol.
-  bool soft = false;
-  double n0 = 0.0;
-  const DetectorSpec* det_spec = nullptr;
-  const phy::FrameCodec* codec = nullptr;
-  channel::Link link;
-  std::vector<phy::EncodedFrame> tx;
-  /// Hard path: per-stream detected symbol indices, rx[k][sym * nsc + sc].
-  std::vector<std::vector<unsigned>> rx;
-  /// Soft path: per-stream bit confidences, rx_conf[k][(sym*nsc+sc)*q + b].
-  std::vector<std::vector<double>> rx_conf;
-  /// Pre-drawn symbol-major noise, noise[(sym * nsc + sc) * antennas + i]
-  /// -- the LinkSimulator draw-order convention.
-  std::vector<cf64> noise;
-};
-
-/// Per-worker detection scratch, reused across items, TTIs and runs.
-struct WorkerScratch {
-  CVector x;
-  CVector y;
-  linalg::CMatrix y_batch;
-  BatchResult batch;
-  SoftBatchResult soft_batch;
-  std::vector<double> conf;
+  const phy::FrameCodec* codec = nullptr;  ///< nullptr: the cell is idle this TTI.
+  link::DrawnFrame frame;
+  std::vector<link::StreamDecodeResult> results;
+  DetectionStats detection;
+  std::uint64_t vectors = 0;
+  std::uint64_t latency_ns = 0;
 };
 
 }  // namespace
 
 Server::Server(ServeSpec spec, std::size_t threads)
-    : spec_(std::move(spec)), pool_(threads), detector_cache_(pool_.size()) {
+    : spec_(std::move(spec)),
+      pool_(threads),
+      detector_cache_(pool_.size()),
+      receivers_(pool_.size()) {
   if (spec_.cells.empty())
     throw std::invalid_argument("serve::Server: spec has no cells");
 }
@@ -94,10 +69,9 @@ Detector& Server::worker_detector(std::size_t worker, const DetectorSpec& spec,
 
 ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
   const std::size_t ncells = spec_.cells.size();
-  const std::size_t nworkers = pool_.size();
 
   ServeResult result;
-  result.threads = nworkers;
+  result.threads = pool_.size();
   result.ttis = ttis;
   result.seed = seed;
   result.cells.resize(ncells);
@@ -113,21 +87,8 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
 
   // Per-cell frame codecs, one per QAM order the rate adapter picks.
   std::vector<std::map<unsigned, phy::FrameCodec>> codecs(ncells);
-
-  // Per-(worker, cell) accumulators: integer counters merged after the run
-  // (associative sums -- thread-count independent), latency partials
-  // merged into the host-dependent histograms.
-  std::vector<std::vector<DetectionStats>> worker_stats(
-      nworkers, std::vector<DetectionStats>(ncells));
-  std::vector<std::vector<std::uint64_t>> worker_calls(
-      nworkers, std::vector<std::uint64_t>(ncells, 0));
-  std::vector<std::vector<LatencyRecorder>> worker_latency(
-      nworkers, std::vector<LatencyRecorder>(ncells));
-  std::vector<WorkerScratch> scratch(nworkers);
-
-  std::vector<std::unique_ptr<FrameJob>> jobs(ncells);
+  std::vector<FrameJob> jobs(ncells);
   std::vector<CellSchedule> scheds(ncells);
-  std::vector<std::size_t> items;  // Scheduled frames, by cell.
 
   for (std::uint64_t tti = 0; tti < ttis; ++tti) {
     // --- Phase 1 (schedule): arrivals, user selection, rate choice and
@@ -135,7 +96,8 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
     // from (seed, cell, tti)-derived streams, so the parallel order is
     // irrelevant to the result.
     pool_.parallel_for(ncells, [&](std::size_t c) {
-      jobs[c].reset();
+      FrameJob& job = jobs[c];
+      job.codec = nullptr;
       CellScheduler& sch = schedulers[c];
       const CellSpec& cs = sch.spec();
       scheds[c] = sch.schedule_tti(tti);
@@ -152,189 +114,89 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
                                                      // bit-identical across tiers.
         codec_it = codecs[c].emplace(sched.qam, phy::FrameCodec(cfg)).first;
       }
-      const phy::FrameCodec& codec = codec_it->second;
-
-      auto job = std::make_unique<FrameJob>();
-      job->cell = c;
-      job->users = sched.users;
-      job->qam = sched.qam;
-      job->streams = sched.users.size();
-      job->antennas = cs.antennas;
-      job->nsc = codec.config().data_subcarriers;
-      job->ofdm_symbols = codec.ofdm_symbols_per_frame();
-      job->q = codec.constellation().bits_per_symbol();
-      job->soft = sch.detector().decision() == DecisionMode::kSoft;
-      job->n0 = channel::noise_variance_for_snr_db(sched.snr_db);
-      job->det_spec = &sch.detector();
-      job->codec = &codec;
+      job.codec = &codec_it->second;
 
       // The frame's channel, payloads and noise all come from one
       // (seed, cell, tti, frame)-derived stream -- frame 0, since each
       // cell-TTI transmits one jointly detected MU-MIMO frame. Draw order
-      // matches LinkSimulator::simulate_frame: link, then payloads, then
-      // symbol-major noise.
+      // matches LinkSimulator::simulate_frame without its SNR jitter: the
+      // link, then draw_streams' payloads and symbol-major noise.
       Rng rng(Rng::derive_seed(seed, c, tti, 0));
-      job->link = sch.channel(job->streams).draw_link(rng, job->nsc);
-      job->tx.resize(job->streams);
-      if (job->soft)
-        job->rx_conf.resize(job->streams);
-      else
-        job->rx.resize(job->streams);
-      for (std::size_t k = 0; k < job->streams; ++k) {
-        job->tx[k] = codec.encode(rng.bits(codec.config().payload_bits()));
-        if (job->soft)
-          job->rx_conf[k].assign(job->ofdm_symbols * job->nsc * job->q, 0.5);
-        else
-          job->rx[k].assign(job->ofdm_symbols * job->nsc, 0);
-      }
-      if (job->n0 > 0.0) {
-        job->noise.resize(job->ofdm_symbols * job->nsc * job->antennas);
-        for (auto& v : job->noise) v = rng.cgaussian(job->n0);
-      }
-      jobs[c] = std::move(job);
+      job.frame.link = sch.channel(sched.users.size())
+                           .draw_link(rng, job.codec->config().data_subcarriers);
+      job.frame.n0 = channel::noise_variance_for_snr_db(sched.snr_db);
+      link::draw_streams(*job.codec, rng, job.frame);
     });
 
-    // Deterministic bookkeeping, cells in order on the calling thread: the
-    // schedule hash covers every TTI (idle ones included) so it pins the
-    // full scheduling trajectory.
-    items.clear();
+    // --- Phase 2 (receive): each scheduled frame is one work item, pulled
+    // from a shared counter by every worker. The worker's FrameReceiver
+    // detects the frame (one prepare_batch, one batched solve per
+    // subcarrier) and decodes every stream. Frame latency runs from the
+    // TTI's dispatch to the frame being decoded. Workers write only their
+    // own jobs; the counters are integer sums folded below in cell order,
+    // so they stay byte-identical across thread counts and kernel tiers.
+    const auto t_start = std::chrono::steady_clock::now();
+    std::atomic<std::size_t> next{0};
+    pool_.run_on_workers([&](std::size_t w) {
+      for (;;) {
+        const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+        if (c >= ncells) break;
+        FrameJob& job = jobs[c];
+        if (job.codec == nullptr) continue;
+        const DetectorSpec& spec = schedulers[c].detector();
+        job.detection = DetectionStats{};
+        job.vectors = receivers_[w].receive(
+            worker_detector(w, spec, job.codec->config().qam_order), spec.decision(),
+            *job.codec, job.frame, job.detection);
+        job.results = receivers_[w].results();
+        job.latency_ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t_start)
+                .count());
+      }
+    });
+
+    // --- Phase 3 (deliver): deterministic bookkeeping, cells in order on
+    // the calling thread. The schedule hash covers every TTI (idle ones
+    // included) so it pins the full scheduling trajectory. A stream is
+    // delivered when its CRC checks; a failed one stays queued for
+    // retransmission.
     for (std::size_t c = 0; c < ncells; ++c) {
-      CellCounters& cc = result.cells[c].counters;
+      CellReport& rep = result.cells[c];
+      CellCounters& cc = rep.counters;
       const CellSchedule& sched = scheds[c];
       ++cc.ttis;
       cc.hash_mix(sched.tti);
       cc.hash_mix(sched.users.size());
       for (const std::size_t u : sched.users) cc.hash_mix(u);
       cc.hash_mix(sched.qam);
-      if (jobs[c]) {
-        ++cc.scheduled_frames;
-        cc.scheduled_users += sched.users.size();
-        result.cells[c].schedule_log.push_back(sched);
-        items.push_back(c);
-      }
-    }
-
-    // --- Phase 2 (detect): each scheduled frame is one work item, pulled
-    // from a shared counter by every worker. The worker batch-prepares the
-    // frame's nsc subcarrier channels in ONE prepare_batch call (the packed
-    // SIMD drivers under src/detect/prepare/ factorize them as lanes), then
-    // selects each slot and batch-solves all the frame's OFDM symbols on
-    // it. Frame latency runs from the TTI's dispatch to the frame item
-    // completing. Counters are the work-item layout's exact sums (one
-    // prepare_batch_call per frame, one preprocess_call per subcarrier), so
-    // they stay byte-identical across thread counts and kernel tiers.
-    if (!items.empty()) {
-      const auto t_start = std::chrono::steady_clock::now();
-      std::atomic<std::size_t> next{0};
-      pool_.run_on_workers([&](std::size_t w) {
-        WorkerScratch& scr = scratch[w];
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= items.size()) break;
-          FrameJob& job = *jobs[items[i]];
-
-          Detector& detector = worker_detector(w, *job.det_spec, job.qam);
-          SoftDetector* soft = nullptr;
-          if (job.soft) {
-            soft = detector.soft();
-            if (soft == nullptr)
-              throw std::invalid_argument("serve::Server: detector \"" +
-                                          detector.name() +
-                                          "\" cannot produce soft decisions");
-          }
-
-          DetectionStats& ws = worker_stats[w][job.cell];
-          detector.prepare_batch(job.link.subcarriers, job.n0);
-          ++ws.prepare_batch_calls;
-
-          for (std::size_t sc = 0; sc < job.nsc; ++sc) {
-            detector.select_prepared(sc);
-            ++ws.preprocess_calls;
-
-            // Assemble the subcarrier's received vectors exactly as the
-            // link layer does (same multiply, same pre-drawn noise slice).
-            scr.x.resize(job.streams);
-            scr.y.resize(job.antennas);
-            scr.y_batch.assign_shape(job.antennas, job.ofdm_symbols);
-            for (std::size_t sym = 0; sym < job.ofdm_symbols; ++sym) {
-              for (std::size_t k = 0; k < job.streams; ++k)
-                scr.x[k] = detector.constellation().point(
-                    job.tx[k].symbol_at(sym, sc, job.nsc));
-              multiply_into(job.link.subcarriers[sc], scr.x, scr.y);
-              if (job.n0 > 0.0) {
-                const cf64* n = &job.noise[(sym * job.nsc + sc) * job.antennas];
-                for (std::size_t i2 = 0; i2 < job.antennas; ++i2) scr.y[i2] += n[i2];
-              }
-              for (std::size_t i2 = 0; i2 < job.antennas; ++i2)
-                scr.y_batch(i2, sym) = scr.y[i2];
-            }
-
-            if (soft != nullptr) {
-              soft->solve_soft_batch(scr.y_batch, scr.soft_batch);
-              ws += scr.soft_batch.stats;
-              worker_calls[w][job.cell] += scr.soft_batch.count;
-              llrs_to_confidence(scr.soft_batch.llrs, scr.conf);
-              for (std::size_t sym = 0; sym < job.ofdm_symbols; ++sym)
-                for (std::size_t k = 0; k < job.streams; ++k)
-                  for (unsigned b = 0; b < job.q; ++b)
-                    job.rx_conf[k][(sym * job.nsc + sc) * job.q + b] =
-                        scr.conf[(sym * job.streams + k) * job.q + b];
-            } else {
-              detector.solve_batch(scr.y_batch, scr.batch);
-              ws += scr.batch.stats;
-              worker_calls[w][job.cell] += scr.batch.count;
-              for (std::size_t sym = 0; sym < job.ofdm_symbols; ++sym)
-                for (std::size_t k = 0; k < job.streams; ++k)
-                  job.rx[k][sym * job.nsc + sc] =
-                      scr.batch.indices[sym * job.streams + k];
-            }
-          }
-
-          const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t_start)
-                              .count();
-          worker_latency[w][job.cell].record(static_cast<std::uint64_t>(ns));
-        }
-      });
-    }
-
-    // --- Phase 3 (deliver): per-stream decoding, goodput/error counters
-    // and queue feedback, one cell per pool iteration (each iteration
-    // touches only its own cell's state).
-    pool_.parallel_for(ncells, [&](std::size_t c) {
-      if (!jobs[c]) return;
-      FrameJob& job = *jobs[c];
-      CellCounters& cc = result.cells[c].counters;
-      for (std::size_t k = 0; k < job.streams; ++k) {
-        const BitVector decoded =
-            job.soft ? job.codec->decode_soft(job.rx_conf[k], job.ofdm_symbols)
-                     : job.codec->decode(job.rx[k], job.ofdm_symbols);
-        std::uint64_t errors = 0;
-        for (std::size_t b = 0; b < decoded.size(); ++b)
-          if (decoded[b] != job.tx[k].payload[b]) ++errors;
-        cc.bit_errors += errors;
-        cc.payload_bits += decoded.size();
-        const bool delivered = errors == 0;
-        if (delivered) {
+      const FrameJob& job = jobs[c];
+      if (job.codec == nullptr) continue;
+      ++cc.scheduled_frames;
+      cc.scheduled_users += sched.users.size();
+      rep.schedule_log.push_back(sched);
+      cc.detection += job.detection;
+      cc.detection_calls += job.vectors;
+      rep.latency.record(job.latency_ns);
+      for (std::size_t k = 0; k < job.results.size(); ++k) {
+        const link::StreamDecodeResult& r = job.results[k];
+        cc.bit_errors += r.bit_errors;
+        cc.payload_bits += r.payload_bits;
+        if (r.crc_ok) {
           ++cc.user_frames_ok;
-          cc.delivered_bits += decoded.size();
+          cc.delivered_bits += r.payload_bits;
         } else {
           ++cc.user_frames_error;
         }
-        schedulers[c].complete(job.users[k], delivered);
+        schedulers[c].complete(sched.users[k], r.crc_ok);
       }
-    });
+    }
   }
 
   for (std::size_t c = 0; c < ncells; ++c) {
     CellReport& rep = result.cells[c];
     rep.counters.arrivals = schedulers[c].arrivals();
     rep.counters.backlog_end = schedulers[c].backlog();
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      rep.counters.detection += worker_stats[w][c];
-      rep.counters.detection_calls += worker_calls[w][c];
-      rep.latency.merge(worker_latency[w][c]);
-    }
     result.latency.merge(rep.latency);
   }
   return result;

@@ -5,26 +5,26 @@
 //
 //   schedule  -- per cell: traffic arrivals, user selection and rate
 //                choice (serve::CellScheduler), then frame assembly (link
-//                draw, per-user encoding, pre-drawn noise), parallelized
-//                across cells.
-//   detect    -- each scheduled frame is one work item, fed through one
-//                sim::ThreadPool dispatch: the worker batch-prepares the
-//                frame's subcarrier channels in one prepare_batch call,
-//                then selects each subcarrier and batch-solves all of the
-//                frame's OFDM symbols on it (the prepare_batch /
-//                solve_batch contract), using per-worker cached detector
-//                instances.
-//   deliver   -- per cell: per-user Viterbi decoding, goodput/error
-//                accounting, queue feedback (delivered frames leave the
-//                queue, failed ones stay for retransmission).
+//                draw, then link::draw_streams: per-user encoding and
+//                pre-drawn noise), parallelized across cells.
+//   receive   -- each scheduled frame is one work item, fed through one
+//                sim::ThreadPool dispatch: the worker's link::FrameReceiver
+//                detects the frame and decodes every stream (one
+//                prepare_batch, one batched solve per subcarrier, then
+//                Viterbi and CRC), using per-worker cached detectors and
+//                receivers.
+//   deliver   -- cells in order on the calling thread: goodput/error
+//                accounting and queue feedback. Delivery is the CRC
+//                verdict: a stream whose CRC checks leaves the queue, a
+//                failed one stays for retransmission.
 //
 // Determinism: every counter a serve run reports (goodput, errors, the
 // scheduled-user log) is bit-identical for any thread count, because all
 // randomness derives from Rng::derive_seed(seed, cell, tti, frame) and
-// counter merges are associative integer sums. The per-frame detection
-// LATENCY distribution (time from a TTI's detect dispatch to the frame's
-// work item completing) is the one host-dependent output and is reported
-// separately through serve::LatencyRecorder.
+// counter merges are associative integer sums. The per-frame LATENCY
+// distribution (time from a TTI's receive dispatch to the frame being
+// decoded) is the one host-dependent output and is reported separately
+// through serve::LatencyRecorder.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "detect/detector.h"
+#include "link/frame_receiver.h"
 #include "serve/latency.h"
 #include "serve/scheduler.h"
 #include "serve/spec.h"
@@ -49,11 +50,11 @@ struct CellCounters {
   std::uint64_t arrivals = 0;          ///< Frames that entered the queues.
   std::uint64_t scheduled_frames = 0;  ///< MU-MIMO frames transmitted (TTIs with users).
   std::uint64_t scheduled_users = 0;   ///< Sum of per-TTI stream counts.
-  std::uint64_t user_frames_ok = 0;    ///< Per-user frames decoded cleanly.
+  std::uint64_t user_frames_ok = 0;    ///< Per-user frames decoded CRC-clean.
   std::uint64_t user_frames_error = 0;
   std::uint64_t bit_errors = 0;
   std::uint64_t payload_bits = 0;     ///< Attempted payload bits (ok + errored).
-  std::uint64_t delivered_bits = 0;   ///< Payload bits of cleanly decoded frames.
+  std::uint64_t delivered_bits = 0;   ///< Payload bits of CRC-clean frames.
   std::uint64_t backlog_end = 0;      ///< Frames still queued after the last TTI.
   /// FNV-1a over the full schedule log (tti, stream count, user ids, QAM):
   /// one value that pins the entire scheduling trajectory.
@@ -109,6 +110,8 @@ class Server {
   /// sim::Engine's: instances are stateful and per-thread, cached across
   /// TTIs and runs so the steady-state pipeline allocates nothing per TTI.
   std::vector<std::unordered_map<std::string, std::unique_ptr<Detector>>> detector_cache_;
+  /// Per-worker receive workspaces, warm across TTIs and runs.
+  std::vector<link::FrameReceiver> receivers_;
 };
 
 }  // namespace geosphere::serve

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "channel/noise.h"
 #include "channel/rayleigh.h"
 #include "channel/testbed_ensemble.h"
+#include "coding/spec.h"
 #include "detect/spec.h"
+#include "link/frame_receiver.h"
 #include "link/link_simulator.h"
 #include "link/rate_adapt.h"
 #include "link/snr_search.h"
@@ -111,6 +117,101 @@ TEST(LinkSimulator, SoftModeNeedsSoftCapableDetector) {
   EXPECT_NE(soft->soft(), nullptr);
   const LinkStats stats = sim.run(*soft, DecisionMode::kSoft, 2, /*seed=*/5);
   EXPECT_EQ(stats.frames, 2u);
+}
+
+TEST(FrameReceiver, WarmReceiverMatchesFreshReceiverAcrossFrameShapes) {
+  // One receiver reused the way a serve worker reuses it, with a cached
+  // detector per shape: every frame changes QAM, stream count, code and
+  // decision mode, and must come out exactly as through a fresh receiver
+  // and a fresh detector.
+  struct Shape {
+    unsigned qam;
+    std::size_t streams;
+    const char* code;
+    const char* detector;
+    double snr_db;
+  };
+  const std::vector<Shape> shapes = {{16, 4, "1/2", "geosphere", 8.0},
+                                     {64, 2, "3/4", "soft-geosphere-sts", 12.0},
+                                     {4, 3, "none", "geosphere", 4.0}};
+  std::vector<std::unique_ptr<Detector>> cached;
+  for (const Shape& s : shapes)
+    cached.push_back(DetectorSpec::parse(s.detector).create(Constellation::qam(s.qam)));
+
+  FrameReceiver warm;
+  std::size_t crc_ok = 0;
+  std::size_t crc_failed = 0;
+  for (std::size_t round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const Shape& s = shapes[i];
+      phy::FrameConfig cfg;
+      cfg.qam_order = s.qam;
+      cfg.payload_bytes = 60;
+      cfg.set_code(coding::CodeSpec::parse(s.code));
+      const phy::FrameCodec codec(cfg);
+      const DetectorSpec spec = DetectorSpec::parse(s.detector);
+
+      Rng rng(Rng::derive_seed(9, round, i));
+      DrawnFrame frame;
+      frame.link = channel::RayleighChannel(4, s.streams).draw_link(rng, cfg.data_subcarriers);
+      frame.n0 = channel::noise_variance_for_snr_db(s.snr_db);
+      draw_streams(codec, rng, frame);
+
+      DetectionStats warm_stats;
+      const std::size_t warm_vectors =
+          warm.receive(*cached[i], spec.decision(), codec, frame, warm_stats);
+      const auto fresh_detector = spec.create(Constellation::qam(s.qam));
+      FrameReceiver fresh;
+      DetectionStats fresh_stats;
+      const std::size_t fresh_vectors =
+          fresh.receive(*fresh_detector, spec.decision(), codec, frame, fresh_stats);
+
+      EXPECT_EQ(warm_vectors, fresh_vectors) << "round " << round << " frame " << i;
+      EXPECT_EQ(warm_vectors, codec.ofdm_symbols_per_frame() * cfg.data_subcarriers);
+      EXPECT_EQ(warm_stats, fresh_stats) << "round " << round << " frame " << i;
+      ASSERT_EQ(warm.results().size(), s.streams);
+      EXPECT_EQ(warm.results(), fresh.results()) << "round " << round << " frame " << i;
+      for (const StreamDecodeResult& r : warm.results()) ++(r.crc_ok ? crc_ok : crc_failed);
+    }
+  }
+  // Both verdicts occur, so the comparison covers clean and failed decodes.
+  EXPECT_GT(crc_ok, 0u);
+  EXPECT_GT(crc_failed, 0u);
+}
+
+TEST(FrameReceiver, RejectsAFrameDrawnForAnotherCodec) {
+  phy::FrameConfig cfg;
+  cfg.qam_order = 16;
+  cfg.payload_bytes = 60;
+  const phy::FrameCodec codec(cfg);
+  cfg.payload_bytes = 100;  // More OFDM symbols per frame.
+  const phy::FrameCodec longer(cfg);
+  const auto det = DetectorSpec::parse("zf").create(Constellation::qam(16));
+  const channel::RayleighChannel ch(2, 2);
+
+  Rng rng(21);
+  DrawnFrame frame;
+  frame.link = ch.draw_link(rng, cfg.data_subcarriers - 1);
+  frame.n0 = 0.1;
+  EXPECT_THROW(draw_streams(codec, rng, frame), std::invalid_argument);
+
+  frame.link = ch.draw_link(rng, cfg.data_subcarriers);
+  draw_streams(longer, rng, frame);
+  FrameReceiver receiver;
+  DetectionStats stats;
+  EXPECT_THROW(receiver.receive(*det, DecisionMode::kHard, codec, frame, stats),
+               std::invalid_argument);
+  EXPECT_EQ(stats, DetectionStats{});
+  EXPECT_EQ(receiver.receive(*det, DecisionMode::kHard, longer, frame, stats),
+            longer.ofdm_symbols_per_frame() * cfg.data_subcarriers);
+
+  // Noiseless: the streams' symbol counts alone give the codec away.
+  frame.n0 = 0.0;
+  draw_streams(longer, rng, frame);
+  DetectionStats untouched;
+  EXPECT_THROW(receiver.receive(*det, DecisionMode::kHard, codec, frame, untouched),
+               std::invalid_argument);
+  EXPECT_EQ(untouched, DetectionStats{});
 }
 
 TEST(RateAdapt, PicksLowOrderAtLowSnrHighOrderAtHighSnr) {

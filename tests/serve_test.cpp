@@ -3,15 +3,20 @@
 // deterministic policies (backlog-only candidates, antenna truncation,
 // longest-unserved round robin with index tie-break, single-candidate
 // rate shortcut), and the Server determinism contract -- every
-// deterministic counter bit-identical for 1 vs 4 worker threads.
+// deterministic counter bit-identical for 1 vs 4 worker threads, under
+// every kernel tier, and equal to a recorded golden.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "coding/simd/dispatch.h"
 #include "common/rng.h"
+#include "detect/prepare/simd/dispatch.h"
+#include "detect/sphere/simd/dispatch.h"
 #include "serve/latency.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -203,29 +208,41 @@ TEST(CellScheduler, DeliveredFramesLeaveTheQueueFailedOnesStay) {
   EXPECT_THROW(sched.complete(99, true), std::invalid_argument);
 }
 
+/// Every CellCounters field, DetectionStats included, in declaration
+/// order; kCounterFields names them.
+std::vector<std::uint64_t> counter_row(const CellCounters& c) {
+  const DetectionStats& d = c.detection;
+  return {c.ttis,           c.arrivals,          c.scheduled_frames,   c.scheduled_users,
+          c.user_frames_ok, c.user_frames_error, c.bit_errors,         c.payload_bits,
+          c.delivered_bits, c.backlog_end,       c.schedule_hash,      d.ped_computations,
+          d.visited_nodes,  d.lb_lookups,        d.lb_prunes,          d.slicer_ops,
+          d.queue_ops,      d.preprocess_calls,  d.prepare_batch_calls, d.batch_calls,
+          d.tree_searches,  d.counter_updates,   c.detection_calls};
+}
+
+const char* const kCounterFields[] = {
+    "ttis",           "arrivals",          "scheduled_frames",   "scheduled_users",
+    "user_frames_ok", "user_frames_error", "bit_errors",         "payload_bits",
+    "delivered_bits", "backlog_end",       "schedule_hash",      "ped_computations",
+    "visited_nodes",  "lb_lookups",        "lb_prunes",          "slicer_ops",
+    "queue_ops",      "preprocess_calls",  "prepare_batch_calls", "batch_calls",
+    "tree_searches",  "counter_updates",   "detection_calls"};
+
+/// Expects `got` to equal `want` field by field, naming the first misses.
+void expect_counters(const CellCounters& got, const std::vector<std::uint64_t>& want,
+                     const std::string& where) {
+  const std::vector<std::uint64_t> row = counter_row(got);
+  ASSERT_EQ(row.size(), want.size());
+  for (std::size_t i = 0; i < row.size(); ++i)
+    EXPECT_EQ(row[i], want[i]) << where << " " << kCounterFields[i];
+}
+
 /// Expects every deterministic field of two reports to be bit-identical.
 void expect_same_deterministic(const ServeResult& a, const ServeResult& b) {
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t c = 0; c < a.cells.size(); ++c) {
-    const CellCounters& x = a.cells[c].counters;
-    const CellCounters& y = b.cells[c].counters;
-    EXPECT_EQ(x.ttis, y.ttis);
-    EXPECT_EQ(x.arrivals, y.arrivals);
-    EXPECT_EQ(x.scheduled_frames, y.scheduled_frames);
-    EXPECT_EQ(x.scheduled_users, y.scheduled_users);
-    EXPECT_EQ(x.user_frames_ok, y.user_frames_ok);
-    EXPECT_EQ(x.user_frames_error, y.user_frames_error);
-    EXPECT_EQ(x.bit_errors, y.bit_errors);
-    EXPECT_EQ(x.payload_bits, y.payload_bits);
-    EXPECT_EQ(x.delivered_bits, y.delivered_bits);
-    EXPECT_EQ(x.backlog_end, y.backlog_end);
-    EXPECT_EQ(x.schedule_hash, y.schedule_hash);
-    EXPECT_EQ(x.detection_calls, y.detection_calls);
-    EXPECT_EQ(x.detection.ped_computations, y.detection.ped_computations);
-    EXPECT_EQ(x.detection.visited_nodes, y.detection.visited_nodes);
-    EXPECT_EQ(x.detection.slicer_ops, y.detection.slicer_ops);
-    EXPECT_EQ(x.detection.preprocess_calls, y.detection.preprocess_calls);
-    EXPECT_EQ(x.detection.batch_calls, y.detection.batch_calls);
+    expect_counters(a.cells[c].counters, counter_row(b.cells[c].counters),
+                    "cell " + std::to_string(c));
     ASSERT_EQ(a.cells[c].schedule_log.size(), b.cells[c].schedule_log.size());
     for (std::size_t i = 0; i < a.cells[c].schedule_log.size(); ++i) {
       EXPECT_EQ(a.cells[c].schedule_log[i].tti, b.cells[c].schedule_log[i].tti);
@@ -286,6 +303,49 @@ TEST(Server, SoftDetectorCellRunsAndIsDeterministic) {
   const ServeResult b = two.run(/*ttis=*/4, /*seed=*/5);
   expect_same_deterministic(a, b);
   EXPECT_GT(a.cells[0].counters.scheduled_frames, 0u);
+}
+
+/// Pins one tier in all three kernel layers; restores env/auto on exit.
+struct AllLayersOnTier {
+  explicit AllLayersOnTier(const char* name) {
+    sphere::simd::set_kernel_override(name);
+    prepare::simd::set_kernel_override(name);
+    coding::simd::set_viterbi_kernel_override(name);
+  }
+  ~AllLayersOnTier() {
+    sphere::simd::set_kernel_override(nullptr);
+    prepare::simd::set_kernel_override(nullptr);
+    coding::simd::set_viterbi_kernel_override(nullptr);
+  }
+};
+
+TEST(Server, CountersMatchRecordedGolden) {
+  // Pins serve counters across commits, not only across thread counts: a
+  // hard tree-search cell with rate adaptation, a linear cell, and a soft
+  // rate-3/4 cell. Every cell has failed frames, so the delivery verdict
+  // and the retransmission path are pinned too.
+  const ServeSpec spec = ServeSpec::parse(
+      "users=6,antennas=2,load=0.7,payload=40,qams=4|16,snr=16;"
+      "users=4,antennas=2,load=0.5,payload=30,detector=zf,qams=16,snr=20;"
+      "users=4,antennas=2,load=0.6,payload=30,detector=soft-geosphere-sts,code=3/4,"
+      "qams=4|16,snr=12");
+  // One row per cell, fields in kCounterFields order.
+  const std::vector<std::vector<std::uint64_t>> golden = {
+      {12, 49, 12, 24, 22, 2, 174, 7680, 7040, 27, 0x915ee58c41ccfc31ull, 8364, 5808, 11250,
+       8433, 5547, 12135, 576, 12, 576, 2448, 0, 2448},
+      {12, 25, 12, 22, 21, 1, 4, 5280, 5040, 4, 0xc1f574107856d8c5ull, 0, 0, 0, 0, 3168, 0,
+       576, 12, 576, 0, 0, 1728},
+      {12, 31, 12, 23, 17, 6, 480, 5520, 4080, 14, 0x9521bf85f7fd4cd1ull, 33622, 20921, 30246,
+       5865, 9241, 45311, 576, 12, 576, 1440, 7491, 1440}};
+  for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
+    const AllLayersOnTier tier(kernel->name);
+    Server server(spec, 1);
+    const ServeResult r = server.run(/*ttis=*/12, /*seed=*/17);
+    ASSERT_EQ(r.cells.size(), golden.size());
+    for (std::size_t c = 0; c < golden.size(); ++c)
+      expect_counters(r.cells[c].counters, golden[c],
+                      std::string(kernel->name) + " cell " + std::to_string(c));
+  }
 }
 
 TEST(Server, RejectsEmptySpec) {
