@@ -46,16 +46,23 @@ Puncturer::Puncturer(CodeRate rate) : rate_(rate) {
 BitVector Puncturer::puncture(const BitVector& coded) const {
   BitVector out;
   out.reserve(punctured_length(coded.size()));
-  for (std::size_t i = 0; i < coded.size(); ++i)
-    if (pattern_[i % pattern_.size()]) out.push_back(coded[i]);
+  std::size_t k = 0;  // Position in the pattern, wrapping.
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    if (pattern_[k]) out.push_back(coded[i]);
+    if (++k == pattern_.size()) k = 0;
+  }
   return out;
 }
 
 std::size_t Puncturer::punctured_length(std::size_t coded_bits) const {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < coded_bits; ++i)
-    kept += pattern_[i % pattern_.size()];
-  return kept;
+  // Whole periods, then the kept bits of the remainder's pattern prefix.
+  const std::size_t period = pattern_.size();
+  std::size_t per_period = 0, prefix = 0;
+  for (std::size_t k = 0; k < period; ++k) {
+    per_period += pattern_[k];
+    if (k < coded_bits % period) prefix += pattern_[k];
+  }
+  return (coded_bits / period) * per_period + prefix;
 }
 
 std::vector<double> Puncturer::depuncture(const std::vector<double>& received,
@@ -71,8 +78,11 @@ void Puncturer::depuncture(const std::vector<double>& received, std::size_t code
     throw std::invalid_argument("Puncturer::depuncture: length mismatch");
   out.assign(coded_bits, 0.5);
   std::size_t r = 0;
-  for (std::size_t i = 0; i < coded_bits; ++i)
-    if (pattern_[i % pattern_.size()]) out[i] = received[r++];
+  std::size_t k = 0;  // Position in the pattern, wrapping.
+  for (std::size_t i = 0; i < coded_bits; ++i) {
+    if (pattern_[k]) out[i] = received[r++];
+    if (++k == pattern_.size()) k = 0;
+  }
 }
 
 }  // namespace geosphere::coding

@@ -1,8 +1,9 @@
-// SSE2 tier of the quantized Viterbi ACS kernel: 8 butterflies per 128-bit
-// register. SSE2 is part of the x86-64 baseline, so this TU needs no
-// special compiler flags -- it is simply absent from non-x86 builds.
+// SSE2 tier of the Viterbi ACS kernels: the int16 op runs 8 butterflies per
+// 128-bit register. SSE2 is part of the x86-64 baseline, so this TU needs no
+// special compiler flags -- it is simply absent from non-x86 builds. The
+// double op is the scalar function (see viterbi_kernel.h for why).
 //
-// All arithmetic is exact int16 (no saturation is ever reached -- see the
+// All int16 arithmetic is exact (no saturation is ever reached -- see the
 // overflow bound in viterbi_kernel.h), so the adds, the strict-< compare
 // and the min produce bit-identical survivors and decision bits to the
 // scalar reference. The even/odd metric deinterleave uses mask+pack and
@@ -92,7 +93,7 @@ void acs_sse2(const std::int16_t* quantized, std::size_t steps, std::int16_t* me
   if (cur != metric) std::memcpy(metric, cur, 64 * sizeof(std::int16_t));
 }
 
-const ViterbiKernel kSse2{"sse2", acs_sse2};
+const ViterbiKernel kSse2{"sse2", acs_sse2, acs_double_scalar};
 
 }  // namespace
 

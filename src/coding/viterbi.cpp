@@ -1,23 +1,11 @@
 #include "coding/viterbi.h"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "coding/simd/dispatch.h"
+
 namespace geosphere::coding {
-
-namespace {
-
-unsigned parity(unsigned x) {
-  x ^= x >> 4;
-  x ^= x >> 2;
-  x ^= x >> 1;
-  return x & 1u;
-}
-
-}  // namespace
 
 void viterbi_traceback(const std::uint64_t* decisions, std::size_t steps,
                        BitVector& reversed, BitVector& out) {
@@ -41,19 +29,6 @@ void viterbi_traceback(const std::uint64_t* decisions, std::size_t steps,
   out.reserve(steps - static_cast<std::size_t>(ConvolutionalEncoder::kTailBits));
   for (std::size_t i = steps; i-- > static_cast<std::size_t>(ConvolutionalEncoder::kTailBits);)
     out.push_back(reversed[i]);
-}
-
-ViterbiDecoder::ViterbiDecoder() {
-  transitions_.resize(ConvolutionalEncoder::kStates);
-  for (int s = 0; s < ConvolutionalEncoder::kStates; ++s) {
-    for (unsigned u = 0; u < 2; ++u) {
-      const unsigned window = (u << 6) | static_cast<unsigned>(s);
-      transitions_[static_cast<std::size_t>(s)][u] = {
-          static_cast<int>((window >> 1) & 0x3Fu),
-          static_cast<std::uint8_t>(parity(window & ConvolutionalEncoder::kG0)),
-          static_cast<std::uint8_t>(parity(window & ConvolutionalEncoder::kG1))};
-    }
-  }
 }
 
 BitVector ViterbiDecoder::decode(const BitVector& coded) const {
@@ -86,47 +61,14 @@ void ViterbiDecoder::decode_soft(const double* confidence, std::size_t size,
   if (steps < static_cast<std::size_t>(ConvolutionalEncoder::kTailBits))
     throw std::invalid_argument("ViterbiDecoder: input shorter than the tail");
 
-  constexpr int kStates = ConvolutionalEncoder::kStates;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  ws.metric.assign(static_cast<std::size_t>(kStates), kInf);
-  ws.next_metric.resize(static_cast<std::size_t>(kStates));
+  constexpr auto kStates = static_cast<std::size_t>(ConvolutionalEncoder::kStates);
+  ws.metric.assign(kStates, std::numeric_limits<double>::infinity());
   ws.metric[0] = 0.0;  // Encoder starts in the all-zeros state.
-
-  // One decision bit per state per step, packed into a 64-bit word.
+  ws.next_metric.resize(kStates);
   ws.decisions.resize(steps);
 
-  for (std::size_t t = 0; t < steps; ++t) {
-    // Branch cost of emitting coded bit b against the received confidence:
-    // |confidence - b|, so an erasure (0.5) is neutral.
-    const double c0 = confidence[2 * t];
-    const double c1 = confidence[2 * t + 1];
-    std::fill(ws.next_metric.begin(), ws.next_metric.end(), kInf);
-    std::uint64_t decision_word = 0;
-
-    for (int s = 0; s < kStates; ++s) {
-      const double m = ws.metric[static_cast<std::size_t>(s)];
-      if (m == kInf) continue;
-      for (unsigned u = 0; u < 2; ++u) {
-        const Transition& tr = transitions_[static_cast<std::size_t>(s)][u];
-        const double cost = m + std::abs(c0 - static_cast<double>(tr.out0)) +
-                            std::abs(c1 - static_cast<double>(tr.out1));
-        const auto ns = static_cast<std::size_t>(tr.next_state);
-        if (cost < ws.next_metric[ns]) {
-          ws.next_metric[ns] = cost;
-          // Record the *source state's* low bit choice: the predecessor of
-          // next_state is recoverable as (next_state<<1 | prev_low) & 63
-          // plus the input; we store the input bit and reconstruct the
-          // predecessor from it (next = (u<<6|s)>>1 => s = (next<<1 | s&1)).
-          // Storing the dropped bit (s & 1) is enough to walk back.
-          const std::uint64_t dropped = static_cast<std::uint64_t>(s) & 1u;
-          decision_word = (decision_word & ~(std::uint64_t{1} << ns)) | (dropped << ns);
-        }
-      }
-    }
-    ws.decisions[t] = decision_word;
-    ws.metric.swap(ws.next_metric);
-  }
+  simd::active_viterbi_kernel().acs_double(confidence, steps, ws.metric.data(),
+                                           ws.next_metric.data(), ws.decisions.data());
 
   viterbi_traceback(ws.decisions.data(), steps, ws.reversed, out);
 }

@@ -2,15 +2,17 @@
 // hard-decision and soft/erasure-aware inputs (the latter is what the
 // depuncturer feeds).
 //
-// Two implementations share this header's traceback contract:
-//   * ViterbiDecoder -- the double-precision reference below. Branch costs
-//     are |confidence - coded_bit| sums; exact, allocation-free via
-//     ViterbiWorkspace, and the arbiter for the repo's link-level goldens.
-//   * QuantizedViterbi (quantized_viterbi.h) -- the int16 SIMD hot path,
-//     which reuses viterbi_traceback() on the same packed decision words.
+// Two implementations share this header's traceback contract, and both run
+// their add-compare-select through the runtime-dispatched kernel layer in
+// coding/simd/viterbi_kernel.h:
+//   * ViterbiDecoder -- the double-precision reference below, the layer's
+//     `acs_double` op. Branch costs are |confidence - coded_bit| sums; exact,
+//     allocation-free via ViterbiWorkspace, identical on every kernel tier
+//     and still the arbiter for the repo's link-level goldens.
+//   * QuantizedViterbi (quantized_viterbi.h) -- the int16 `acs` op, which
+//     reuses viterbi_traceback() on the same packed decision words.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,8 +44,6 @@ void viterbi_traceback(const std::uint64_t* decisions, std::size_t steps,
 
 class ViterbiDecoder {
  public:
-  ViterbiDecoder();
-
   /// Hard-decision decode of `coded` (2*(k+6) bits from a tail-terminated
   /// encoder); returns the k information bits.
   BitVector decode(const BitVector& coded) const;
@@ -60,15 +60,6 @@ class ViterbiDecoder {
   void decode(const BitVector& coded, ViterbiWorkspace& ws, BitVector& out) const;
   void decode_soft(const double* confidence, std::size_t size, ViterbiWorkspace& ws,
                    BitVector& out) const;
-
- private:
-  struct Transition {
-    int next_state;
-    std::uint8_t out0;
-    std::uint8_t out1;
-  };
-  // transitions_[state][input_bit]
-  std::vector<std::array<Transition, 2>> transitions_;
 };
 
 }  // namespace geosphere::coding

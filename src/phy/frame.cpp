@@ -1,5 +1,6 @@
 #include "phy/frame.h"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace geosphere::phy {
@@ -105,13 +106,14 @@ void FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
   // the soft path (the reference decoder treats them identically).
   ws.stream.resize(ofdm_symbols * per_symbol);
   ws.block.resize(per_symbol);
+  std::uint8_t bits[8] = {};  // Q <= 8: 256-QAM is the largest supported order.
   for (std::size_t sym = 0; sym < ofdm_symbols; ++sym) {
-    for (std::size_t sc = 0; sc < config_.data_subcarriers; ++sc)
-      constellation_->bits_from_index(
-          symbol_indices[sym * config_.data_subcarriers + sc], &ws.block[sc * q]);
-    const BitVector deinterleaved = interleaver_.deinterleave(ws.block);
-    for (std::size_t k = 0; k < per_symbol; ++k)
-      ws.stream[sym * per_symbol + k] = deinterleaved[k] ? 1.0 : 0.0;
+    for (std::size_t sc = 0; sc < config_.data_subcarriers; ++sc) {
+      constellation_->bits_from_index(symbol_indices[sym * config_.data_subcarriers + sc],
+                                      bits);
+      for (unsigned b = 0; b < q; ++b) ws.block[sc * q + b] = bits[b] ? 1.0 : 0.0;
+    }
+    interleaver_.deinterleave_soft(ws.block.data(), ws.stream.data() + sym * per_symbol);
   }
 
   ws.stream.resize(stream_bits());  // Drop the padding region.

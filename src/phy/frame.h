@@ -9,9 +9,10 @@
 //   * code: rate 1/2, 2/3 or 3/4 (punctured), or "none" -- an uncoded mode
 //     that keeps the scrambler and interleaver but skips the encoder,
 //     puncturer and Viterbi entirely (a raw-BER baseline).
-//   * viterbi: the double-precision reference decoder (default, the
-//     arbiter for the repo's goldens) or the quantized int16 SIMD decoder
-//     (coding/quantized_viterbi.h) the batched coded pipeline uses.
+//   * viterbi: the double-precision decoder (default, the arbiter for the
+//     repo's goldens) or the quantized int16 decoder
+//     (coding/quantized_viterbi.h) the batched coded pipeline uses. Both
+//     run their add-compare-select through the coding/simd kernel layer.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +31,10 @@
 namespace geosphere::phy {
 
 /// Which Viterbi implementation the receive chain runs. Both decode the
-/// same trellis with the same tie rule; kQuantized trades <= 1/2-LSB
-/// branch-cost rounding for the int16 SIMD kernels.
+/// same trellis with the same tie rule on the coding/simd kernel tiers:
+/// kDouble (the `acs_double` op) gives the same bits on every tier;
+/// kQuantized (the int16 `acs` op) trades <= 1/2-LSB branch-cost rounding
+/// for int16 lanes (16 butterflies per AVX2 register against 4).
 enum class ViterbiImpl { kDouble, kQuantized };
 
 struct FrameConfig {
@@ -76,12 +79,13 @@ struct EncodedFrame {
 
 /// Reusable receive-chain scratch: the deinterleaved confidence stream, the
 /// depuncture buffer and the decoder workspaces. Grown on first use, then
-/// steady-state decodes of same-shape frames allocate nothing. One per
-/// thread; shareable across codecs.
+/// steady-state decodes of same-shape frames allocate nothing, hard or
+/// soft, on either Viterbi implementation. One per thread; shareable across
+/// codecs.
 struct CodecWorkspace {
   std::vector<double> stream;
   std::vector<double> depunctured;
-  BitVector block;
+  std::vector<double> block;  ///< One OFDM symbol of hard bits as 0.0/1.0.
   BitVector decoded;
   coding::ViterbiWorkspace viterbi;
   coding::QuantizedViterbiWorkspace quantized;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "coding/convolutional.h"
 #include "coding/crc32.h"
@@ -138,6 +140,38 @@ TEST(Puncture, LengthsMatchRates) {
   EXPECT_EQ(three_quarters.punctured_length(1200), 800u);  // 4 of every 6.
   EXPECT_NEAR(code_rate_value(CodeRate::kTwoThirds), 2.0 / 3.0, 1e-12);
   EXPECT_STREQ(code_rate_label(CodeRate::kThreeQuarters), "3/4");
+}
+
+TEST(Puncture, ClosedFormLengthMatchesCountAndRoundTrips) {
+  // Every mother-code length, not only whole periods: the closed-form
+  // length must equal a per-bit count over the 802.11a pattern, and a
+  // puncture/depuncture round trip must put each kept bit back at its
+  // position with an erasure (0.5) everywhere else.
+  const std::pair<CodeRate, std::vector<int>> rates[] = {
+      {CodeRate::kHalf, {1, 1}},
+      {CodeRate::kTwoThirds, {1, 1, 1, 0}},
+      {CodeRate::kThreeQuarters, {1, 1, 1, 0, 0, 1}}};
+  Rng rng(8);
+  for (const auto& [rate, pattern] : rates) {
+    const Puncturer punct(rate);
+    for (std::size_t n = 0; n <= 200; ++n) {
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < n; ++i) count += pattern[i % pattern.size()] ? 1u : 0u;
+      ASSERT_EQ(punct.punctured_length(n), count) << code_rate_label(rate) << " n=" << n;
+
+      const BitVector coded = rng.bits(n);
+      const BitVector sent = punct.puncture(coded);
+      ASSERT_EQ(sent.size(), count);
+      std::vector<double> conf(sent.size());
+      for (std::size_t i = 0; i < sent.size(); ++i) conf[i] = sent[i] ? 1.0 : 0.0;
+      const std::vector<double> restored = punct.depuncture(conf, n);
+      ASSERT_EQ(restored.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want = pattern[i % pattern.size()] ? (coded[i] ? 1.0 : 0.0) : 0.5;
+        EXPECT_EQ(restored[i], want) << code_rate_label(rate) << " n=" << n << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(Puncture, DepunctureRejectsBadLength) {

@@ -1,11 +1,31 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
+#include <string>
 
 #include "common/rng.h"
 #include "phy/fft.h"
 #include "phy/frame.h"
 #include "phy/ofdm.h"
+
+// Every global operator new in this binary is counted, so a test can assert
+// that a stretch of code allocates nothing. The replacements stay out of
+// line: inlined, GCC pairs their malloc/free with the new/delete
+// expressions around them and reports a mismatch.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace geosphere::phy {
 namespace {
@@ -210,6 +230,56 @@ TEST(FrameCodec, HigherRatePuncturingShortensFrames) {
   three_quarters.code_rate = coding::CodeRate::kThreeQuarters;
   EXPECT_GT(FrameCodec(half).ofdm_symbols_per_frame(),
             FrameCodec(three_quarters).ofdm_symbols_per_frame());
+}
+
+TEST(FrameCodec, WarmDecodesAllocateNothing) {
+  // CodecWorkspace's promise: once a workspace has decoded one frame of a
+  // shape, the next hard or soft decode of that shape allocates nothing, on
+  // both Viterbi implementations and at every code rate.
+  const coding::CodeRate rates[] = {coding::CodeRate::kHalf, coding::CodeRate::kTwoThirds,
+                                    coding::CodeRate::kThreeQuarters};
+  for (const ViterbiImpl impl : {ViterbiImpl::kDouble, ViterbiImpl::kQuantized}) {
+    for (std::size_t code = 0; code < 4; ++code) {
+      FrameConfig cfg;
+      cfg.qam_order = 64;
+      cfg.payload_bytes = 500;
+      cfg.viterbi = impl;
+      cfg.coded = code < 3;
+      if (cfg.coded) cfg.code_rate = rates[code];
+      const FrameCodec codec(cfg);
+      Rng rng(40 + code);
+      const BitVector payload = rng.bits(cfg.payload_bits());
+      const EncodedFrame frame = codec.encode(payload);
+
+      // Clean soft input: each symbol's bits as 0/1 confidences, in
+      // transmitted order.
+      const unsigned q = codec.constellation().bits_per_symbol();
+      std::vector<double> confidences(frame.symbol_indices.size() * q);
+      BitVector bits(q);
+      for (std::size_t i = 0; i < frame.symbol_indices.size(); ++i) {
+        codec.constellation().bits_from_index(frame.symbol_indices[i], bits.data());
+        for (unsigned b = 0; b < q; ++b) confidences[i * q + b] = bits[b] ? 1.0 : 0.0;
+      }
+
+      CodecWorkspace ws;
+      BitVector out;
+      codec.decode(frame.symbol_indices, frame.ofdm_symbols, ws, out);
+      codec.decode_soft(confidences, frame.ofdm_symbols, ws, out);
+
+      const std::string label =
+          std::string(impl == ViterbiImpl::kDouble ? "double " : "quantized ") +
+          (cfg.coded ? coding::code_rate_label(cfg.code_rate) : "none");
+      std::size_t before = g_allocations.load();
+      codec.decode(frame.symbol_indices, frame.ofdm_symbols, ws, out);
+      EXPECT_EQ(g_allocations.load() - before, 0u) << "hard decode, " << label;
+      EXPECT_EQ(out, payload) << label;
+
+      before = g_allocations.load();
+      codec.decode_soft(confidences, frame.ofdm_symbols, ws, out);
+      EXPECT_EQ(g_allocations.load() - before, 0u) << "soft decode, " << label;
+      EXPECT_EQ(out, payload) << label;
+    }
+  }
 }
 
 TEST(FrameCodec, RejectsBadInputs) {

@@ -1,10 +1,15 @@
-// Tests for the quantized batched Viterbi hot path: cross-tier bit
-// exactness (scalar / SSE2 / AVX2), agreement with the double-precision
-// reference decoder, punctured round trips, termination and erasure edge
-// cases, and the allocation-free workspace API.
+// Tests for the Viterbi kernel layer and the quantized batched Viterbi hot
+// path: cross-tier bit exactness of both ACS ops (scalar / SSE2 / AVX2), the
+// double op against the decoder loop it replaced, agreement of the quantized
+// decoder with the double-precision reference decoder, punctured round
+// trips, termination and erasure edge cases, and the allocation-free
+// workspace API.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -70,6 +75,170 @@ TEST(QuantizedViterbiKernel, SupportedTiersAreBitIdentical) {
     }
   }
 }
+
+// ---- Double ACS op vs the decoder loop it replaced ---------------------------
+
+/// ViterbiDecoder::decode_soft's ACS before it became the kernel layer's
+/// acs_double op, kept verbatim as the reference: an ascending-state
+/// strict-< update of +inf-initialized slots over a transition table,
+/// skipping +inf source metrics.
+struct ReferenceAcs {
+  std::vector<std::uint64_t> decisions;
+  std::array<double, ConvolutionalEncoder::kStates> metric;
+};
+
+unsigned parity(unsigned x) {
+  x ^= x >> 4;
+  x ^= x >> 2;
+  x ^= x >> 1;
+  return x & 1u;
+}
+
+ReferenceAcs reference_acs(const std::vector<double>& confidence) {
+  struct Transition {
+    int next_state;
+    std::uint8_t out0;
+    std::uint8_t out1;
+  };
+  constexpr int kStates = ConvolutionalEncoder::kStates;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::array<Transition, 2>> transitions(kStates);
+  for (int s = 0; s < kStates; ++s) {
+    for (unsigned u = 0; u < 2; ++u) {
+      const unsigned window = (u << 6) | static_cast<unsigned>(s);
+      transitions[static_cast<std::size_t>(s)][u] = {
+          static_cast<int>((window >> 1) & 0x3Fu),
+          static_cast<std::uint8_t>(parity(window & ConvolutionalEncoder::kG0)),
+          static_cast<std::uint8_t>(parity(window & ConvolutionalEncoder::kG1))};
+    }
+  }
+
+  const std::size_t steps = confidence.size() / 2;
+  std::vector<double> metric(static_cast<std::size_t>(kStates), kInf);
+  std::vector<double> next_metric(static_cast<std::size_t>(kStates));
+  metric[0] = 0.0;
+  ReferenceAcs ref;
+  ref.decisions.resize(steps);
+
+  for (std::size_t t = 0; t < steps; ++t) {
+    const double c0 = confidence[2 * t];
+    const double c1 = confidence[2 * t + 1];
+    std::fill(next_metric.begin(), next_metric.end(), kInf);
+    std::uint64_t decision_word = 0;
+
+    for (int s = 0; s < kStates; ++s) {
+      const double m = metric[static_cast<std::size_t>(s)];
+      if (m == kInf) continue;
+      for (unsigned u = 0; u < 2; ++u) {
+        const Transition& tr = transitions[static_cast<std::size_t>(s)][u];
+        const double cost = m + std::abs(c0 - static_cast<double>(tr.out0)) +
+                            std::abs(c1 - static_cast<double>(tr.out1));
+        const auto ns = static_cast<std::size_t>(tr.next_state);
+        if (cost < next_metric[ns]) {
+          next_metric[ns] = cost;
+          const std::uint64_t dropped = static_cast<std::uint64_t>(s) & 1u;
+          decision_word = (decision_word & ~(std::uint64_t{1} << ns)) | (dropped << ns);
+        }
+      }
+    }
+    ref.decisions[t] = decision_word;
+    metric.swap(next_metric);
+  }
+  std::copy(metric.begin(), metric.end(), ref.metric.begin());
+  return ref;
+}
+
+/// Confidence streams of `steps` trellis steps that stress every branch of
+/// the reference's update rule.
+std::vector<std::vector<double>> double_acs_inputs(std::size_t steps, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  ConvolutionalEncoder enc;
+  const BitVector coded =
+      enc.encode(rng.bits(steps - static_cast<std::size_t>(ConvolutionalEncoder::kTailBits)));
+  const std::size_t n = coded.size();
+  std::vector<std::vector<double>> inputs;
+
+  // Hard 0/1 with flipped bits: integer metrics, so ties occur at every step.
+  std::vector<double> hard(n);
+  for (std::size_t i = 0; i < n; ++i)
+    hard[i] = ((coded[i] != 0) != (rng.uniform() < 0.1)) ? 1.0 : 0.0;
+  inputs.push_back(hard);
+
+  // Depuncturer-style erasures, and a frame of nothing but erasures.
+  std::vector<double> erased = hard;
+  for (std::size_t i = 0; i < n; i += 3) erased[i] = 0.5;
+  inputs.push_back(erased);
+  inputs.emplace_back(n, 0.5);
+
+  // Continuous confidences: every sum rounds.
+  const auto continuous = noisy_confidence(coded, 0.4, rng);
+  inputs.push_back(continuous);
+
+  // Out-of-range confidences.
+  std::vector<double> out_of_range = continuous;
+  for (std::size_t i = 0; i < n; i += 5) out_of_range[i] = (i % 2 == 0) ? -3.0 : 2.5;
+  inputs.push_back(out_of_range);
+
+  // NaN, +inf and -inf: each costs every branch of its step NaN or +inf, so
+  // no candidate wins and every later metric is +inf. One of each, placed in
+  // the second half so a live trellis precedes it, then all three sprinkled.
+  const double specials[] = {kNaN, kInf, -kInf};
+  for (const double special : specials) {
+    std::vector<double> one = continuous;
+    one[n / 2 + static_cast<std::size_t>(rng.uniform_int(static_cast<int>(n - n / 2)))] =
+        special;
+    inputs.push_back(one);
+  }
+  std::vector<double> sprinkled = continuous;
+  for (std::size_t i = 0; i < n; ++i)
+    if (rng.uniform() < 0.02) sprinkled[i] = specials[rng.uniform_int(3)];
+  inputs.push_back(sprinkled);
+  return inputs;
+}
+
+TEST(ViterbiKernel, DoubleAcsMatchesReferenceLoopOnEveryTier) {
+  // The double decoder's bits are the golden arbiter, so every tier of the
+  // acs_double op must reproduce the loop it replaced byte for byte: the
+  // decision words, the final metrics (memcmp, so +inf and rounding count)
+  // and the decoded bits.
+  KernelOverrideGuard guard;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const ViterbiDecoder dec;
+  Rng rng(2024);
+
+  for (const std::size_t steps : {6u, 7u, 64u, 1003u}) {
+    const auto inputs = double_acs_inputs(steps, rng);
+    for (std::size_t kind = 0; kind < inputs.size(); ++kind) {
+      const std::vector<double>& conf = inputs[kind];
+      const ReferenceAcs ref = reference_acs(conf);
+      BitVector reversed, ref_bits;
+      viterbi_traceback(ref.decisions.data(), steps, reversed, ref_bits);
+
+      for (const auto* kernel : simd::supported_viterbi_kernels()) {
+        SCOPED_TRACE(std::string("tier ") + kernel->name + ", steps " +
+                     std::to_string(steps) + ", input kind " + std::to_string(kind));
+        std::array<double, ConvolutionalEncoder::kStates> metric;
+        std::array<double, ConvolutionalEncoder::kStates> scratch;
+        metric.fill(kInf);
+        metric[0] = 0.0;
+        std::vector<std::uint64_t> decisions(steps);
+        kernel->acs_double(conf.data(), steps, metric.data(), scratch.data(),
+                           decisions.data());
+        EXPECT_EQ(std::memcmp(decisions.data(), ref.decisions.data(),
+                              steps * sizeof(std::uint64_t)),
+                  0);
+        EXPECT_EQ(std::memcmp(metric.data(), ref.metric.data(), sizeof(metric)), 0);
+
+        simd::set_viterbi_kernel_override(kernel->name);
+        EXPECT_EQ(dec.decode_soft(conf), ref_bits);
+      }
+      simd::set_viterbi_kernel_override(nullptr);
+    }
+  }
+}
+
+// ---- Quantized decoder -------------------------------------------------------
 
 TEST(QuantizedViterbi, CleanChannelMatchesDoubleExactly) {
   // Noise-free and erasure-free inputs quantize exactly (0 -> 0, 1 -> 254),
