@@ -2,15 +2,17 @@
 // the three detection phases per detector and constellation on a 4x4
 // Rayleigh channel at 25 dB. The prepare/solve split is reported as
 // separate columns -- ns/prepare is the once-per-channel factorization
-// cost (column ordering, QR, filter inversion) and ns/solve the
+// cost (column ordering, QR, filter inversion) of a one-shot prepare(),
+// which is a batch of one through the packed drivers, and ns/solve the
 // per-received-vector cost -- so the table directly shows how much an
 // OFDM frame saves by preparing each subcarrier once and solving it
 // `ofdm_symbols` times ("frame speedup @4 sym" = one-shot cost of 4
 // solves divided by prepare-once + 4 solves). The batched-prepare columns
 // (ns/prep_b16 = per-channel cost of prepare_batch over 16 channels plus
-// its 16 selects; prepx@16 = ns/prepare over that) measure the packed
-// SIMD factorization layer under src/detect/prepare/: the 16 channels ride
-// as lanes through one Householder QR / Gram inversion. The batched-solve
+// its 16 selects; prepx@16 = ns/prepare over that, i.e. 16 batches of one
+// against one batch of 16) measure the lane packing of the SIMD
+// factorization layer under src/detect/prepare/: the 16 channels ride as
+// lanes through one Householder QR / Gram inversion. The batched-solve
 // columns (ns/slv_b4, b16, b48 = per-vector cost of solve_batch at batch
 // sizes 4/16/48; batchx@48 = ns/solve divided by the 48-column per-vector
 // cost) measure the phase-3 amortization: one mat-mat product / warm
@@ -241,11 +243,11 @@ Measurement measure(const DetectorSpec& spec, unsigned order, const Workload& w,
   m.dims = std::to_string(w.h.front().rows()) + "x" + std::to_string(w.h.front().cols());
 
   // Phase 1 cost, per-channel vs batched, as one interleaved group: the
-  // scalar metric rotates through the channel set factorizing each; the
-  // batched metric factorizes all kDraws channels in one prepare_batch and
-  // activates every slot (selects included -- that is the full cost a
-  // frame pays), so prepx@16 = ns_prepare / ns_prepare_b16 is robust
-  // against host clock drift.
+  // one-shot metric rotates through the channel set preparing each alone
+  // (a batch of one); the batched metric factorizes all kDraws channels in
+  // one prepare_batch and activates every slot (selects included -- that
+  // is the full cost a frame pays), so prepx@16 = ns_prepare /
+  // ns_prepare_b16 is robust against host clock drift.
   {
     const auto det = spec.create(c);
     const auto batch_det = spec.create(c);

@@ -1,9 +1,12 @@
 #include "channel/trace.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace geosphere::channel {
 
@@ -21,7 +24,7 @@ template <typename T>
 T read_pod(std::ifstream& is) {
   T value{};
   is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!is) throw std::runtime_error("trace: truncated file");
+  if (!is) throw std::runtime_error("load_trace: truncated file");
   return value;
 }
 
@@ -73,6 +76,23 @@ std::vector<Link> load_trace(const std::string& path) {
   if (count == 0 || nsc == 0 || na == 0 || nc == 0 || count > 10'000'000)
     throw std::runtime_error("load_trace: implausible header");
 
+  // Size the payload from the header before allocating anything (a wrapped
+  // na * nc would size every matrix to zero elements and the reads below
+  // would write past them), and require the file to hold exactly that.
+  std::uint64_t bytes = 2 * sizeof(double);
+  for (const std::uint64_t dim : {count, nsc, na, nc}) {
+    if (dim > std::numeric_limits<std::uint64_t>::max() / bytes)
+      throw std::runtime_error("load_trace: header dimensions overflow");
+    bytes *= dim;
+  }
+  const std::streampos payload_start = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff left = is.tellg() - payload_start;
+  is.seekg(payload_start);
+  if (!is || left < 0 || static_cast<std::uint64_t>(left) != bytes)
+    throw std::runtime_error("load_trace: header promises " + std::to_string(bytes) +
+                             " payload bytes, file holds " + std::to_string(left));
+
   std::vector<Link> links(count);
   for (auto& link : links) {
     link.subcarriers.assign(nsc, linalg::CMatrix(na, nc));
@@ -81,6 +101,9 @@ std::vector<Link> load_trace(const std::string& path) {
         for (std::size_t j = 0; j < nc; ++j) {
           const double re = read_pod<double>(is);
           const double im = read_pod<double>(is);
+          // Detectors require a finite channel (see detect/detector.h).
+          if (!std::isfinite(re) || !std::isfinite(im))
+            throw std::runtime_error("load_trace: non-finite channel entry");
           h(i, j) = cf64{re, im};
         }
   }

@@ -16,7 +16,9 @@ namespace geosphere::channel {
 /// All links must share dimensions and subcarrier count.
 void save_trace(const std::string& path, const std::vector<Link>& links);
 
-/// Loads a trace; throws std::runtime_error on malformed input.
+/// Loads a trace; throws std::runtime_error on malformed input: a header
+/// whose dimensions overflow or do not match the payload size, a truncated
+/// or over-long file, or a non-finite channel entry.
 std::vector<Link> load_trace(const std::string& path);
 
 /// Replays a fixed set of links as a ChannelModel: draw_link() picks one

@@ -3,22 +3,22 @@
 //
 // Detection is a four-phase contract:
 //
-//   prepare(h, noise_var)  -- factorize / order / invert the channel once
-//                             and store the result in the detector's owned
-//                             workspace (column ordering, Householder QR,
-//                             linear filter construction, ...).
 //   prepare_batch(hs, count, noise_var)
 //                          -- factorize `count` equally shaped channels at
-//                             once (a frame's subcarriers), then
-//                             select_prepared(i) activates channel i for
-//                             solving. The base class falls back to a lazy
-//                             per-select prepare(); detectors override the
-//                             pair where the factorization math is lane-
-//                             parallel across matrices (the packed SIMD
-//                             kernels under src/detect/prepare/simd/).
-//                             Overrides are bit-identical to the fallback:
-//                             same factorizations, same decisions, same
-//                             counters, same exceptions at select time.
+//                             once (a frame's subcarriers) into the
+//                             detector's owned workspace: column ordering,
+//                             Householder QR, linear filter construction,
+//                             ... Every detector implements this phase
+//                             exactly once, through the packed SIMD drivers
+//                             under src/detect/prepare/ (matrices ride as
+//                             lanes). select_prepared(i) then activates
+//                             channel i for solving and surfaces channel
+//                             i's own preparation failure, if any.
+//   prepare(h, noise_var)  -- a batch of one: prepare_batch(&h, 1) and
+//                             select slot 0. There is no second, scalar
+//                             factorization, so one channel prepared alone
+//                             and the same channel prepared as slot i of a
+//                             frame end in the same bits.
 //   solve(y, out)          -- per-received-vector work only, against the
 //                             most recently prepared channel.
 //   solve_batch(Y, out)    -- all received vectors of one channel use at
@@ -41,6 +41,13 @@
 // times through per-call dispatch. detect(y, h, noise_var) is retained as
 // a thin prepare+solve convenience for one-shot callers (tests, examples,
 // single-vector experiments).
+//
+// Precondition: H, y and noise_var are finite. No detector checks this.
+// A NaN anywhere in H poisons R and every partial distance, so the
+// depth-first searches can no longer prune: one 4x4 16-QAM vector against
+// a channel with a single NaN entry visits the whole tree (69,904 PEDs).
+// Inputs from outside the program are checked where they enter (the trace
+// loader rejects non-finite entries, for example).
 //
 // Hard and soft decision detection share this one surface: every detector
 // produces hard decisions via solve(); detectors that can also emit
@@ -179,13 +186,16 @@ class Detector {
 
   /// Phase 1: factorize channel `h` (n_a x n_c, requires n_a >= n_c >= 1)
   /// with per-receive-antenna noise variance `noise_var` into this
-  /// detector's workspace. A prepared detector may be solved any number of
+  /// detector's workspace -- a batch of one through prepare_batch(), with
+  /// slot 0 selected. A prepared detector may be solved any number of
   /// times; preparing again replaces the stored channel completely (no
-  /// state leaks between channels, including dimension changes).
+  /// state leaks between channels, including dimension changes). Leaves no
+  /// valid batch (prepared_batch_size() == 0), and a throwing prepare()
+  /// leaves prepared() false.
   void prepare(const linalg::CMatrix& h, double noise_var) {
-    prepared_ = false;  // A throwing do_prepare leaves no usable channel.
+    prepare_batch(&h, 1, noise_var);
     invalidate_batch();
-    do_prepare(h, noise_var);
+    do_select_prepared(0);
     prepared_ = true;
   }
 
@@ -193,13 +203,9 @@ class Detector {
   /// hs[0..count) at once, all with noise variance `noise_var`. Nothing is
   /// active for solving until select_prepared(i) picks a slot; per-channel
   /// failures (rank deficiency, singular filters, ...) surface at that
-  /// select with the exact exception prepare(hs[i], noise_var) would have
-  /// thrown. The base class records the arguments and prepares lazily per
-  /// select, so `hs` must stay alive until the last select of the batch
-  /// (both call sites keep the frame's subcarrier matrices alive anyway) --
-  /// overrides must match that fallback bit-for-bit: same factorization
-  /// bits, same decisions and counters downstream, same exception types and
-  /// messages, same timing (at select, not at prepare_batch).
+  /// select, with the same exception whether hs[i] was prepared alone or
+  /// in a batch. `hs` must stay alive until the last select of the batch
+  /// (detectors that defer work to select time may read it there).
   void prepare_batch(const linalg::CMatrix* hs, std::size_t count, double noise_var) {
     prepared_ = false;
     batch_size_ = 0;
@@ -297,31 +303,18 @@ class Detector {
  protected:
   explicit Detector(const Constellation& c) : constellation_(&c) {}
 
-  /// Factorize `h` into the workspace. Must fully overwrite any previously
-  /// prepared state.
-  virtual void do_prepare(const linalg::CMatrix& h, double noise_var) = 0;
-
-  /// Batched preparation. The default records the arguments and defers all
-  /// work to do_select_prepared() -- correct for every detector; override
-  /// (together with do_select_prepared) where the factorization packs
-  /// across matrices. Overrides must be bit-identical to the fallback,
-  /// including deferring per-channel failures to select time.
+  /// Factorizes hs[0..count) into per-slot state (count may be 0). Must
+  /// not throw for a per-channel failure: record it and rethrow it from
+  /// do_select_prepared(), so the other slots stay selectable.
   virtual void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
-                                double noise_var) {
-    (void)count;
-    fallback_hs_ = hs;
-    fallback_noise_var_ = noise_var;
-  }
+                                double noise_var) = 0;
 
-  /// Activates batch slot `i`. The default lazily prepares hs[i]; overrides
-  /// install the slot computed by their do_prepare_batch (and rethrow its
-  /// recorded failure, if any).
-  virtual void do_select_prepared(std::size_t i) {
-    do_prepare(fallback_hs_[i], fallback_noise_var_);
-  }
+  /// Installs slot `i` of the last do_prepare_batch() as the active
+  /// channel, fully overwriting any previously prepared state, or throws
+  /// slot i's recorded failure.
+  virtual void do_select_prepared(std::size_t i) = 0;
 
-  /// Drops any valid batch (plain prepare() calls this; overriders that
-  /// share state between the batched and scalar paths may need it too).
+  /// Drops any valid batch (prepare() and run_as_prepare() call this).
   void invalidate_batch() { batch_size_ = 0; }
 
   /// prepare()'s flag-and-batch discipline around an externally supplied
@@ -381,10 +374,6 @@ class Detector {
   const Constellation* constellation_;
   bool prepared_ = false;
   std::size_t batch_size_ = 0;
-  // Arguments of the last prepare_batch(), for the lazy select fallback
-  // only (overriding detectors keep their own slot state).
-  const linalg::CMatrix* fallback_hs_ = nullptr;
-  double fallback_noise_var_ = 0.0;
   // Scratch for the do_solve_batch() loop fallback only.
   CVector loop_y_;
   DetectionResult loop_result_;

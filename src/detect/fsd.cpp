@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "detect/sphere/center.h"
 #include "detect/sphere/simd/dispatch.h"
@@ -13,16 +14,12 @@ FsdDetector::FsdDetector(const Constellation& c)
   enumerator_.attach(c);
 }
 
-void FsdDetector::do_prepare(const linalg::CMatrix& h, double /*noise_var*/) {
-  problem_.factorize(h, constellation());
-}
-
 void FsdDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                    double /*noise_var*/) {
   if (count == 0) return;
   const std::size_t nc = hs[0].cols();
   batch_shape_bad_ = nc == 0 || hs[0].rows() < nc;
-  if (batch_shape_bad_) return;  // factorize's invalid_argument, at select.
+  if (batch_shape_bad_) return;  // invalid_argument, at select.
   batch_qr_.run(hs, count, slot_qr_);
 }
 

@@ -1,7 +1,6 @@
 #include "detect/hybrid.h"
 
 #include "linalg/cond.h"
-#include "linalg/qr.h"
 
 namespace geosphere {
 
@@ -10,32 +9,6 @@ HybridDetector::HybridDetector(const Constellation& c, double threshold_kappa_sq
       threshold_db_(threshold_kappa_sq_db),
       zf_(std::make_unique<ZeroForcingDetector>(c)),
       geosphere_(sphere::make_geosphere_typed(c)) {}
-
-void HybridDetector::do_prepare(const linalg::CMatrix& h, double noise_var) {
-  ++calls_;
-  const std::size_t nc = h.cols();
-  if (nc == 0 || h.rows() < nc) {
-    // Degenerate shapes cannot be QR-routed; both inner detectors reject
-    // them, so forward to ZF for its exact exception.
-    active_ = zf_.get();
-    active_->prepare(h, noise_var);
-    return;
-  }
-
-  // One QR serves both phases: R's diagonal prices the conditioning
-  // (qr_diag_condition_sq_db) and, when the channel routes to the sphere
-  // decoder, the factorization is adopted instead of recomputed.
-  auto [q, r] = linalg::householder_qr(h);
-  const double kappa_sq_db = linalg::qr_diag_condition_sq_db(r);
-  if (kappa_sq_db > threshold_db_) {
-    ++sphere_calls_;
-    active_ = geosphere_.get();
-    geosphere_->prepare_adopted(h, q.hermitian(), r);
-  } else {
-    active_ = zf_.get();
-    active_->prepare(h, noise_var);
-  }
-}
 
 void HybridDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                       double noise_var) {
@@ -49,18 +22,21 @@ void HybridDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t cou
 }
 
 void HybridDetector::do_select_prepared(std::size_t i) {
-  ++calls_;  // One routing decision per select, exactly as in do_prepare.
+  ++calls_;  // One routing decision per selected channel.
   if (batch_shape_bad_) {
     active_ = zf_.get();
     active_->prepare(batch_hs_[i], batch_noise_var_);
     return;
   }
+  // One QR serves both phases: R's diagonal prices the conditioning
+  // (qr_diag_condition_sq_db) and, when the channel routes to the sphere
+  // decoder, the factorization is adopted instead of recomputed.
   const prepare::QrSlot& slot = slot_qr_[i];
   const double kappa_sq_db = linalg::qr_diag_condition_sq_db(slot.r);
   if (kappa_sq_db > threshold_db_) {
     ++sphere_calls_;
     active_ = geosphere_.get();
-    geosphere_->prepare_adopted(batch_hs_[i], slot.qh, slot.r);
+    geosphere_->prepare_adopted(batch_hs_[i], slot);
   } else {
     active_ = zf_.get();
     active_->prepare(batch_hs_[i], batch_noise_var_);

@@ -33,17 +33,18 @@ class HybridDetector final : public Detector {
   }
 
  protected:
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// Routes the whole batch to the inner detector chosen by prepare() --
   /// one routing decision per prepared channel, batched all the way down.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// One packed Householder QR across the batch (prepare/batch_qr.h);
-  /// select reads slot i's conditioning off R's diagonal, counts and
-  /// routes exactly as do_prepare does, and hands the sphere decoder the
-  /// already-computed factorization (prepare_adopted). ZF-routed slots
-  /// prepare scalar at select -- routing, not filtering, is what shares
-  /// the batched factorization.
+  /// select reads slot i's conditioning off R's diagonal, counts the
+  /// routing decision, and hands the sphere decoder the already-computed
+  /// factorization (prepare_adopted). ZF-routed slots run ZF's own
+  /// prepare() (a batch of one) at select -- routing, not filtering, is
+  /// what shares the batched factorization. Degenerate shapes cannot be
+  /// QR-routed; both inner detectors reject them, so they go to ZF for its
+  /// exception.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;

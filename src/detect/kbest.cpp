@@ -17,16 +17,12 @@ KBestDetector::KBestDetector(const Constellation& c, unsigned k)
 
 std::string KBestDetector::name() const { return "KBest-" + std::to_string(k_); }
 
-void KBestDetector::do_prepare(const linalg::CMatrix& h, double /*noise_var*/) {
-  problem_.factorize(h, constellation());
-}
-
 void KBestDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                      double /*noise_var*/) {
   if (count == 0) return;
   const std::size_t nc = hs[0].cols();
   batch_shape_bad_ = nc == 0 || hs[0].rows() < nc;
-  if (batch_shape_bad_) return;  // factorize's invalid_argument, at select.
+  if (batch_shape_bad_) return;  // invalid_argument, at select.
   batch_qr_.run(hs, count, slot_qr_);
 }
 

@@ -24,14 +24,13 @@ class KBestDetector final : public Detector {
   std::string name() const override;
 
  protected:
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// One mat-mat Q^H Y rotation, then the shared breadth-first pass per
   /// column against warm candidate workspaces.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed Householder QR across the batch (prepare/batch_qr.h); select
-  /// installs slot i into problem_, rethrowing TreeProblem::factorize's
-  /// exact shape/rank exceptions for failed batches/slots.
+  /// installs slot i into problem_, or throws the batch's shape error or
+  /// the slot's rank-deficiency error.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;

@@ -6,16 +6,21 @@
 
 namespace geosphere {
 
-void MlExhaustiveDetector::do_prepare(const linalg::CMatrix& h, double /*noise_var*/) {
-  const std::size_t nc = h.cols();
+void MlExhaustiveDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
+                                            double /*noise_var*/) {
+  if (count == 0) return;
+  batch_hs_ = hs;
+  const std::size_t nc = hs[0].cols();
   const unsigned m = constellation().order();
-
   double total = 1.0;
   for (std::size_t i = 0; i < nc; ++i) total *= static_cast<double>(m);
-  if (total > static_cast<double>(max_hypotheses_))
-    throw std::invalid_argument("MlExhaustiveDetector: search space too large");
+  batch_too_large_ = total > static_cast<double>(max_hypotheses_);
+}
 
-  h_ = h;
+void MlExhaustiveDetector::do_select_prepared(std::size_t i) {
+  if (batch_too_large_)
+    throw std::invalid_argument("MlExhaustiveDetector: search space too large");
+  h_ = batch_hs_[i];
 }
 
 void MlExhaustiveDetector::do_solve(const CVector& y, DetectionResult& out) {

@@ -21,12 +21,18 @@ class MlExhaustiveDetector final : public Detector {
   std::string name() const override { return "ML-exhaustive"; }
 
  protected:
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
+  /// Nothing to factorize: records the batch and whether M^n_c exceeds
+  /// max_hypotheses; select copies hs[i] or throws.
+  void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
+                        double noise_var) override;
+  void do_select_prepared(std::size_t i) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
 
  private:
   std::uint64_t max_hypotheses_;
   linalg::CMatrix h_;  ///< The prepared channel (exhaustion needs H itself).
+  const linalg::CMatrix* batch_hs_ = nullptr;  ///< Caller-owned (contract).
+  bool batch_too_large_ = false;
   double best_distance_ = 0.0;
 
   // Reused per-solve workspaces.

@@ -1,16 +1,8 @@
 #include "detect/mmse.h"
 
-#include "linalg/solve.h"
+#include <stdexcept>
 
 namespace geosphere {
-
-void MmseDetector::do_prepare(const linalg::CMatrix& h, double noise_var) {
-  const std::size_t nc = h.cols();
-  hh_ = h.hermitian();
-  linalg::CMatrix gram = hh_ * h;
-  for (std::size_t i = 0; i < nc; ++i) gram(i, i) += noise_var;
-  gram_inv_ = linalg::inverse(gram);
-}
 
 void MmseDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                     double noise_var) {

@@ -23,7 +23,6 @@ class MmseDetector final : public Detector {
   std::string name() const override { return "MMSE"; }
 
  protected:
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// Two mat-mat products (H^H Y, then Gram^{-1} against the result)
   /// instead of two mat-vecs per column.

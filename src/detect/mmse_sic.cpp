@@ -2,43 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
-
-#include "linalg/solve.h"
+#include <stdexcept>
 
 namespace geosphere {
-
-void MmseSicDetector::do_prepare(const linalg::CMatrix& h, double noise_var) {
-  const std::size_t nc = h.cols();
-
-  // Detection order: descending received stream SNR = column energy.
-  std::vector<std::size_t> order(nc);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> energy(nc);
-  for (std::size_t k = 0; k < nc; ++k) energy[k] = linalg::norm_sq(h.col(k));
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return energy[a] > energy[b]; });
-
-  stages_.clear();
-  stages_.reserve(nc);
-  std::vector<std::size_t> remaining = order;
-  while (!remaining.empty()) {
-    Stage stage;
-    stage.target = remaining.front();
-
-    // MMSE filter over the remaining (uncancelled) streams only. The
-    // target stream is the first column of the reduced system, so only
-    // row 0 of the inverted Gram matrix is ever applied.
-    const linalg::CMatrix hsub = h.select_cols(remaining);
-    stage.hh = hsub.hermitian();
-    linalg::CMatrix gram = stage.hh * hsub;
-    for (std::size_t i = 0; i < remaining.size(); ++i) gram(i, i) += noise_var;
-    stage.filter_row = linalg::inverse(gram).row(0);
-    stage.column = h.col(stage.target);
-
-    stages_.push_back(std::move(stage));
-    remaining.erase(remaining.begin());
-  }
-}
 
 void MmseSicDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                        double noise_var) {
@@ -48,7 +14,8 @@ void MmseSicDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t co
   slot_stages_.assign(count, {});
   slot_singular_.assign(count, 0);
 
-  // Per-slot detection order, exactly as in do_prepare.
+  // Per-slot detection order: descending received stream SNR = column
+  // energy.
   std::vector<std::vector<std::size_t>> remaining(count);
   std::vector<double> energy(nc);
   for (std::size_t s = 0; s < count; ++s) {
@@ -62,7 +29,10 @@ void MmseSicDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t co
   }
 
   // Stage-major: every slot's stage-k reduced system has the same shape, so
-  // one packed Gram inversion covers the whole batch per stage.
+  // one packed Gram inversion covers the whole batch per stage. Each stage
+  // filters over the remaining (uncancelled) streams only; the target
+  // stream is the first column of the reduced system, so only row 0 of the
+  // inverted Gram matrix is ever applied.
   std::vector<linalg::CMatrix> hsubs(count);
   std::vector<prepare::GramInvSlot> gram_slots;
   for (std::size_t k = 0; k < nc; ++k) {
@@ -84,8 +54,7 @@ void MmseSicDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t co
 }
 
 void MmseSicDetector::do_select_prepared(std::size_t i) {
-  // The scalar path throws mid-cascade at the first singular stage; the
-  // batch records the failure and surfaces the same error here.
+  // Any singular stage makes the whole cascade unusable.
   if (slot_singular_[i]) throw std::domain_error("inverse/solve: singular matrix");
   stages_ = slot_stages_[i];
 }

@@ -27,16 +27,15 @@ class MmseSicDetector final : public Detector {
   std::string name() const override { return "MMSE-SIC"; }
 
  protected:
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// Runs each cancellation stage across the whole batch: one mat-mat
   /// matched filter per stage instead of a mat-vec per (stage, column).
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Stage-major packed preparation: per-slot detection orders first, then
   /// one packed regularized-Gram inversion (prepare/batch_linear.h) per
-  /// cancellation stage across all slots. Each slot's cascade is
-  /// bit-identical to its scalar do_prepare(); a stage-singular slot is
-  /// flagged and the scalar path's domain_error rethrown at select time.
+  /// cancellation stage across all slots. A slot with a singular stage is
+  /// flagged, and linalg::inverse's domain_error is thrown when it is
+  /// selected.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;

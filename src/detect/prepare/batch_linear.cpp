@@ -5,8 +5,8 @@
 // pivot selection, row swaps, the complex reciprocal of the pivot -- stays
 // per-lane std::complex code identical to the scalar reference. A lane
 // whose best pivot falls to the tolerance is exactly a lane where the
-// scalar path throws: it leaves active_, passes zero factors / a zero mask
-// to every later op, and keeps its bits untouched from that point.
+// reference throws: it leaves active_, passes zero factors / a zero mask to
+// every later op, and keeps its bits untouched from that point.
 #include "detect/prepare/batch_linear.h"
 
 #include <algorithm>
@@ -52,7 +52,7 @@ void BatchLinear::gauss_jordan_packed(std::size_t n, std::size_t bcols, std::siz
           pivot = i;
         }
       }
-      if (best <= tol_[l]) {  // The scalar path throws here: lane goes inert.
+      if (best <= tol_[l]) {  // The reference throws here: lane goes inert.
         active_[l] = 0;
         continue;
       }

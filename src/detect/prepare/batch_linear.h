@@ -1,13 +1,16 @@
 // Packed Gram construction and Gauss-Jordan inversion across a batch of
-// equally shaped channel matrices: the shared engine behind the linear
-// detectors' prepare_batch() overrides (ZF's pseudo-inverse, MMSE's
-// regularized Gram inverse, MMSE-SIC's per-stage filter cascade).
+// equally shaped channel matrices: the one engine behind the linear
+// detectors' prepare_batch() (ZF's pseudo-inverse, MMSE's regularized Gram
+// inverse, MMSE-SIC's per-stage filter cascade) -- and so behind their
+// one-shot prepare(), a batch of one.
 //
-// Each slot is bit-identical to the scalar linalg calls it replaces
-// (linalg::inverse / linalg::pseudo_inverse on hs[i]); lanes that hit the
-// scalar path's singular-matrix domain_error are flagged instead, go inert
-// for the remaining elimination columns, and the caller rethrows the exact
-// exception at select time.
+// Each slot is bit-identical to the scalar linalg references it transcribes
+// (linalg::inverse / linalg::pseudo_inverse on hs[i]); lanes where those
+// would throw their singular-matrix domain_error are flagged instead, go
+// inert for the remaining elimination columns, and the caller throws that
+// exception at select time. PrepareDrivers in tests/prepare_batch_test.cpp
+// checks the bits and the flags at every kernel tier, including degenerate
+// channels.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +46,8 @@ class BatchLinear {
 
   /// Slot i bit-identical to linalg::pseudo_inverse(hs[i]) =
   /// inverse(H^H H) * H^H; the caller has already validated the tall
-  /// (rows >= cols) shape exactly as the scalar path does. singular[i] is
-  /// set where the scalar path would have thrown.
+  /// (rows >= cols) shape. singular[i] is set where pseudo_inverse would
+  /// have thrown.
   void pseudo_inverse(const linalg::CMatrix* hs, std::size_t count,
                       std::vector<linalg::CMatrix>& filters,
                       std::vector<std::uint8_t>& singular);

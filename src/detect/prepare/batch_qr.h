@@ -1,7 +1,8 @@
 // Packed Householder QR across a batch of equally shaped channel matrices:
-// the shared factorization engine behind every tree-search detector's
-// prepare_batch() override (sphere decoders, soft output, K-Best, FSD, the
-// real-valued decomposition and hybrid routing).
+// the one factorization engine behind every tree-search detector's
+// prepare_batch() (sphere decoders, soft output, K-Best, FSD, the
+// real-valued decomposition and hybrid routing) -- and so behind their
+// one-shot prepare(), a batch of one.
 //
 // Each slot is bit-identical to
 //
@@ -13,7 +14,9 @@
 // simd/kernel.h), runs the column-level reflector/normalization ops through
 // the active kernel tier, and keeps all once-per-column scalar work
 // (norms, phases, square roots, complex division) in per-lane std::complex
-// code identical to the scalar reference.
+// code identical to the scalar reference. PrepareDrivers in
+// tests/prepare_batch_test.cpp checks those bits at every kernel tier,
+// including degenerate channels.
 #pragma once
 
 #include <cstddef>
@@ -27,10 +30,10 @@ namespace geosphere::prepare {
 struct QrSlot {
   linalg::CMatrix qh;  ///< Q^H (n_c x n_a), exactly householder_qr's q.hermitian().
   linalg::CMatrix r;   ///< R (n_c x n_c), upper triangular, real non-negative diagonal.
-  /// The tree searches' shared rank test: every diagonal entry of R must
+  /// The tree searches' one rank test: every diagonal entry of R must
   /// exceed 1e-10 * sqrt(max(||H||_F^2, 1e-300)). False means the owning
-  /// detector's prepare(hs[i]) would have thrown its rank-deficiency
-  /// domain_error; the caller rethrows it at select time.
+  /// detector throws its rank-deficiency domain_error when slot i is
+  /// selected.
   bool rank_ok = true;
 };
 
@@ -40,9 +43,9 @@ struct QrSlot {
 class BatchQr {
  public:
   /// Factorizes hs[0..count) -- all the same shape, rows >= cols >= 1 (the
-  /// caller validates shape exactly as its scalar prepare() does). Slots
-  /// are resized and overwritten; slot i is bit-identical to the scalar
-  /// reference factorization of hs[i] at every kernel tier.
+  /// caller validates the shape). Slots are resized and overwritten; slot i
+  /// is bit-identical to the scalar reference factorization of hs[i] at
+  /// every kernel tier.
   void run(const linalg::CMatrix* hs, std::size_t count, std::vector<QrSlot>& out);
 
  private:

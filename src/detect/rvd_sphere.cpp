@@ -1,63 +1,9 @@
 #include "detect/rvd_sphere.h"
 
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
-#include "linalg/qr.h"
-
 namespace geosphere {
-
-void RvdSphereDecoder::do_prepare(const linalg::CMatrix& h, double /*noise_var*/) {
-  const std::size_t nc = h.cols();
-  const std::size_t na = h.rows();
-  if (nc == 0 || na < nc)
-    throw std::invalid_argument("RvdSphereDecoder: requires 1 <= n_c <= n_a");
-
-  // Real embedding (stored in complex matrices with zero imaginary parts
-  // so the complex QR can be reused; R comes out real).
-  const std::size_t rn = 2 * nc;
-  const std::size_t rm = 2 * na;
-  linalg::CMatrix hr(rm, rn);
-  for (std::size_t i = 0; i < na; ++i) {
-    for (std::size_t j = 0; j < nc; ++j) {
-      const cf64 v = h(i, j);
-      hr(i, j) = v.real();
-      hr(i, nc + j) = -v.imag();
-      hr(na + i, j) = v.imag();
-      hr(na + i, nc + j) = v.real();
-    }
-  }
-
-  auto [q, r] = linalg::householder_qr(hr);
-  const double rank_tol = 1e-10 * std::sqrt(std::max(hr.frobenius_norm_sq(), 1e-300));
-  for (std::size_t l = 0; l < rn; ++l)
-    if (r(l, l).real() <= rank_tol)
-      throw std::domain_error("RvdSphereDecoder: rank-deficient channel");
-
-  na_ = na;
-  nc_ = nc;
-  qh_ = q.hermitian();
-  r_ = std::move(r);
-  finish_install();
-}
-
-void RvdSphereDecoder::finish_install() {
-  const std::size_t rn = 2 * nc_;
-  const double alpha = constellation().scale();
-  if (level_enum_.size() != rn) {
-    level_enum_.assign(rn, sphere::Zigzag1D{});
-    level_scale_.assign(rn, 0.0);
-    partial_.assign(rn + 1, 0.0);
-    centers_.assign(rn, 0.0);
-    current_.assign(rn, 0);
-    best_.assign(rn, 0);
-  }
-  for (std::size_t l = 0; l < rn; ++l) {
-    const double rll = r_(l, l).real();
-    level_scale_[l] = rll * rll * alpha * alpha;
-  }
-}
 
 void RvdSphereDecoder::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                         double /*noise_var*/) {
@@ -65,11 +11,12 @@ void RvdSphereDecoder::do_prepare_batch(const linalg::CMatrix* hs, std::size_t c
   const std::size_t nc = hs[0].cols();
   const std::size_t na = hs[0].rows();
   batch_shape_bad_ = nc == 0 || na < nc;
-  if (batch_shape_bad_) return;  // do_prepare's invalid_argument, at select.
+  if (batch_shape_bad_) return;  // invalid_argument, at select.
 
-  // Every slot's real embedding, exactly as the scalar path builds it; the
-  // packed driver then factorizes the embeddings (and reads their Frobenius
-  // norms for the rank tolerance, as the scalar path does).
+  // Every slot's real embedding (stored in complex matrices with zero
+  // imaginary parts so the complex QR can be reused; R comes out real).
+  // The packed driver then factorizes the embeddings and reads their
+  // Frobenius norms for the rank tolerance.
   batch_hr_.resize(count);
   for (std::size_t s = 0; s < count; ++s) {
     const linalg::CMatrix& h = hs[s];
@@ -99,7 +46,20 @@ void RvdSphereDecoder::do_select_prepared(std::size_t i) {
   nc_ = batch_nc_;
   qh_ = slot.qh;
   r_ = slot.r;
-  finish_install();
+  const std::size_t rn = 2 * nc_;
+  const double alpha = constellation().scale();
+  if (level_enum_.size() != rn) {
+    level_enum_.assign(rn, sphere::Zigzag1D{});
+    level_scale_.assign(rn, 0.0);
+    partial_.assign(rn + 1, 0.0);
+    centers_.assign(rn, 0.0);
+    current_.assign(rn, 0);
+    best_.assign(rn, 0);
+  }
+  for (std::size_t l = 0; l < rn; ++l) {
+    const double rll = r_(l, l).real();
+    level_scale_[l] = rll * rll * alpha * alpha;
+  }
 }
 
 void RvdSphereDecoder::do_solve(const CVector& y, DetectionResult& out) {

@@ -31,15 +31,14 @@ class RvdSphereDecoder final : public Detector {
   std::string name() const override { return "RVD-SD"; }
 
  protected:
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// Embeds the whole batch into the real formulation and rotates it with
   /// one mat-mat product, then runs the shared search per column.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Builds every slot's real embedding, then one packed Householder QR
   /// across the batch (prepare/batch_qr.h); select copies slot i's
-  /// factorization into the active workspace, rethrowing do_prepare's exact
-  /// shape/rank exceptions for failed batches/slots.
+  /// factorization into the active workspace, or throws the batch's shape
+  /// error or the slot's rank-deficiency error.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
@@ -52,10 +51,6 @@ class RvdSphereDecoder final : public Detector {
 
   /// Recombines best_'s PAM components into per-stream QAM indices.
   void emit_indices(unsigned* indices) const;
-
-  /// Installs the per-level state derived from the already-set nc_/r_ --
-  /// the tail of do_prepare, shared with the batched select.
-  void finish_install();
 
   // Prepared channel state (real embedding, QR-factorized).
   std::size_t na_ = 0;  ///< Receive antennas of the prepared (complex) H.

@@ -1,12 +1,10 @@
 #include "detect/soft_output.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "detect/sphere/center.h"
-#include "linalg/qr.h"
 
 namespace geosphere {
 
@@ -84,51 +82,12 @@ SoftGeosphereDetector::Search SoftGeosphereDetector::search(
   return out;
 }
 
-void SoftGeosphereDetector::do_prepare(const linalg::CMatrix& h, double noise_var) {
-  const std::size_t nc = h.cols();
-  if (nc == 0 || h.rows() < nc)
-    throw std::invalid_argument("SoftGeosphereDetector: shape mismatch");
-  if (noise_var <= 0.0)
-    throw std::invalid_argument("SoftGeosphereDetector: needs positive noise variance");
-
-  auto [q, r] = linalg::householder_qr(h);
-  const double rank_tol = 1e-10 * std::sqrt(std::max(h.frobenius_norm_sq(), 1e-300));
-  for (std::size_t l = 0; l < nc; ++l)
-    if (r(l, l).real() <= rank_tol)
-      throw std::domain_error("SoftGeosphereDetector: rank-deficient channel");
-
-  na_ = h.rows();
-  qh_ = q.hermitian();
-  r_ = std::move(r);
-  noise_var_ = noise_var;
-  finish_install();
-}
-
-void SoftGeosphereDetector::finish_install() {
-  const std::size_t nc = r_.cols();
-  const double alpha = constellation().scale();
-  scale_.assign(nc, 0.0);
-  diag_.assign(nc, 0.0);
-  for (std::size_t l = 0; l < nc; ++l) {
-    const double rll = r_(l, l).real();
-    scale_[l] = rll * rll * alpha * alpha;
-    // Same product the per-node center division used to form -- hoisted
-    // once per channel, bit-identical.
-    diag_[l] = rll * alpha;
-  }
-  if (level_enum_.size() != nc) {
-    level_enum_.assign(nc, enum_proto_);
-    current_.assign(nc, 0);
-    partial_.assign(nc + 1, 0.0);
-  }
-}
-
 void SoftGeosphereDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                              double noise_var) {
   if (count == 0) return;
   const std::size_t nc = hs[0].cols();
-  // do_prepare's validation order: shape first, then the noise variance;
-  // both throw for every slot, deferred to select time.
+  // Validation order: shape first, then the noise variance; both throw for
+  // every slot, deferred to select time.
   batch_error_ = 0;
   if (nc == 0 || hs[0].rows() < nc) {
     batch_error_ = 1;
@@ -155,7 +114,22 @@ void SoftGeosphereDetector::do_select_prepared(std::size_t i) {
   qh_ = slot.qh;
   r_ = slot.r;
   noise_var_ = batch_noise_var_;
-  finish_install();
+  const std::size_t nc = r_.cols();
+  const double alpha = constellation().scale();
+  scale_.assign(nc, 0.0);
+  diag_.assign(nc, 0.0);
+  for (std::size_t l = 0; l < nc; ++l) {
+    const double rll = r_(l, l).real();
+    scale_[l] = rll * rll * alpha * alpha;
+    // Same product the per-node center division used to form -- hoisted
+    // once per channel, bit-identical.
+    diag_[l] = rll * alpha;
+  }
+  if (level_enum_.size() != nc) {
+    level_enum_.assign(nc, enum_proto_);
+    current_.assign(nc, 0);
+    partial_.assign(nc + 1, 0.0);
+  }
 }
 
 void SoftGeosphereDetector::load(const CVector& y) {

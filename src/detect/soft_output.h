@@ -48,11 +48,6 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   double llr_clamp() const { return llr_clamp_; }
 
  protected:
-  /// Validates inputs and QR-factorizes the channel shared by the
-  /// unconstrained and per-bit searches. Requires noise_var > 0 (the LLR
-  /// normalization divides by it).
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
-
   /// Hard decisions only: the unconstrained Geosphere search (same ML
   /// solution as the hard Geosphere detector, no counter-hypothesis cost).
   void do_solve(const CVector& y, DetectionResult& out) override;
@@ -70,10 +65,12 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   /// row -- the per-vector soft solve, bit-identical to looping it.
   void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) override;
 
-  /// Packed Householder QR across the batch (prepare/batch_qr.h); select
-  /// copies slot i's factorization into the active workspace. Shape, noise
-  /// and rank failures are recorded and rethrown at select time with
-  /// do_prepare's exact exceptions.
+  /// Validates inputs and QR-factorizes the channels shared by the
+  /// unconstrained and per-bit searches: packed Householder QR across the
+  /// batch (prepare/batch_qr.h); select copies slot i's factorization into
+  /// the active workspace. Requires noise_var > 0 (the LLR normalization
+  /// divides by it). Shape, noise and rank failures are recorded and
+  /// thrown at select time.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
@@ -123,14 +120,10 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   std::vector<double> scale_;
   std::vector<double> diag_;  ///< Per level: r_ll * alpha (center denominator).
 
-  /// Installs the per-level state derived from the already-set na_/r_/
-  /// noise_var_ -- the tail of do_prepare, shared with the batched select.
-  void finish_install();
-
   // Batched-prepare state (prepare_batch override; see prepare/batch_qr.h).
   prepare::BatchQr batch_qr_;
   std::vector<prepare::QrSlot> slot_qr_;
-  /// Deferred do_prepare failure: 0 ok, 1 bad shape, 2 bad noise variance.
+  /// Deferred batch failure: 0 ok, 1 bad shape, 2 bad noise variance.
   std::uint8_t batch_error_ = 0;
   double batch_noise_var_ = 0.0;
   std::size_t batch_na_ = 0;

@@ -1,40 +1,10 @@
 #include "detect/sphere/sphere_decoder.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "detect/sphere/center.h"
-#include "linalg/qr.h"
 
 namespace geosphere::sphere {
-
-template <class Enumerator>
-void SphereDecoder<Enumerator>::do_prepare(const linalg::CMatrix& h,
-                                           double /*noise_var*/) {
-  const std::size_t nc = h.cols();
-  const std::size_t na = h.rows();
-  if (nc == 0 || na < nc)
-    throw std::invalid_argument("SphereDecoder: requires 1 <= n_c <= n_a");
-
-  perm_ = config_.sorted_qr ? column_norm_order(h) : identity_order(nc);
-  const linalg::CMatrix hp = config_.sorted_qr ? h.select_cols(perm_) : h;
-
-  auto [q, r] = linalg::householder_qr(hp);
-
-  // Guard against rank deficiency: a zero pivot would make the per-level
-  // center division meaningless.
-  const double rank_tol = 1e-10 * std::sqrt(std::max(hp.frobenius_norm_sq(), 1e-300));
-  for (std::size_t l = 0; l < nc; ++l)
-    if (r(l, l).real() <= rank_tol)
-      throw std::domain_error("SphereDecoder: channel matrix is (numerically) rank deficient");
-
-  na_ = na;
-  nc_ = nc;
-  qh_ = q.hermitian();
-  r_ = std::move(r);
-  finish_install();
-}
 
 template <class Enumerator>
 void SphereDecoder<Enumerator>::finish_install() {
@@ -59,26 +29,22 @@ void SphereDecoder<Enumerator>::finish_install() {
 
 template <class Enumerator>
 void SphereDecoder<Enumerator>::prepare_adopted(const linalg::CMatrix& h,
-                                                const linalg::CMatrix& qh,
-                                                const linalg::CMatrix& r) {
+                                                const prepare::QrSlot& slot) {
   run_as_prepare([&] {
     const std::size_t nc = h.cols();
     const std::size_t na = h.rows();
     if (nc == 0 || na < nc)
       throw std::invalid_argument("SphereDecoder: requires 1 <= n_c <= n_a");
-    // Unsorted configuration assumed (the adopted factorization carries no
-    // permutation); the rank test is do_prepare's, with hp == h.
-    const double rank_tol = 1e-10 * std::sqrt(std::max(h.frobenius_norm_sq(), 1e-300));
-    for (std::size_t l = 0; l < nc; ++l)
-      if (r(l, l).real() <= rank_tol)
-        throw std::domain_error(
-            "SphereDecoder: channel matrix is (numerically) rank deficient");
-
+    if (!slot.rank_ok)
+      throw std::domain_error(
+          "SphereDecoder: channel matrix is (numerically) rank deficient");
+    // Unsorted configuration assumed: the adopted factorization carries no
+    // permutation.
     perm_ = identity_order(nc);
     na_ = na;
     nc_ = nc;
-    qh_ = qh;
-    r_ = r;
+    qh_ = slot.qh;
+    r_ = slot.r;
     finish_install();
   });
 }
@@ -90,13 +56,13 @@ void SphereDecoder<Enumerator>::do_prepare_batch(const linalg::CMatrix* hs,
   const std::size_t nc = hs[0].cols();
   const std::size_t na = hs[0].rows();
   batch_shape_bad_ = nc == 0 || na < nc;
-  if (batch_shape_bad_) return;  // do_prepare's invalid_argument, at select.
+  if (batch_shape_bad_) return;  // invalid_argument, at select.
 
   slot_perm_.assign(count, {});
   if (config_.sorted_qr) {
-    // Per-slot detection order, then QR of the permuted copies -- the rank
-    // tolerance inside the packed driver then reads hp's Frobenius norm in
-    // the permuted summation order, exactly as the scalar path does.
+    // Per-slot detection order, then QR of the permuted copies (the rank
+    // tolerance inside the packed driver reads the permuted copy's
+    // Frobenius norm).
     batch_hp_.resize(count);
     for (std::size_t s = 0; s < count; ++s) {
       slot_perm_[s] = column_norm_order(hs[s]);

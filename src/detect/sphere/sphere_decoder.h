@@ -48,17 +48,14 @@ class SphereDecoder final : public Detector {
   std::string name() const override { return name_; }
   const SphereConfig& config() const { return config_; }
 
-  /// Adopts an externally computed unsorted-QR factorization of `h`
-  /// (qh = Q^H, r = R with real non-negative diagonal) instead of
-  /// refactorizing -- the hybrid detector shares its routing QR this way.
-  /// Replicates do_prepare's shape and rank checks exactly, so adopting a
-  /// factorization behaves bit-for-bit like prepare(h, noise_var) would
-  /// (which the detector's unsorted config makes permutation-free).
-  void prepare_adopted(const linalg::CMatrix& h, const linalg::CMatrix& qh,
-                       const linalg::CMatrix& r);
+  /// Adopts `slot`, a packed-QR factorization of `h` (prepare/batch_qr.h),
+  /// instead of refactorizing -- the hybrid detector shares its routing QR
+  /// this way. Checks h's shape and throws on !slot.rank_ok exactly as
+  /// prepare(h, noise_var) would, and installs the same bits (the detector's
+  /// unsorted config makes the factorization permutation-free).
+  void prepare_adopted(const linalg::CMatrix& h, const prepare::QrSlot& slot);
 
  protected:
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// One SIMD-batched Q^H Y rotation for the whole batch (vectors as lanes,
   /// see simd/rotate.h) plus packed root-center divides, then one search
@@ -68,8 +65,7 @@ class SphereDecoder final : public Detector {
   /// Packed Householder QR across the batch (prepare/batch_qr.h), with
   /// per-slot column orderings first when sorted QR is configured; select
   /// copies slot i's factorization into the active workspace. Shape and
-  /// rank failures are recorded per batch/slot and rethrown at select time
-  /// with do_prepare's exact exceptions.
+  /// rank failures are recorded per batch/slot and thrown at select time.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
@@ -87,7 +83,7 @@ class SphereDecoder final : public Detector {
 
   /// Installs the per-level state derived from the already-set na_/nc_/r_
   /// (workspace sizing, level scales and center denominators) -- the tail
-  /// of do_prepare, shared by the scalar, batched, and adopted paths.
+  /// of both do_select_prepared and prepare_adopted.
   void finish_install();
 
   Enumerator prototype_;

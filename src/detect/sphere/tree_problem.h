@@ -2,20 +2,20 @@
 // used by the tree-search detectors that do not need the full depth-first
 // machinery (K-best, fixed-complexity).
 //
-// The channel-only work (QR factorization, per-level scales) lives in
-// factorize(); load() rotates one received vector into the triangular
-// basis. Detectors keep one TreeProblem in their workspace: factorize once
-// per channel estimate, load once per received vector.
+// The channel-only work is done by the packed QR driver
+// (prepare/batch_qr.h); install_factorized() takes one slot of it and
+// precomputes the per-level scales, and load() rotates one received vector
+// into the triangular basis. Detectors keep one TreeProblem in their
+// workspace: install once per channel estimate, load once per received
+// vector.
 #pragma once
 
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "constellation/constellation.h"
 #include "detect/sphere/center.h"
 #include "linalg/matrix.h"
-#include "linalg/qr.h"
 
 namespace geosphere::sphere {
 
@@ -27,39 +27,10 @@ struct TreeProblem {
   std::vector<double> diag;   ///< Per level: r_ll * alpha (center denominator).
   double alpha = 1.0;
 
-  /// Channel-only phase: QR-factorize `h` and precompute the per-level
-  /// scales. Throws std::invalid_argument on bad shapes and
-  /// std::domain_error on (numerically) rank-deficient channels.
-  void factorize(const linalg::CMatrix& h, const Constellation& cons) {
-    const std::size_t nc = h.cols();
-    if (nc == 0 || h.rows() < nc)
-      throw std::invalid_argument("TreeProblem: requires 1 <= n_c <= n_a");
-
-    auto [q, rr] = linalg::householder_qr(h);
-    const double rank_tol = 1e-10 * std::sqrt(std::max(h.frobenius_norm_sq(), 1e-300));
-    for (std::size_t l = 0; l < nc; ++l)
-      if (rr(l, l).real() <= rank_tol)
-        throw std::domain_error("TreeProblem: channel matrix is (numerically) rank deficient");
-
-    alpha = cons.scale();
-    qh = q.hermitian();
-    scale.resize(nc);
-    diag.resize(nc);
-    for (std::size_t l = 0; l < nc; ++l) {
-      const double rll = rr(l, l).real();
-      scale[l] = rll * rll * alpha * alpha;
-      // Same product the center() division used to form per node --
-      // hoisted once per channel, bit-identical.
-      diag[l] = rll * alpha;
-    }
-    r = std::move(rr);
-  }
-
-  /// Installs an externally computed factorization of the channel
-  /// (prepare/batch_qr.h slot: qh_in = Q^H, r_in = R with real non-negative
-  /// diagonal) -- factorize()'s tail, bit-identical to it; the caller has
-  /// already handled the shape and rank failures the batched driver
-  /// reported.
+  /// Installs a factorization of the channel (prepare/batch_qr.h slot:
+  /// qh_in = Q^H, r_in = R with real non-negative diagonal) and precomputes
+  /// the per-level scales; the caller has already handled the shape and
+  /// rank failures the batched driver reported.
   void install_factorized(const linalg::CMatrix& qh_in, const linalg::CMatrix& r_in,
                           const Constellation& cons) {
     const std::size_t nc = r_in.cols();
@@ -96,15 +67,6 @@ struct TreeProblem {
   void load_rotated(const linalg::CMatrix& yhat_t_batch, std::size_t v) {
     const cf64* row = yhat_t_batch.row_data(v);
     yhat.assign(row, row + yhat_t_batch.cols());
-  }
-
-  /// One-shot convenience (factorize + load), for single-vector callers.
-  static TreeProblem build(const CVector& y, const linalg::CMatrix& h,
-                           const Constellation& cons) {
-    TreeProblem p;
-    p.factorize(h, cons);
-    p.load(y);
-    return p;
   }
 
   /// Grid-units center of level `l` given the decisions `path[j]` for j > l

@@ -1,12 +1,8 @@
 #include "detect/zero_forcing.h"
 
-#include "linalg/solve.h"
+#include <stdexcept>
 
 namespace geosphere {
-
-void ZeroForcingDetector::do_prepare(const linalg::CMatrix& h, double /*noise_var*/) {
-  filter_ = linalg::pseudo_inverse(h);
-}
 
 void ZeroForcingDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                            double /*noise_var*/) {

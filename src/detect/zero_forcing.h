@@ -25,7 +25,6 @@ class ZeroForcingDetector final : public Detector {
   std::string name() const override { return "ZF"; }
 
  protected:
-  void do_prepare(const linalg::CMatrix& h, double noise_var) override;
   void do_solve(const CVector& y, DetectionResult& out) override;
   /// One mat-mat product pinv(H) * Y instead of a mat-vec per column.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;

@@ -1,4 +1,7 @@
-// Householder QR decomposition for complex matrices.
+// Householder QR decomposition for complex matrices: the scalar reference
+// the packed QR driver (detect/prepare/batch_qr.h) transcribes lane for
+// lane. Detectors factorize through that driver; tests pin its bits to
+// householder_qr (tests/prepare_batch_test.cpp, PrepareDrivers).
 #pragma once
 
 #include "linalg/matrix.h"

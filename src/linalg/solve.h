@@ -1,4 +1,9 @@
 // General linear solves and (pseudo-)inverses for complex matrices.
+// inverse() and pseudo_inverse() are the scalar references the packed
+// Gram/Gauss-Jordan driver (detect/prepare/batch_linear.h) transcribes lane
+// for lane; detectors build their filters through that driver, and tests
+// pin its bits to these functions (tests/prepare_batch_test.cpp,
+// PrepareDrivers).
 #pragma once
 
 #include "linalg/matrix.h"

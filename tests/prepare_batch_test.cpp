@@ -1,32 +1,46 @@
-// Tests for the batched-preparation phase (prepare_batch / select_prepared)
-// added to the four-phase detection contract:
-//  * batch-prepared solves are BIT-identical to the scalar prepare() loop --
-//    decisions, symbols, LLRs and counters -- for every registry detector,
-//    at 16/64/256-QAM, for batch sizes {1, W-1, W, nsc} at every compiled
-//    SIMD kernel tier (GEOSPHERE_KERNEL override hook),
+// Tests for the channel-preparation phase. prepare_batch/select_prepared is
+// every detector's one factorization path (prepare() is a batch of one),
+// built on the packed drivers under src/detect/prepare/:
+//  * the drivers are BIT-identical to the scalar linalg references they
+//    transcribe -- householder_qr and the tree searches' rank test for
+//    BatchQr, inverse and pseudo_inverse (and where they throw) for
+//    BatchLinear -- at every supported SIMD kernel tier, for batch sizes
+//    {1, W-1, W, 48}, on healthy and degenerate channels (PrepareDrivers),
+//  * batch-prepared solves are BIT-identical to a prepare() loop pinned to
+//    the scalar kernel tier -- decisions, symbols, LLRs and counters -- for
+//    every registry detector, at 16/64/256-QAM, for batch sizes
+//    {1, W-1, W, nsc} at every supported tier (GEOSPHERE_KERNEL override
+//    hook),
 //  * slots select in any order and re-select cleanly,
 //  * a shape change between batches leaves no stale workspace behind,
 //  * an empty batch prepares nothing and select fails loudly,
 //  * a plain prepare() invalidates the batch,
 //  * per-slot preparation failures (rank deficiency, singular filters)
-//    surface at select with the exact exception the scalar prepare() throws,
-//    leaving the other slots selectable, and
+//    surface at select with the exact exception prepare() throws for that
+//    channel, leaving the other slots selectable, and
 //  * the link layer's accounting invariant: a frame of nsc subcarriers
 //    counts ONE prepare_batch_call and nsc preprocess_calls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "channel/rayleigh.h"
 #include "common/db.h"
 #include "common/rng.h"
+#include "detect/prepare/batch_linear.h"
+#include "detect/prepare/batch_qr.h"
 #include "detect/prepare/simd/dispatch.h"
 #include "detect/spec.h"
+#include "linalg/qr.h"
+#include "linalg/solve.h"
 #include "link/link_simulator.h"
 #include "phy/frame.h"
 #include "test_util.h"
@@ -91,9 +105,10 @@ void expect_same_stats(const DetectionStats& a, const DetectionStats& b,
   EXPECT_EQ(a.counter_updates, b.counter_updates) << who;
 }
 
-/// One detector's reference answers for a set of channels, computed with
-/// the scalar per-channel prepare() path (which never touches the packed
-/// kernels, so it is the tier-independent truth).
+/// One detector's reference answers for a set of channels, computed by
+/// preparing each channel alone on the scalar kernel tier (whose drivers
+/// PrepareDrivers pins to the linalg references), so it is the
+/// tier-independent truth.
 struct Reference {
   std::vector<DetectionResult> hard;
   std::vector<SoftDetectionResult> soft;
@@ -119,7 +134,8 @@ Problem make_problem(unsigned order, std::size_t count, std::size_t na, std::siz
   return p;
 }
 
-Reference solve_by_scalar_loop(Detector& det, const Problem& p) {
+Reference solve_by_prepare_loop(Detector& det, const Problem& p) {
+  KernelOverride scalar("scalar");
   Reference ref;
   const bool is_soft = det.soft() != nullptr;
   for (std::size_t i = 0; i < p.hs.size(); ++i) {
@@ -162,7 +178,7 @@ TEST_P(PrepareBatchRegistry, BatchMatchesScalarLoopAtEveryKernelTierAndSize) {
     const Problem p = make_problem(order, nsc, 4, nc, /*seed=*/900 + order);
 
     const auto scalar_det = spec.create(c);
-    const Reference ref = solve_by_scalar_loop(*scalar_det, p);
+    const Reference ref = solve_by_prepare_loop(*scalar_det, p);
 
     const auto batch_det = spec.create(c);
     for (const prepare::simd::Kernel* kernel : prepare::simd::supported_kernels()) {
@@ -189,7 +205,7 @@ TEST_P(PrepareBatchRegistry, SlotsSelectInAnyOrderAndReselect) {
   const Problem p = make_problem(16, 5, 4, 4, /*seed=*/77);
 
   const auto scalar_det = spec.create(c);
-  const Reference ref = solve_by_scalar_loop(*scalar_det, p);
+  const Reference ref = solve_by_prepare_loop(*scalar_det, p);
 
   const auto det = spec.create(c);
   det->prepare_batch(p.hs, p.n0);
@@ -204,7 +220,7 @@ TEST_P(PrepareBatchRegistry, SlotsSelectInAnyOrderAndReselect) {
 
 TEST_P(PrepareBatchRegistry, ShapeChangeBetweenBatchesLeavesNoStaleState) {
   // Batch at 4x4, then batch the SAME instance at 4x2 and back: every
-  // workspace dimension must be rewritten by the new batch (the scalar
+  // workspace dimension must be rewritten by the new batch (the batched
   // analogue of RepreparingReusesTheInstanceSafely).
   const DetectorSpec spec = DetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
@@ -212,8 +228,8 @@ TEST_P(PrepareBatchRegistry, ShapeChangeBetweenBatchesLeavesNoStaleState) {
   const Problem small = make_problem(16, 3, 4, 2, /*seed=*/32);
 
   const auto scalar_det = spec.create(c);
-  const Reference ref_big = solve_by_scalar_loop(*scalar_det, big);
-  const Reference ref_small = solve_by_scalar_loop(*scalar_det, small);
+  const Reference ref_big = solve_by_prepare_loop(*scalar_det, big);
+  const Reference ref_small = solve_by_prepare_loop(*scalar_det, small);
 
   const auto det = spec.create(c);
   for (const Problem* p : {&big, &small, &big}) {
@@ -244,7 +260,7 @@ TEST_P(PrepareBatchRegistry, EmptyBatchAndOutOfRangeSelectFailLoudly) {
   det->prepare(p.hs[0], p.n0);
   EXPECT_EQ(det->prepared_batch_size(), 0u);
   EXPECT_THROW(det->select_prepared(0), std::logic_error) << spec.text();
-  EXPECT_TRUE(det->prepared());  // ... but the scalar preparation stands.
+  EXPECT_TRUE(det->prepared());  // ... but the one-shot preparation stands.
 }
 
 /// "" if `fn` returns, else "<dynamic type>: <what()>" -- the signature the
@@ -264,7 +280,7 @@ TEST_P(PrepareBatchRegistry, FailingSlotRethrowsAtSelectLeavingOthersSelectable)
   const Constellation& c = Constellation::qam(16);
   Problem p = make_problem(16, 3, 4, 4, /*seed=*/41);
   // Slot 1 is exactly rank deficient (duplicated column). Detectors that
-  // reject it at scalar prepare() must throw the SAME exception at select;
+  // reject it alone in prepare() must throw the SAME exception at select;
   // detectors that tolerate it (e.g. MMSE's noise-regularized Gram) must
   // keep tolerating it.
   for (std::size_t i = 0; i < 4; ++i) p.hs[1](i, 2) = p.hs[1](i, 0);
@@ -273,8 +289,11 @@ TEST_P(PrepareBatchRegistry, FailingSlotRethrowsAtSelectLeavingOthersSelectable)
 
   const auto scalar_det = spec.create(c);
   std::vector<std::string> scalar_sig(3);
-  for (std::size_t i = 0; i < 3; ++i)
-    scalar_sig[i] = thrown_signature([&] { scalar_det->prepare(p.hs[i], p.n0); });
+  {
+    KernelOverride scalar("scalar");
+    for (std::size_t i = 0; i < 3; ++i)
+      scalar_sig[i] = thrown_signature([&] { scalar_det->prepare(p.hs[i], p.n0); });
+  }
   ASSERT_EQ(scalar_sig[0], "") << spec.text();  // Random slots prepare fine.
   ASSERT_EQ(scalar_sig[2], "") << spec.text();
 
@@ -328,6 +347,151 @@ TEST(PrepareBatch, LinkCountsOneBatchPerFrameAndOneSelectPerSubcarrier) {
     EXPECT_EQ(stats.detection.preprocess_calls, frames * nsc) << name;
     EXPECT_EQ(stats.detection_calls, frames * nsc * syms) << name;
   }
+}
+
+// ------------------------------------------------ packed drivers vs linalg --
+
+/// Bitwise equality of two complex matrices: shape and every re/im bit.
+bool same_bits(const linalg::CMatrix& a, const linalg::CMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(cf64)) == 0;
+}
+
+/// Kinds of channel the driver tests mix into every batch: healthy, and the
+/// four degenerate cases the drivers mask per lane.
+enum class SlotKind { kHealthy, kDuplicatedColumn, kZeroColumn, kAllZero, kTinyColumn };
+constexpr int kSlotKinds = 5;
+
+/// A channel of `kind`. 8x8 is the real-valued embedding of a random 4x4,
+/// the shape RVD hands the QR driver.
+linalg::CMatrix driver_channel(Rng& rng, std::size_t na, std::size_t nc, SlotKind kind) {
+  linalg::CMatrix h;
+  if (na == 8 && nc == 8) {
+    const linalg::CMatrix c = random_channel(rng, 4, 4);
+    h.assign_shape(8, 8);
+    for (std::size_t i = 0; i < 4; ++i)
+      for (std::size_t j = 0; j < 4; ++j) {
+        h(i, j) = c(i, j).real();
+        h(i, 4 + j) = -c(i, j).imag();
+        h(4 + i, j) = c(i, j).imag();
+        h(4 + i, 4 + j) = c(i, j).real();
+      }
+  } else {
+    h = random_channel(rng, na, nc);
+  }
+  // A one-column channel has no second column to duplicate: it stays
+  // healthy.
+  const std::size_t last = nc - 1;
+  if (kind == SlotKind::kAllZero) h.assign_shape(na, nc);
+  for (std::size_t i = 0; i < na; ++i) {
+    if (kind == SlotKind::kDuplicatedColumn) h(i, last) = h(i, 0);
+    if (kind == SlotKind::kZeroColumn) h(i, last) = cf64{};
+    if (kind == SlotKind::kTinyColumn) h(i, last) *= 1e-9;
+  }
+  return h;
+}
+
+/// Runs `check(hs, who)` over every supported kernel tier, every
+/// driver shape and batch sizes {1, W-1, W, 48}. Slot s of a batch has kind
+/// (s + rotation) % kSlotKinds, and the rotation cycles through every kind,
+/// so every kind also lands in a batch of one (the prepare() path).
+template <typename Check>
+void for_each_driver_batch(Check&& check) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {{1, 1}, {2, 2}, {4, 2},
+                                                        {4, 4}, {8, 4}, {8, 8}};
+  for (const prepare::simd::Kernel* kernel : prepare::simd::supported_kernels()) {
+    KernelOverride tier(kernel->name);
+    std::vector<std::size_t> sizes{1, kernel->width, 48};
+    if (kernel->width > 1) sizes.push_back(kernel->width - 1);
+    for (const auto& [na, nc] : shapes) {
+      Rng rng(1000 * na + nc);
+      for (const std::size_t count : sizes)
+        for (int rotation = 0; rotation < kSlotKinds; ++rotation) {
+          std::vector<linalg::CMatrix> hs;
+          for (std::size_t s = 0; s < count; ++s)
+            hs.push_back(driver_channel(
+                rng, na, nc, static_cast<SlotKind>((s + rotation) % kSlotKinds)));
+          check(hs, std::string(kernel->name) + "/" + std::to_string(na) + "x" +
+                        std::to_string(nc) + "/n" + std::to_string(count) + "/rot" +
+                        std::to_string(rotation));
+        }
+    }
+  }
+}
+
+TEST(PrepareDrivers, BatchQrMatchesHouseholderQrAndRankTestOnEveryTier) {
+  prepare::BatchQr driver;
+  std::vector<prepare::QrSlot> slots;
+  std::size_t verdicts[2] = {};  // Slots judged rank deficient / full rank.
+  for_each_driver_batch([&](const std::vector<linalg::CMatrix>& hs, const std::string& who) {
+    driver.run(hs.data(), hs.size(), slots);
+    ASSERT_EQ(slots.size(), hs.size()) << who;
+    for (std::size_t s = 0; s < hs.size(); ++s) {
+      const auto [q, r] = linalg::householder_qr(hs[s]);
+      EXPECT_TRUE(same_bits(slots[s].qh, q.hermitian())) << who << "/slot" << s;
+      EXPECT_TRUE(same_bits(slots[s].r, r)) << who << "/slot" << s;
+      const double rank_tol = 1e-10 * std::sqrt(std::max(hs[s].frobenius_norm_sq(), 1e-300));
+      bool rank_ok = true;
+      for (std::size_t l = 0; l < r.cols(); ++l)
+        if (r(l, l).real() <= rank_tol) rank_ok = false;
+      EXPECT_EQ(slots[s].rank_ok, rank_ok) << who << "/slot" << s;
+      ++verdicts[rank_ok ? 1 : 0];
+    }
+  });
+  EXPECT_GT(verdicts[0], 0u);  // The mix exercises both verdicts.
+  EXPECT_GT(verdicts[1], 0u);
+}
+
+TEST(PrepareDrivers, GramInverseMatchesLinalgInverseOnEveryTier) {
+  prepare::BatchLinear driver;
+  std::vector<prepare::GramInvSlot> slots;
+  // Unregularized (singular exactly where inverse throws) and MMSE's
+  // noise-regularized Gram.
+  for (const double n0 : {0.0, 0.05}) {
+    const bool add_noise = n0 > 0.0;
+    for_each_driver_batch([&](const std::vector<linalg::CMatrix>& hs, const std::string& who) {
+      driver.gram_inverse(hs.data(), hs.size(), add_noise, n0, slots);
+      ASSERT_EQ(slots.size(), hs.size()) << who;
+      for (std::size_t s = 0; s < hs.size(); ++s) {
+        const std::string at = who + "/n0=" + std::to_string(n0) + "/slot" + std::to_string(s);
+        const linalg::CMatrix hh = hs[s].hermitian();
+        linalg::CMatrix gram = hh * hs[s];
+        if (add_noise)
+          for (std::size_t d = 0; d < gram.rows(); ++d) gram(d, d) += n0;
+        linalg::CMatrix inv;
+        const std::string thrown = thrown_signature([&] { inv = linalg::inverse(gram); });
+        EXPECT_TRUE(same_bits(slots[s].hh, hh)) << at;
+        EXPECT_EQ(slots[s].singular, !thrown.empty()) << at;
+        if (thrown.empty()) {
+          EXPECT_TRUE(same_bits(slots[s].inv, inv)) << at;
+        }
+      }
+    });
+  }
+}
+
+TEST(PrepareDrivers, PseudoInverseMatchesLinalgPseudoInverseOnEveryTier) {
+  prepare::BatchLinear driver;
+  std::vector<linalg::CMatrix> filters;
+  std::vector<std::uint8_t> singular;
+  std::size_t verdicts[2] = {};  // Slots where pseudo_inverse throws / returns.
+  for_each_driver_batch([&](const std::vector<linalg::CMatrix>& hs, const std::string& who) {
+    driver.pseudo_inverse(hs.data(), hs.size(), filters, singular);
+    ASSERT_EQ(filters.size(), hs.size()) << who;
+    ASSERT_EQ(singular.size(), hs.size()) << who;
+    for (std::size_t s = 0; s < hs.size(); ++s) {
+      linalg::CMatrix pinv;
+      const std::string thrown =
+          thrown_signature([&] { pinv = linalg::pseudo_inverse(hs[s]); });
+      EXPECT_EQ(singular[s] != 0, !thrown.empty()) << who << "/slot" << s;
+      if (thrown.empty()) {
+        EXPECT_TRUE(same_bits(filters[s], pinv)) << who << "/slot" << s;
+      }
+      ++verdicts[thrown.empty() ? 1 : 0];
+    }
+  });
+  EXPECT_GT(verdicts[0], 0u);  // The mix exercises both verdicts.
+  EXPECT_GT(verdicts[1], 0u);
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "channel/rayleigh.h"
 #include "channel/testbed_ensemble.h"
@@ -14,6 +18,31 @@ namespace {
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Writes a version-1 trace header with the given dimensions, followed by
+/// `payload` raw doubles -- a file save_trace would never produce.
+void write_raw_trace(const std::string& path, std::uint64_t count, std::uint64_t nsc,
+                     std::uint64_t na, std::uint64_t nc, const std::vector<double>& payload) {
+  std::ofstream os(path, std::ios::binary);
+  os.write("GEOTRACE", 8);
+  const std::uint32_t version = 1;
+  os.write(reinterpret_cast<const char*>(&version), sizeof version);
+  for (const std::uint64_t v : {count, nsc, na, nc})
+    os.write(reinterpret_cast<const char*>(&v), sizeof v);
+  os.write(reinterpret_cast<const char*>(payload.data()),
+           static_cast<std::streamsize>(payload.size() * sizeof(double)));
+}
+
+/// load_trace(path) must throw std::runtime_error with a "load_trace:"
+/// message.
+void expect_load_error(const std::string& path, const std::string& why) {
+  try {
+    load_trace(path);
+    ADD_FAILURE() << why << ": load_trace accepted the file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("load_trace:", 0), 0u) << why << ": " << e.what();
+  }
 }
 
 TEST(Trace, SaveLoadRoundTrip) {
@@ -90,6 +119,42 @@ TEST(Trace, RejectsTruncatedFile) {
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
   EXPECT_THROW(load_trace(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Trace, RejectsHostileHeaders) {
+  const std::string path = temp_path("geo_trace_hostile.bin");
+  // na * nc wraps to 0 in 64 bits: a 60-byte file whose matrices would get
+  // no storage at all.
+  write_raw_trace(path, 1, 1, std::uint64_t{1} << 62, 4, {0.5, -0.5});
+  expect_load_error(path, "wrapping dimensions");
+  // Dimensions the file cannot back (2^40 entries per matrix).
+  write_raw_trace(path, 1, 1, std::uint64_t{1} << 20, std::uint64_t{1} << 20, {0.5, -0.5});
+  expect_load_error(path, "oversized dimensions");
+  // A valid trace with bytes appended after its payload.
+  RayleighChannel model(2, 2);
+  Rng rng(6);
+  save_trace(path, record_trace(model, 2, 4, rng));
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::app);
+    os.write("trailing", 8);
+  }
+  expect_load_error(path, "trailing bytes");
+  std::remove(path.c_str());
+}
+
+TEST(Trace, RejectsNonFiniteEntries) {
+  const std::string path = temp_path("geo_trace_nonfinite.bin");
+  RayleighChannel model(2, 2);
+  Rng rng(7);
+  const auto links = record_trace(model, 3, 8, rng);
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity()}) {
+    auto corrupt = links;
+    corrupt[1].subcarriers[5](1, 0) = cf64{0.25, bad};
+    save_trace(path, corrupt);
+    expect_load_error(path, std::to_string(bad));
+  }
   std::remove(path.c_str());
 }
 
