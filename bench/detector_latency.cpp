@@ -4,22 +4,25 @@
 // separate columns -- ns/prepare is the once-per-channel factorization
 // cost (column ordering, QR, filter inversion) of a one-shot prepare(),
 // which is a batch of one through the packed drivers, and ns/solve the
-// per-received-vector cost -- so the table directly shows how much an
-// OFDM frame saves by preparing each subcarrier once and solving it
-// `ofdm_symbols` times ("frame speedup @4 sym" = one-shot cost of 4
-// solves divided by prepare-once + 4 solves). The batched-prepare columns
-// (ns/prep_b16 = per-channel cost of prepare_batch over 16 channels plus
-// its 16 selects; prepx@16 = ns/prepare over that, i.e. 16 batches of one
-// against one batch of 16) measure the lane packing of the SIMD
-// factorization layer under src/detect/prepare/: the 16 channels ride as
-// lanes through one Householder QR / Gram inversion. The batched-solve
+// per-received-vector cost of a one-shot solve(), which is likewise a
+// batch of one through the detector's only solve routine -- so the table
+// directly shows how much an OFDM frame saves by preparing each
+// subcarrier once and solving it `ofdm_symbols` times ("frame speedup @4
+// sym" = one-shot cost of 4 solves divided by prepare-once + 4 solves).
+// The batched-prepare columns (ns/prep_b16 = per-channel cost of
+// prepare_batch over 16 channels plus its 16 selects; prepx@16 =
+// ns/prepare over that, i.e. 16 batches of one against one batch of 16)
+// measure the lane packing of the SIMD factorization layer under
+// src/detect/prepare/: the 16 channels ride as lanes through one
+// Householder QR / Gram inversion. The batched-solve
 // columns (ns/slv_b4, b16, b48 = per-vector cost of solve_batch at batch
 // sizes 4/16/48; batchx@48 = ns/solve divided by the 48-column per-vector
-// cost) measure the phase-3 amortization: one mat-mat product / warm
-// workspace sweep per subcarrier instead of per-vector dispatch.
+// cost, i.e. 48 batches of one against one batch of 48) measure the
+// amortization of the batched solve: one mat-mat product / warm workspace
+// sweep per subcarrier instead of per-vector dispatch and scratch copies.
 //
 // Soft-capable detectors additionally report the per-vector LLR cost
-// (ns/soft = solve_soft, ns/soft_b48 = per-vector cost of
+// (ns/soft = solve_soft, a batch of one, ns/soft_b48 = per-vector cost of
 // solve_soft_batch at batch 48) and srch/soft -- the measured
 // tree_searches per solve_soft, which is the soft-output strategy in one
 // number: 1 + streams*Q for the repeated-tree-search detector, exactly
@@ -277,7 +280,7 @@ Measurement measure(const DetectorSpec& spec, unsigned order, const Workload& w,
       prepared.push_back(spec.create(c));
       prepared.back()->prepare(w.h[j], w.n0);
     }
-    // Per-vector (phase 2) and batched (phase 3) dispatch, measured as one
+    // One-shot (batches of one) and batched dispatch, measured as one
     // interleaved group over the identical (channel, vector) population --
     // the batch-speedup ratio is then robust against host clock drift. The
     // per-vector walk aggregates the full DetectionStats exactly as a

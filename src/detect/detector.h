@@ -19,18 +19,20 @@
 //                             factorization, so one channel prepared alone
 //                             and the same channel prepared as slot i of a
 //                             frame end in the same bits.
-//   solve(y, out)          -- per-received-vector work only, against the
-//                             most recently prepared channel.
 //   solve_batch(Y, out)    -- all received vectors of one channel use at
 //                             once: Y packs them as contiguous columns.
-//                             The base class falls back to a loop over
-//                             solve(); detectors override it where batching
-//                             genuinely pays (linear detectors turn
-//                             per-vector mat-vecs into one mat-mat product,
-//                             tree searches batch the Q^H y rotation and
-//                             reuse enumeration workspaces). Overrides are
-//                             bit-identical to the loop fallback: same
-//                             decisions, same counters.
+//                             Every detector implements this phase exactly
+//                             once (do_solve_batch is pure virtual): linear
+//                             detectors turn per-vector mat-vecs into one
+//                             mat-mat product, tree searches batch the
+//                             Q^H y rotation and reuse warm enumeration
+//                             workspaces, and ml loops its exhaustive
+//                             search over the columns.
+//   solve(y, out)          -- a batch of one: y becomes a one-column Y for
+//                             solve_batch. There is no second, per-vector
+//                             search, so a vector solved alone and the same
+//                             vector solved as column v of a frame end in
+//                             the same bits.
 //
 // An OFDM receiver sees each channel estimate `ofdm_symbols` times per
 // frame (once per data symbol on that subcarrier), so the link layer
@@ -49,11 +51,18 @@
 // Inputs from outside the program are checked where they enter (the trace
 // loader rejects non-finite entries, for example).
 //
+// No-leaf rule: finite inputs can still overflow. When every branch cost
+// of an unbounded tree search overflows to +inf (tree centers beyond about
+// 1e154 grid units), no child passes the `cost < budget` test and the
+// search reaches no leaf. Every tree search then throws
+// std::runtime_error naming the detector instead of returning a decision
+// it never reached.
+//
 // Hard and soft decision detection share this one surface: every detector
-// produces hard decisions via solve(); detectors that can also emit
+// produces hard decisions via solve_batch(); detectors that can also emit
 // max-log LLRs (the paper's Section 7 extension) expose that capability
-// through soft(), whose solve_soft() runs against the same prepared
-// channel.
+// through soft(), whose solve_soft_batch() runs against the same prepared
+// channel and whose solve_soft() is again a batch of one.
 #pragma once
 
 #include <cmath>
@@ -237,13 +246,24 @@ class Detector {
 
   /// Phase 2: detect the transmitted symbol vector from received vector
   /// `y` (length n_a) against the prepared channel, writing into `out`
-  /// (whose buffers are reused across calls, keeping heap traffic off the
-  /// per-vector hot path). Throws std::logic_error if prepare() has not
-  /// been called. The result's preprocess_calls is 0: preparations are
-  /// accounted by whoever calls prepare().
+  /// (whose buffers are reused across calls). A batch of one: `y` is
+  /// copied into a one-column Y and run through do_solve_batch(), so the
+  /// result is bit-identical to column v of any solve_batch() holding `y`.
+  /// Throws std::logic_error if prepare() has not been called. The result's
+  /// preprocess_calls and batch_calls are 0: preparations are accounted by
+  /// whoever calls prepare(), and this is not a batched invocation.
   void solve(const CVector& y, DetectionResult& out) {
     require_prepared();
-    do_solve(y, out);
+    one_y_.resize_shape(y.size(), 1);
+    one_y_.set_col(0, y);
+    do_solve_batch(one_y_, one_out_);
+    out.indices = one_out_.indices;
+    out.symbols.resize(out.indices.size());
+    for (std::size_t k = 0; k < out.indices.size(); ++k)
+      out.symbols[k] = constellation_->point(out.indices[k]);
+    out.stats = one_out_.stats;
+    // Hybrid's inner solve_batch() stamps its own batch_calls.
+    out.stats.batch_calls = 0;
   }
 
   /// Allocating convenience form of solve().
@@ -253,14 +273,15 @@ class Detector {
     return out;
   }
 
-  /// Phase 3 (batched): detect every column of `y_batch` (n_a x count;
-  /// column v is one received vector) against the prepared channel. The
-  /// result is bit-identical to calling solve() on each column in order --
-  /// same decisions, same summed counters -- whether the detector runs the
-  /// base-class loop fallback or an overridden batch kernel; only
-  /// stats.batch_calls (always 1 per invocation) records the dispatch.
-  /// `out`'s buffers are reused across calls. Throws std::logic_error if
-  /// prepare() has not been called.
+  /// Phase 2 (batched): detect every column of `y_batch` (n_a x count;
+  /// column v is one received vector) against the prepared channel, with
+  /// the detector's one do_solve_batch() routine. Column v's decisions do
+  /// not depend on the batch size or on v, so the result equals calling
+  /// solve() on each column in order -- same decisions, same summed
+  /// counters; only stats.batch_calls (always 1 per invocation) records
+  /// the dispatch. `out`'s buffers are reused across calls. Throws
+  /// std::logic_error if prepare() has not been called, and
+  /// std::invalid_argument if y_batch does not have n_a rows.
   void solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
     require_prepared();
     do_solve_batch(y_batch, out);
@@ -329,54 +350,25 @@ class Detector {
     prepared_ = true;
   }
 
-  /// Per-vector detection against the prepared workspace. Implementations
-  /// fill out.indices and call finish_result().
-  virtual void do_solve(const CVector& y, DetectionResult& out) = 0;
-
-  /// Batched detection against the prepared workspace. The default walks
-  /// the columns through do_solve() -- correct for every detector; override
-  /// where batching genuinely pays (amortizable per-vector products or
-  /// per-call overhead). Overrides must produce bit-identical decisions and
-  /// counter sums to this loop.
-  virtual void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
-    const std::size_t count = y_batch.cols();
-    out.count = count;
-    out.streams = 0;
-    out.indices.clear();
-    out.stats = DetectionStats{};
-    for (std::size_t v = 0; v < count; ++v) {
-      y_batch.col_into(v, loop_y_);
-      do_solve(loop_y_, loop_result_);
-      if (v == 0) {
-        out.streams = loop_result_.indices.size();
-        out.indices.resize(count * out.streams);
-      }
-      for (std::size_t k = 0; k < out.streams; ++k)
-        out.indices[v * out.streams + k] = loop_result_.indices[k];
-      out.stats += loop_result_.stats;
-    }
-  }
+  /// Detection of every column of `y_batch` against the prepared
+  /// workspace: the detector's only solve routine, which solve() also runs
+  /// on a one-column batch. Fills out.count, out.streams, out.indices and
+  /// out.stats (the exact sum over the columns); throws
+  /// std::invalid_argument for a row count other than n_a.
+  virtual void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) = 0;
 
   void require_prepared() const {
     if (!prepared_)
       throw std::logic_error("Detector: solve() called before prepare() (" + name() + ")");
   }
 
-  /// Fills out.symbols from out.indices and installs the stats.
-  void finish_result(DetectionResult& out, const DetectionStats& stats) const {
-    out.symbols.resize(out.indices.size());
-    for (std::size_t k = 0; k < out.indices.size(); ++k)
-      out.symbols[k] = constellation_->point(out.indices[k]);
-    out.stats = stats;
-  }
-
  private:
   const Constellation* constellation_;
   bool prepared_ = false;
   std::size_t batch_size_ = 0;
-  // Scratch for the do_solve_batch() loop fallback only.
-  CVector loop_y_;
-  DetectionResult loop_result_;
+  // solve()'s batch of one.
+  linalg::CMatrix one_y_;
+  BatchResult one_out_;
 };
 
 /// Sub-interface for detectors that can produce max-log LLRs. Obtained
@@ -388,13 +380,19 @@ class SoftDetector {
 
   /// Soft-decision counterpart of Detector::solve(): same prepared
   /// channel, hard decisions plus one LLR per transmitted bit. `out`'s
-  /// buffers are reused across calls. Throws std::logic_error if the
-  /// owning Detector has not been prepared.
+  /// buffers are reused across calls. A batch of one through
+  /// do_solve_soft_batch(), like Detector::solve(); batch_calls is 0.
+  /// Throws std::logic_error if the owning Detector has not been prepared.
   void solve_soft(const CVector& y, SoftDetectionResult& out) {
     if (!owner().prepared())
       throw std::logic_error("SoftDetector: solve_soft() called before prepare() (" +
                              owner().name() + ")");
-    do_solve_soft(y, out);
+    one_y_.resize_shape(y.size(), 1);
+    one_y_.set_col(0, y);
+    do_solve_soft_batch(one_y_, one_out_);
+    out.indices = one_out_.indices;
+    out.llrs = one_out_.llrs;
+    out.stats = one_out_.stats;
   }
 
   /// Allocating convenience form of solve_soft().
@@ -405,9 +403,10 @@ class SoftDetector {
   }
 
   /// Batched counterpart of solve_soft(): LLRs for every column of
-  /// `y_batch` against the same prepared channel, bit-identical to calling
-  /// solve_soft() per column (see Detector::solve_batch for the contract;
-  /// stats.batch_calls = 1 per invocation). `out`'s buffers are reused.
+  /// `y_batch` against the same prepared channel, with the detector's one
+  /// do_solve_soft_batch() routine -- equal to calling solve_soft() per
+  /// column (see Detector::solve_batch for the contract; stats.batch_calls
+  /// = 1 per invocation). `out`'s buffers are reused.
   void solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) {
     if (!owner().prepared())
       throw std::logic_error("SoftDetector: solve_soft_batch() called before prepare() (" +
@@ -422,7 +421,7 @@ class SoftDetector {
                                   double noise_var) {
     owner().prepare(h, noise_var);
     SoftDetectionResult out;
-    do_solve_soft(y, out);
+    solve_soft(y, out);
     out.stats.preprocess_calls += 1;
     return out;
   }
@@ -431,39 +430,14 @@ class SoftDetector {
   /// The Detector this interface aliases (holder of the prepared channel).
   virtual Detector& owner() = 0;
 
-  virtual void do_solve_soft(const CVector& y, SoftDetectionResult& out) = 0;
-
-  /// Batched soft detection; the default loops do_solve_soft() per column.
-  /// Overrides must be bit-identical to the loop (decisions, LLRs, counter
-  /// sums).
-  virtual void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) {
-    const std::size_t count = y_batch.cols();
-    const unsigned q = owner().constellation().bits_per_symbol();
-    out.count = count;
-    out.streams = 0;
-    out.indices.clear();
-    out.llrs.clear();
-    out.stats = DetectionStats{};
-    for (std::size_t v = 0; v < count; ++v) {
-      y_batch.col_into(v, loop_y_);
-      do_solve_soft(loop_y_, loop_result_);
-      if (v == 0) {
-        out.streams = loop_result_.indices.size();
-        out.indices.resize(count * out.streams);
-        out.llrs.resize(count * out.streams * q);
-      }
-      for (std::size_t k = 0; k < out.streams; ++k)
-        out.indices[v * out.streams + k] = loop_result_.indices[k];
-      for (std::size_t i = 0; i < out.streams * q; ++i)
-        out.llrs[v * out.streams * q + i] = loop_result_.llrs[i];
-      out.stats += loop_result_.stats;
-    }
-  }
+  /// Soft detection of every column of `y_batch`: the detector's only
+  /// soft routine, which solve_soft() also runs on a one-column batch.
+  virtual void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) = 0;
 
  private:
-  // Scratch for the do_solve_soft_batch() loop fallback only.
-  CVector loop_y_;
-  SoftDetectionResult loop_result_;
+  // solve_soft()'s batch of one.
+  linalg::CMatrix one_y_;
+  SoftBatchResult one_out_;
 };
 
 /// Maps LLRs to per-bit "confidence the bit is 1" in [0,1], the input

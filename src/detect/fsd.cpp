@@ -32,13 +32,6 @@ void FsdDetector::do_select_prepared(std::size_t i) {
   problem_.install_factorized(slot.qh, slot.r, constellation());
 }
 
-void FsdDetector::do_solve(const CVector& y, DetectionResult& out) {
-  problem_.load(y);
-  DetectionStats stats;
-  out.indices = search(stats);
-  finish_result(out, stats);
-}
-
 void FsdDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
   problem_.rotate_batch(y_batch, yhat_t_batch_);
   const std::size_t nc = problem_.r.cols();
@@ -48,14 +41,13 @@ void FsdDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& ou
   out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    problem_.load_rotated(yhat_t_batch_, v);
-    const std::vector<unsigned>& path = search(stats);
+    const std::vector<unsigned>& path = search(yhat_t_batch_.row_data(v), stats);
     for (std::size_t k = 0; k < nc; ++k) out.indices[v * nc + k] = path[k];
   }
   out.stats = stats;
 }
 
-const std::vector<unsigned>& FsdDetector::search(DetectionStats& stats) {
+const std::vector<unsigned>& FsdDetector::search(const cf64* yhat, DetectionStats& stats) {
   const std::size_t nc = problem_.r.cols();
   const Constellation& cons = constellation();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -66,7 +58,7 @@ const std::vector<unsigned>& FsdDetector::search(DetectionStats& stats) {
   {
     const std::size_t top = nc - 1;
     root_.assign(nc, 0);
-    enumerator_.reset(problem_.center(top, root_, cons), stats);
+    enumerator_.reset(problem_.center(yhat, top, root_, cons), stats);
     while (const auto child = enumerator_.next(kInf, stats)) {
       ++stats.visited_nodes;
       // Grown independently: nc can change across prepares, so the flat
@@ -80,6 +72,8 @@ const std::vector<unsigned>& FsdDetector::search(DetectionStats& stats) {
       ++used;
     }
   }
+  if (used == 0)
+    throw std::runtime_error("FsdDetector: no solution found (unbounded search)");
 
   // Single-child (sliced) plunge, level-major: every path's decisions at a
   // level depend only on its own higher levels, so the paths are lockstep
@@ -87,12 +81,14 @@ const std::vector<unsigned>& FsdDetector::search(DetectionStats& stats) {
   for (std::size_t level = nc - 1; level-- > 0;) {
     centers_.resize(used);
     sphere::tree_center_lanes(
-        problem_.r, problem_.yhat.data(), level, cons, problem_.diag[level], kern, used,
+        problem_.r, yhat, level, cons, problem_.diag[level], kern, used,
         [&](std::size_t i, std::size_t j) { return paths_flat_[i * nc + j]; },
         centers_.data());
     for (std::size_t i = 0; i < used; ++i) {
       enumerator_.reset(centers_[i], stats);
       const auto child = enumerator_.next(kInf, stats);
+      if (!child)
+        throw std::runtime_error("FsdDetector: no solution found (unbounded search)");
       ++stats.visited_nodes;
       paths_flat_[i * nc + level] = cons.index_from_levels(child->li, child->lq);
       paths_pd_[i] += problem_.scale[level] * child->cost_grid;

@@ -20,8 +20,7 @@ class FsdDetector final : public Detector {
   std::string name() const override { return "FSD"; }
 
  protected:
-  void do_solve(const CVector& y, DetectionResult& out) override;
-  /// One mat-mat Q^H Y rotation, then the shared expand-and-plunge pass per
+  /// One mat-mat Q^H Y rotation, then one expand-and-plunge pass per
   /// column against warm path workspaces.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed Householder QR across the batch (prepare/batch_qr.h); select
@@ -32,9 +31,10 @@ class FsdDetector final : public Detector {
   void do_select_prepared(std::size_t i) override;
 
  private:
-  /// Expand-and-plunge pass over the loaded problem_; returns the winning
-  /// path. Counters accumulate into `stats`.
-  const std::vector<unsigned>& search(DetectionStats& stats);
+  /// Expand-and-plunge pass over the rotated vector `yhat` (one row of
+  /// yhat_t_batch_); returns the winning path. Counters accumulate into
+  /// `stats`. Throws std::runtime_error when a level expands no child.
+  const std::vector<unsigned>& search(const cf64* yhat, DetectionStats& stats);
 
   sphere::GeoEnumerator enumerator_;
   sphere::TreeProblem problem_;  ///< Factorized by prepare().

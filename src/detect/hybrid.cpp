@@ -43,13 +43,9 @@ void HybridDetector::do_select_prepared(std::size_t i) {
   }
 }
 
-void HybridDetector::do_solve(const CVector& y, DetectionResult& out) {
-  active_->solve(y, out);
-}
-
 void HybridDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
-  // The outer solve_batch() wrapper re-stamps batch_calls = 1, so the
-  // inner detector's own stamp does not double-count.
+  // The outer solve_batch() re-stamps batch_calls = 1 and solve() clears
+  // it, so the inner detector's own stamp never double-counts.
   active_->solve_batch(y_batch, out);
 }
 

@@ -27,15 +27,16 @@ class HybridDetector final : public Detector {
 
   /// Fraction of prepared channels routed to the sphere decoder so far.
   /// The routing decision is per channel (per prepare() call), so every
-  /// solve against the same channel uses the same inner detector.
+  /// solve against the same channel, batched or one-shot, uses the same
+  /// inner detector.
   double sphere_fraction() const {
     return calls_ == 0 ? 0.0 : static_cast<double>(sphere_calls_) / static_cast<double>(calls_);
   }
 
  protected:
-  void do_solve(const CVector& y, DetectionResult& out) override;
   /// Routes the whole batch to the inner detector chosen by prepare() --
-  /// one routing decision per prepared channel, batched all the way down.
+  /// one routing decision per prepared channel, batched all the way down
+  /// (a one-shot solve() is a batch of one here too).
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// One packed Householder QR across the batch (prepare/batch_qr.h);
   /// select reads slot i's conditioning off R's diagonal, counts the

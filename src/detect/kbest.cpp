@@ -35,15 +35,6 @@ void KBestDetector::do_select_prepared(std::size_t i) {
   problem_.install_factorized(slot.qh, slot.r, constellation());
 }
 
-void KBestDetector::do_solve(const CVector& y, DetectionResult& out) {
-  problem_.load(y);
-  DetectionStats stats;
-  search(stats);
-  out.indices.assign(surv_path_.begin(),
-                     surv_path_.begin() + static_cast<std::ptrdiff_t>(problem_.r.cols()));
-  finish_result(out, stats);
-}
-
 void KBestDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
   problem_.rotate_batch(y_batch, yhat_t_batch_);
   const std::size_t nc = problem_.r.cols();
@@ -53,14 +44,13 @@ void KBestDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& 
   out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    problem_.load_rotated(yhat_t_batch_, v);
-    search(stats);
+    search(yhat_t_batch_.row_data(v), stats);
     for (std::size_t k = 0; k < nc; ++k) out.indices[v * nc + k] = surv_path_[k];
   }
   out.stats = stats;
 }
 
-void KBestDetector::search(DetectionStats& stats) {
+void KBestDetector::search(const cf64* yhat, DetectionStats& stats) {
   const std::size_t nc = problem_.r.cols();
   const Constellation& cons = constellation();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -75,8 +65,7 @@ void KBestDetector::search(DetectionStats& stats) {
     // one broadcast r(level, j) per term through the dispatched kernel.
     centers_.resize(survivor_count);
     sphere::tree_center_lanes(
-        problem_.r, problem_.yhat.data(), level, cons, problem_.diag[level], kern,
-        survivor_count,
+        problem_.r, yhat, level, cons, problem_.diag[level], kern, survivor_count,
         [&](std::size_t s, std::size_t j) { return surv_path_[s * nc + j]; },
         centers_.data());
 
@@ -100,6 +89,8 @@ void KBestDetector::search(DetectionStats& stats) {
         ++used;
       }
     }
+    if (used == 0)
+      throw std::runtime_error("KBestDetector: no solution found (unbounded search)");
     // Sort (pd, slot) keys instead of whole candidates. The comparator
     // reads pd alone, so std::sort's comparison/swap sequence -- and with
     // it the resulting permutation, ties included -- is the same one the

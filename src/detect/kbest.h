@@ -24,9 +24,8 @@ class KBestDetector final : public Detector {
   std::string name() const override;
 
  protected:
-  void do_solve(const CVector& y, DetectionResult& out) override;
-  /// One mat-mat Q^H Y rotation, then the shared breadth-first pass per
-  /// column against warm candidate workspaces.
+  /// One mat-mat Q^H Y rotation, then one breadth-first pass per column
+  /// against warm candidate workspaces.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed Householder QR across the batch (prepare/batch_qr.h); select
   /// installs slot i into problem_, or throws the batch's shape error or
@@ -36,9 +35,11 @@ class KBestDetector final : public Detector {
   void do_select_prepared(std::size_t i) override;
 
  private:
-  /// Breadth-first K-best pass over the loaded problem_; the winner ends in
-  /// the first row of surv_path_. Counters accumulate into `stats`.
-  void search(DetectionStats& stats);
+  /// Breadth-first K-best pass over the rotated vector `yhat` (one row of
+  /// yhat_t_batch_); the winner ends in the first row of surv_path_.
+  /// Counters accumulate into `stats`. Throws std::runtime_error when a
+  /// level keeps no survivor.
+  void search(const cf64* yhat, DetectionStats& stats);
 
   unsigned k_;
   sphere::GeoEnumerator enumerator_;

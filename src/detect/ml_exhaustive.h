@@ -15,7 +15,8 @@ class MlExhaustiveDetector final : public Detector {
                                 std::uint64_t max_hypotheses = 20'000'000)
       : Detector(c), max_hypotheses_(max_hypotheses) {}
 
-  /// Distance ||y - H s*||^2 of the ML solution from the last solve().
+  /// Distance ||y - H s*||^2 of the ML solution for the last received
+  /// vector solved (the last column of the last batch).
   double last_distance_sq() const { return best_distance_; }
 
   std::string name() const override { return "ML-exhaustive"; }
@@ -26,7 +27,9 @@ class MlExhaustiveDetector final : public Detector {
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
-  void do_solve(const CVector& y, DetectionResult& out) override;
+  /// The exhaustive search, once per column: nothing is shared across
+  /// received vectors, so the batch is a plain loop.
+  void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
  private:
   std::uint64_t max_hypotheses_;
@@ -38,6 +41,7 @@ class MlExhaustiveDetector final : public Detector {
   // Reused per-solve workspaces.
   std::vector<unsigned> current_;
   std::vector<unsigned> best_;
+  CVector y_;
   CVector hs_;
 };
 

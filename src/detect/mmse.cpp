@@ -16,25 +16,13 @@ void MmseDetector::do_select_prepared(std::size_t i) {
   gram_inv_ = slot.inv;
 }
 
-void MmseDetector::do_solve(const CVector& y, DetectionResult& out) {
-  multiply_into(hh_, y, matched_);
-  multiply_into(gram_inv_, matched_, equalized_);
-
-  DetectionStats stats;
-  out.indices.resize(equalized_.size());
-  for (std::size_t k = 0; k < equalized_.size(); ++k) {
-    out.indices[k] = constellation().slice(equalized_[k]);
-    ++stats.slicer_ops;
-  }
-  finish_result(out, stats);
-}
-
 void MmseDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
   // Each mat-mat column is bit-identical to the corresponding mat-vec, and
-  // the second product consumes the first's columns unchanged -- so the
-  // batched equalizer output equals the per-vector one to the last bit.
-  multiply_into(hh_, y_batch, matched_batch_);
-  multiply_into(gram_inv_, matched_batch_, equalized_batch_);
+  // the second product consumes the first's columns unchanged -- so a
+  // vector's equalizer output does not depend on its column or the batch
+  // size, down to the last bit.
+  multiply_into(hh_, y_batch, matched_);
+  multiply_into(gram_inv_, matched_, equalized_);
   const std::size_t nc = gram_inv_.rows();
   const std::size_t count = y_batch.cols();
   out.count = count;
@@ -43,7 +31,7 @@ void MmseDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& o
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v)
     for (std::size_t k = 0; k < nc; ++k) {
-      out.indices[v * nc + k] = constellation().slice(equalized_batch_(k, v));
+      out.indices[v * nc + k] = constellation().slice(equalized_(k, v));
       ++stats.slicer_ops;
     }
   out.stats = stats;

@@ -12,20 +12,21 @@ namespace geosphere {
 /// Filters with (H^H H + N0 I)^{-1} H^H (unit symbol energy), balancing
 /// stream separation against noise amplification. Converges to ZF as
 /// N0 -> 0, which the tests exploit. prepare() forms H^H and the inverted
-/// regularized Gram matrix once; solve() is two small mat-vec products
-/// plus slicing per received vector.
+/// regularized Gram matrix once; solve_batch() is two mat-mat products
+/// plus slicing, and solve() runs it on a one-column Y.
 class MmseDetector final : public Detector {
  public:
   explicit MmseDetector(const Constellation& c) : Detector(c) {}
 
-  const CVector& last_equalized() const { return equalized_; }
+  /// Equalizer output of the most recent solve: n_c x count, column v for
+  /// received vector v (one column after solve()).
+  const linalg::CMatrix& last_equalized() const { return equalized_; }
 
   std::string name() const override { return "MMSE"; }
 
  protected:
-  void do_solve(const CVector& y, DetectionResult& out) override;
-  /// Two mat-mat products (H^H Y, then Gram^{-1} against the result)
-  /// instead of two mat-vecs per column.
+  /// Two mat-mat products (H^H Y, then Gram^{-1} against the result),
+  /// then per-stream slicing.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed regularized-Gram inversions across the batch
   /// (prepare/batch_linear.h); select copies slot i into the workspace.
@@ -38,10 +39,8 @@ class MmseDetector final : public Detector {
   linalg::CMatrix gram_inv_;  ///< (H^H H + N0 I)^{-1}.
   prepare::BatchLinear batch_linear_;
   std::vector<prepare::GramInvSlot> slots_;
-  CVector matched_;           ///< H^H y (per-solve scratch).
-  CVector equalized_;
-  linalg::CMatrix matched_batch_;    ///< Per-batch scratch (H^H Y).
-  linalg::CMatrix equalized_batch_;  ///< Per-batch scratch.
+  linalg::CMatrix matched_;    ///< Per-batch scratch (H^H Y).
+  linalg::CMatrix equalized_;  ///< Gram^{-1} H^H Y of the last solve.
 };
 
 }  // namespace geosphere

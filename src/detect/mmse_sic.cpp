@@ -59,36 +59,12 @@ void MmseSicDetector::do_select_prepared(std::size_t i) {
   stages_ = slot_stages_[i];
 }
 
-void MmseSicDetector::do_solve(const CVector& y, DetectionResult& out) {
-  DetectionStats stats;
-  residual_ = y;
-  out.indices.assign(stages_.size(), 0);
-
-  for (const Stage& stage : stages_) {
-    multiply_into(stage.hh, residual_, matched_);
-    cf64 est{};
-    for (std::size_t j = 0; j < matched_.size(); ++j)
-      est += stage.filter_row[j] * matched_[j];
-
-    const unsigned idx = constellation().slice(est);
-    ++stats.slicer_ops;
-    out.indices[stage.target] = idx;
-
-    // Cancel the hard decision from the residual.
-    const cf64 s = constellation().point(idx);
-    for (std::size_t i = 0; i < residual_.size(); ++i)
-      residual_[i] -= stage.column[i] * s;
-  }
-  finish_result(out, stats);
-}
-
 void MmseSicDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
-  // Stage-major instead of vector-major: every column's residual evolves
-  // through exactly the per-vector arithmetic (matched filter columns are
-  // bit-identical mat-vecs, the dot product and cancellation are the same
-  // scalar operations), and the per-stage slicer_ops sum is unchanged --
-  // only the loop nesting differs, turning nc mat-vecs per column into
-  // one mat-mat per stage.
+  // Stage-major: one mat-mat matched filter per stage across the batch.
+  // Each matched-filter column is bit-identical to the mat-vec of that
+  // column's residual, and the dot product and cancellation touch only
+  // their own column, so a vector's decisions do not depend on its column
+  // or the batch size.
   const std::size_t nc = stages_.size();
   const std::size_t na = y_batch.rows();
   const std::size_t count = y_batch.cols();
@@ -96,23 +72,24 @@ void MmseSicDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult
   out.streams = nc;
   out.indices.assign(count * nc, 0);
   DetectionStats stats;
-  residual_batch_ = y_batch;
+  residual_ = y_batch;
 
   for (const Stage& stage : stages_) {
-    multiply_into(stage.hh, residual_batch_, matched_batch_);
+    multiply_into(stage.hh, residual_, matched_);
     const std::size_t rem = stage.hh.rows();
     for (std::size_t v = 0; v < count; ++v) {
       cf64 est{};
       for (std::size_t j = 0; j < rem; ++j)
-        est += stage.filter_row[j] * matched_batch_(j, v);
+        est += stage.filter_row[j] * matched_(j, v);
 
       const unsigned idx = constellation().slice(est);
       ++stats.slicer_ops;
       out.indices[v * nc + stage.target] = idx;
 
+      // Cancel the hard decision from the residual.
       const cf64 s = constellation().point(idx);
       for (std::size_t i = 0; i < na; ++i)
-        residual_batch_(i, v) -= stage.column[i] * s;
+        residual_(i, v) -= stage.column[i] * s;
     }
   }
   out.stats = stats;

@@ -18,8 +18,8 @@ namespace geosphere {
 ///
 /// The detection order and every per-stage MMSE filter depend only on the
 /// channel, so prepare() builds the whole cancellation cascade (one
-/// reduced-system filter per stream) once; solve() is one filter-dot and
-/// one column subtraction per stream.
+/// reduced-system filter per stream) once; solving costs one filter-dot
+/// and one column subtraction per stream and received vector.
 class MmseSicDetector final : public Detector {
  public:
   explicit MmseSicDetector(const Constellation& c) : Detector(c) {}
@@ -27,9 +27,9 @@ class MmseSicDetector final : public Detector {
   std::string name() const override { return "MMSE-SIC"; }
 
  protected:
-  void do_solve(const CVector& y, DetectionResult& out) override;
   /// Runs each cancellation stage across the whole batch: one mat-mat
-  /// matched filter per stage instead of a mat-vec per (stage, column).
+  /// matched filter per stage, then per column the filter-dot, slice and
+  /// cancellation.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Stage-major packed preparation: per-slot detection orders first, then
   /// one packed regularized-Gram inversion (prepare/batch_linear.h) per
@@ -55,10 +55,8 @@ class MmseSicDetector final : public Detector {
   prepare::BatchLinear batch_linear_;
   std::vector<std::vector<Stage>> slot_stages_;  ///< Per-slot cascades.
   std::vector<std::uint8_t> slot_singular_;      ///< Deferred domain_error flags.
-  CVector residual_;  ///< Per-solve scratch.
-  CVector matched_;   ///< Per-solve scratch (H_sub^H residual).
-  linalg::CMatrix residual_batch_;  ///< Per-batch scratch (one column per vector).
-  linalg::CMatrix matched_batch_;   ///< Per-batch scratch (H_sub^H residuals).
+  linalg::CMatrix residual_;  ///< Per-batch scratch (one column per vector).
+  linalg::CMatrix matched_;   ///< Per-batch scratch (H_sub^H residuals).
 };
 
 }  // namespace geosphere

@@ -62,24 +62,6 @@ void RvdSphereDecoder::do_select_prepared(std::size_t i) {
   }
 }
 
-void RvdSphereDecoder::do_solve(const CVector& y, DetectionResult& out) {
-  if (y.size() != na_) throw std::invalid_argument("RvdSphereDecoder: y/H shape mismatch");
-
-  const std::size_t na = na_;
-  yr_.resize(2 * na);
-  for (std::size_t i = 0; i < na; ++i) {
-    yr_[i] = y[i].real();
-    yr_[na + i] = y[i].imag();
-  }
-  multiply_into(qh_, yr_, yhat_);
-
-  DetectionStats stats;
-  search(yhat_.data(), stats);
-  out.indices.resize(nc_);
-  emit_indices(out.indices.data());
-  finish_result(out, stats);
-}
-
 void RvdSphereDecoder::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
   if (y_batch.rows() != na_)
     throw std::invalid_argument("RvdSphereDecoder: Y/H shape mismatch");
@@ -87,9 +69,9 @@ void RvdSphereDecoder::do_solve_batch(const linalg::CMatrix& y_batch, BatchResul
   const std::size_t na = na_;
   const std::size_t count = y_batch.cols();
 
-  // Embed every column exactly as the per-vector path does, then rotate
-  // the whole embedded batch with one transposed mat-mat product (row v of
-  // (Q^H Yr)^T is bit-identical to Q^H yr_v, and contiguous).
+  // Embed every column (real parts over imaginary parts), then rotate the
+  // whole embedded batch with one transposed mat-mat product (row v of
+  // (Q^H Yr)^T is bit-identical to the mat-vec Q^H yr_v, and contiguous).
   yr_batch_.assign_shape(2 * na, count);
   for (std::size_t v = 0; v < count; ++v)
     for (std::size_t i = 0; i < na; ++i) {
@@ -117,6 +99,7 @@ void RvdSphereDecoder::search(const cf64* yhat, DetectionStats& stats) {
   const double alpha = cons.scale();
 
   double radius_sq = std::numeric_limits<double>::infinity();
+  bool found = false;
   partial_[rn] = 0.0;
 
   // Per-level center in PAM grid units given decisions above.
@@ -150,6 +133,7 @@ void RvdSphereDecoder::search(const cf64* yhat, DetectionStats& stats) {
         if (level == 0) {
           radius_sq = partial_[0];
           best_ = current_;
+          found = true;
         } else {
           --level;
           centers_[level] = center_at(level);
@@ -165,6 +149,8 @@ void RvdSphereDecoder::search(const cf64* yhat, DetectionStats& stats) {
       if (level == rn) break;
     }
   }
+  if (!found)
+    throw std::runtime_error("RvdSphereDecoder: no solution found (unbounded search)");
 }
 
 void RvdSphereDecoder::emit_indices(unsigned* indices) const {

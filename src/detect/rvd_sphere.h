@@ -12,7 +12,8 @@
 // visits) for trivially cheap per-level enumeration.
 //
 // prepare() builds the real embedding of H and QR-factorizes it once;
-// solve() embeds one received vector and runs the search.
+// solve_batch() embeds and rotates the whole batch, then runs one search
+// per received vector.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +32,8 @@ class RvdSphereDecoder final : public Detector {
   std::string name() const override { return "RVD-SD"; }
 
  protected:
-  void do_solve(const CVector& y, DetectionResult& out) override;
   /// Embeds the whole batch into the real formulation and rotates it with
-  /// one mat-mat product, then runs the shared search per column.
+  /// one mat-mat product, then runs one search per column.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Builds every slot's real embedding, then one packed Householder QR
   /// across the batch (prepare/batch_qr.h); select copies slot i's
@@ -46,7 +46,8 @@ class RvdSphereDecoder final : public Detector {
  private:
   /// Depth-first search over the real-valued tree, reading the rotated
   /// embedding from `yhat` (length 2 * nc_); leaves the winning PAM levels
-  /// in best_ and accumulates counters into `stats`.
+  /// in best_ and accumulates counters into `stats`. Throws
+  /// std::runtime_error when the search reaches no leaf.
   void search(const cf64* yhat, DetectionStats& stats);
 
   /// Recombines best_'s PAM components into per-stream QAM indices.
@@ -57,8 +58,6 @@ class RvdSphereDecoder final : public Detector {
   std::size_t nc_ = 0;  ///< Streams of the prepared (complex) H.
   linalg::CMatrix r_;   ///< Upper triangular (real values) of the embedding.
   linalg::CMatrix qh_;  ///< Q^H of the embedding.
-  CVector yr_;          ///< Real embedding of y (per-solve scratch).
-  CVector yhat_;        ///< Q^H yr (per-solve scratch).
   linalg::CMatrix yr_batch_;      ///< Real embedding of Y (per-batch scratch).
   linalg::CMatrix yhat_t_batch_;  ///< (Q^H Yr)^T -- one row per vector.
 

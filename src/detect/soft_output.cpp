@@ -132,42 +132,34 @@ void SoftGeosphereDetector::do_select_prepared(std::size_t i) {
   }
 }
 
-void SoftGeosphereDetector::load(const CVector& y) {
-  if (y.size() != na_)
-    throw std::invalid_argument("SoftGeosphereDetector: shape mismatch");
-  multiply_into(qh_, y, yhat_);
-}
-
-void SoftGeosphereDetector::do_solve(const CVector& y, DetectionResult& out) {
-  load(y);
-  DetectionStats stats;
-  const Search ml = search(yhat_.data(), root_center_of(yhat_.data()), kInf, -1,
-                           nullptr, stats);
-  out.indices = ml.best;
-  finish_result(out, stats);
-}
-
-void SoftGeosphereDetector::do_solve_batch(const linalg::CMatrix& y_batch,
-                                           BatchResult& out) {
+void SoftGeosphereDetector::rotate(const linalg::CMatrix& y_batch) {
   if (y_batch.rows() != na_)
     throw std::invalid_argument("SoftGeosphereDetector: shape mismatch");
-  // One SIMD-batched rotation and packed root centers for the whole batch;
-  // row v is bit-identical to load(y_v) (see simd/rotate.h).
+  // One SIMD-batched rotation and packed root centers for the whole batch:
+  // row v of (Q^H Y)^T is bit-identical to the mat-vec Q^H y_v (see
+  // simd/rotate.h), and every search of one vector shares its root center.
   const std::size_t nc = scale_.size();
   sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
   sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
                                     rot_scratch_);
+}
 
+void SoftGeosphereDetector::do_solve_batch(const linalg::CMatrix& y_batch,
+                                           BatchResult& out) {
+  rotate(y_batch);
+  const std::size_t nc = scale_.size();
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
   out.indices.resize(count * nc);
   DetectionStats stats;
-  // With infinite initial radius every search finds the ML solution; there
-  // is no column permutation here, so the paths copy straight out.
+  // There is no column permutation here, so the paths copy straight out.
   for (std::size_t v = 0; v < count; ++v) {
     const Search ml = search(yhat_t_batch_.row_data(v), root_centers_[v], kInf, -1,
                              nullptr, stats);
+    if (!ml.found)
+      throw std::runtime_error(
+          "SoftGeosphereDetector: no solution found (unbounded search)");
     std::copy(ml.best.begin(), ml.best.end(),
               out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
   }
@@ -176,16 +168,8 @@ void SoftGeosphereDetector::do_solve_batch(const linalg::CMatrix& y_batch,
 
 void SoftGeosphereDetector::do_solve_soft_batch(const linalg::CMatrix& y_batch,
                                                 SoftBatchResult& out) {
-  if (y_batch.rows() != na_)
-    throw std::invalid_argument("SoftGeosphereDetector: shape mismatch");
-  // One SIMD-batched rotation and packed root centers for the whole batch
-  // (row v of (Q^H Y)^T is bit-identical to load(y_v)); every search of
-  // one vector shares its root center.
+  rotate(y_batch);
   const std::size_t nc = scale_.size();
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
-                                    rot_scratch_);
-
   const unsigned bits = constellation().bits_per_symbol();
   const std::size_t count = y_batch.cols();
   out.count = count;
@@ -199,17 +183,6 @@ void SoftGeosphereDetector::do_solve_soft_batch(const linalg::CMatrix& y_batch,
   out.stats = stats;
 }
 
-void SoftGeosphereDetector::do_solve_soft(const CVector& y, SoftDetectionResult& out) {
-  load(y);
-  const std::size_t nc = scale_.size();
-  out.indices.resize(nc);
-  out.llrs.resize(nc * constellation().bits_per_symbol());
-  DetectionStats stats;
-  solve_soft_row(yhat_.data(), root_center_of(yhat_.data()), out.indices.data(),
-                 out.llrs.data(), stats);
-  out.stats = stats;
-}
-
 void SoftGeosphereDetector::solve_soft_row(const cf64* yhat, cf64 root_center,
                                            unsigned* indices, double* llrs,
                                            DetectionStats& stats) {
@@ -219,6 +192,8 @@ void SoftGeosphereDetector::solve_soft_row(const cf64* yhat, cf64 root_center,
 
   // Unconstrained pass: ML solution.
   const Search ml = search(yhat, root_center, kInf, -1, nullptr, stats);
+  if (!ml.found)
+    throw std::runtime_error("SoftGeosphereDetector: no solution found (unbounded search)");
   std::copy(ml.best.begin(), ml.best.end(), indices);
   ml_bits_.resize(bits);
 

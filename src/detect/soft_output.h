@@ -12,13 +12,14 @@
 // zigzag enumeration and geometric pruning, so the per-bit searches stay
 // cheap at practical SNR.
 //
-// SoftGeosphereDetector follows the two-phase contract: prepare(h, n0)
+// SoftGeosphereDetector follows the detection contract: prepare(h, n0)
 // QR-factorizes the channel once and is shared by every subsequent hard
-// solve() (the unconstrained search only) and soft solve_soft() (the
-// unconstrained search plus the per-bit counter-hypothesis searches) --
-// so the ~1 + clients*Q constrained searches per received vector never
-// re-factorize, and neither do the other received vectors on the same
-// subcarrier.
+// solve_batch() (the unconstrained search only) and soft
+// solve_soft_batch() (the unconstrained search plus the per-bit
+// counter-hypothesis searches) -- so the ~1 + clients*Q constrained
+// searches per received vector never re-factorize, and neither do the
+// other received vectors on the same subcarrier. The one-shot solve() and
+// solve_soft() are batches of one.
 #pragma once
 
 #include <cstdint>
@@ -48,21 +49,15 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   double llr_clamp() const { return llr_clamp_; }
 
  protected:
-  /// Hard decisions only: the unconstrained Geosphere search (same ML
-  /// solution as the hard Geosphere detector, no counter-hypothesis cost).
-  void do_solve(const CVector& y, DetectionResult& out) override;
-
-  /// Hard decisions plus max-log LLRs for every transmitted bit.
-  void do_solve_soft(const CVector& y, SoftDetectionResult& out) override;
-
-  /// One SIMD-batched Q^H Y rotation (vectors as lanes, see simd/rotate.h)
-  /// plus packed root-center divides, then one unconstrained search per
-  /// column.
+  /// Hard decisions only: one SIMD-batched Q^H Y rotation (vectors as
+  /// lanes, see simd/rotate.h) plus packed root-center divides, then one
+  /// unconstrained Geosphere search per column (same ML solution as the
+  /// hard Geosphere detector, no counter-hypothesis cost).
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
-  /// SIMD-batched rotation and packed root centers shared across the
-  /// batch, then each column's ~1 + streams*Q searches against its rotated
-  /// row -- the per-vector soft solve, bit-identical to looping it.
+  /// Hard decisions plus max-log LLRs for every transmitted bit: the same
+  /// shared rotation and root centers, then each column's ~1 + streams*Q
+  /// searches against its rotated row.
   void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) override;
 
   /// Validates inputs and QR-factorizes the channels shared by the
@@ -84,29 +79,22 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
     bool found = false;
   };
 
-  /// Rotates `y` into the prepared triangular basis (yhat_ = Q^H y).
-  void load(const CVector& y);
-
-  /// Depth-first search reading the rotated received vector from `yhat`;
-  /// `mask_level`/`mask` optionally restrict the symbol at one tree level
-  /// to a subset of constellation indices. `root_center` is the root-level
-  /// tree center (root_center_of(yhat), or the batched path's packed
-  /// equivalent -- bit-identical values either way).
+  /// Depth-first search reading the rotated received vector from `yhat`
+  /// and its packed root-level tree center; `mask_level`/`mask` optionally
+  /// restrict the symbol at one tree level to a subset of constellation
+  /// indices.
   Search search(const cf64* yhat, cf64 root_center, double radius_sq,
                 std::ptrdiff_t mask_level, const std::vector<std::uint8_t>* mask,
                 DetectionStats& stats);
 
-  /// Root-level tree center of a rotated vector: the lone componentwise
-  /// divide pair tree_center performs where the j-sum above is empty.
-  cf64 root_center_of(const cf64* yhat) const {
-    const std::size_t root = scale_.size() - 1;
-    const double d = diag_[root];
-    return cf64(yhat[root].real() / d, yhat[root].imag() / d);
-  }
+  /// Rotates the batch (yhat_t_batch_) and packs its root centers, after
+  /// checking the row count -- the shared head of both batch solves.
+  void rotate(const linalg::CMatrix& y_batch);
 
   /// The soft solve of one rotated vector: the unconstrained search plus
   /// the per-bit counter-hypothesis searches, writing nc decisions to
-  /// `indices` and nc * Q LLRs (stream-major) to `llrs`.
+  /// `indices` and nc * Q LLRs (stream-major) to `llrs`. Throws
+  /// std::runtime_error when the unconstrained search reaches no leaf.
   void solve_soft_row(const cf64* yhat, cf64 root_center, unsigned* indices, double* llrs,
                       DetectionStats& stats);
 
@@ -132,8 +120,7 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   /// bit_masks_[b * 2 + want][idx] == 1 iff bit b of symbol idx is `want`.
   std::vector<std::vector<std::uint8_t>> bit_masks_;
 
-  // Per-solve workspaces.
-  CVector yhat_;
+  // Per-search workspaces.
   sphere::GeoEnumerator enum_proto_;  ///< Attached prototype (zigzag + pruning).
   std::vector<sphere::GeoEnumerator> level_enum_;
   std::vector<unsigned> current_;

@@ -88,10 +88,16 @@ void SoftGeosphereStsDetector::do_select_prepared(std::size_t i) {
   lambda_bar_.assign(nc * cons.bits_per_symbol(), kInf);
 }
 
-void SoftGeosphereStsDetector::load(const CVector& y) {
-  if (y.size() != na_)
+void SoftGeosphereStsDetector::rotate(const linalg::CMatrix& y_batch) {
+  if (y_batch.rows() != na_)
     throw std::invalid_argument("SoftGeosphereStsDetector: shape mismatch");
-  multiply_into(qh_, y, yhat_);
+  // One SIMD-batched transposed rotation for the whole batch (row v of
+  // (Q^H Y)^T is bit-identical to the mat-vec Q^H y_v; see simd/rotate.h)
+  // and packed root-center divides.
+  const std::size_t nc = scale_.size();
+  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
+  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
+                                    rot_scratch_);
 }
 
 SoftGeosphereStsDetector::Search SoftGeosphereStsDetector::search_ml(
@@ -284,38 +290,10 @@ void SoftGeosphereStsDetector::emit_llrs(double* llrs) const {
   }
 }
 
-void SoftGeosphereStsDetector::do_solve(const CVector& y, DetectionResult& out) {
-  load(y);
-  DetectionStats stats;
-  const Search ml = search_ml(yhat_.data(), root_center_of(yhat_.data()), stats);
-  out.indices = ml.best;
-  finish_result(out, stats);
-}
-
-void SoftGeosphereStsDetector::do_solve_soft(const CVector& y,
-                                             SoftDetectionResult& out) {
-  load(y);
-  const std::size_t nc = scale_.size();
-  const unsigned bits = constellation().bits_per_symbol();
-  DetectionStats stats;
-  sts_search(yhat_.data(), root_center_of(yhat_.data()), stats);
-  out.indices = ml_best_;
-  out.llrs.resize(nc * bits);
-  emit_llrs(out.llrs.data());
-  out.stats = stats;
-}
-
 void SoftGeosphereStsDetector::do_solve_batch(const linalg::CMatrix& y_batch,
                                               BatchResult& out) {
-  if (y_batch.rows() != na_)
-    throw std::invalid_argument("SoftGeosphereStsDetector: shape mismatch");
-  // One SIMD-batched rotation and packed root centers for the whole batch;
-  // row v is bit-identical to load(y_v) (see simd/rotate.h).
+  rotate(y_batch);
   const std::size_t nc = scale_.size();
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
-                                    rot_scratch_);
-
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
@@ -323,6 +301,9 @@ void SoftGeosphereStsDetector::do_solve_batch(const linalg::CMatrix& y_batch,
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
     const Search ml = search_ml(yhat_t_batch_.row_data(v), root_centers_[v], stats);
+    if (!ml.found)
+      throw std::runtime_error(
+          "SoftGeosphereStsDetector: no solution found (unbounded search)");
     std::copy(ml.best.begin(), ml.best.end(),
               out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
   }
@@ -331,16 +312,9 @@ void SoftGeosphereStsDetector::do_solve_batch(const linalg::CMatrix& y_batch,
 
 void SoftGeosphereStsDetector::do_solve_soft_batch(const linalg::CMatrix& y_batch,
                                                    SoftBatchResult& out) {
-  if (y_batch.rows() != na_)
-    throw std::invalid_argument("SoftGeosphereStsDetector: shape mismatch");
-  // One SIMD-batched transposed rotation for the whole batch (row v of
-  // (Q^H Y)^T is bit-identical to load(y_v)) and packed root-center
-  // divides; then one STS pass per column against warm workspaces.
+  rotate(y_batch);
+  // One STS pass per column against warm workspaces.
   const std::size_t nc = scale_.size();
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
-                                    rot_scratch_);
-
   const unsigned bits = constellation().bits_per_symbol();
   const std::size_t count = y_batch.cols();
   out.count = count;

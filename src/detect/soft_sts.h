@@ -46,13 +46,14 @@
 // the final LLRs are bit-identical to the repeated-tree-search reference
 // (tests assert exact equality, including under clamp saturation).
 //
-// SoftGeosphereStsDetector implements the full three-phase contract:
-// prepare(h, n0) QR-factorizes once; solve()/solve_batch() run the plain
+// SoftGeosphereStsDetector implements the full detection contract:
+// prepare(h, n0) QR-factorizes once; solve_batch() runs the plain
 // unconstrained search (same ML decisions as the hard Geosphere detector);
-// solve_soft()/solve_soft_batch() run one STS pass per vector, with the
-// batch path sharing the SIMD-batched Q^H Y rotation and packed
-// root-center divides (src/detect/sphere/simd/). DetectionStats::tree_searches records the
-// collapse: 1 per vector here vs 1 + streams*Q for soft-geosphere.
+// solve_soft_batch() runs one STS pass per vector. Both share the
+// SIMD-batched Q^H Y rotation and packed root-center divides
+// (src/detect/sphere/simd/), and the one-shot solve() and solve_soft()
+// are batches of one. DetectionStats::tree_searches records the collapse:
+// 1 per vector here vs 1 + streams*Q for soft-geosphere.
 #pragma once
 
 #include <cstdint>
@@ -82,20 +83,14 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   double llr_clamp() const { return llr_clamp_; }
 
  protected:
-  /// Hard decisions only: the plain unconstrained Geosphere search (no
-  /// counter-hypothesis table) -- same ML solution as the hard detector.
-  void do_solve(const CVector& y, DetectionResult& out) override;
-
-  /// Hard decisions plus max-log LLRs from ONE enumeration pass.
-  void do_solve_soft(const CVector& y, SoftDetectionResult& out) override;
-
-  /// One SIMD-batched Q^H Y rotation plus packed root-center divides, then
-  /// one unconstrained search per column -- identical to the
-  /// soft-geosphere hard batch path.
+  /// Hard decisions only: one SIMD-batched Q^H Y rotation plus packed
+  /// root-center divides, then the plain unconstrained Geosphere search per
+  /// column (no counter-hypothesis table) -- same ML solution as the hard
+  /// detector, identical to the soft-geosphere hard batch path.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
-  /// SIMD-batched rotation and packed root centers shared across the
-  /// batch, then one STS pass per column.
+  /// Hard decisions plus max-log LLRs: the same shared rotation and root
+  /// centers, then ONE enumeration pass per column.
   void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) override;
 
   /// Validates inputs and QR-factorizes the channels: packed Householder
@@ -118,23 +113,17 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
     bool found = false;
   };
 
-  /// Rotates `y` into the prepared triangular basis (yhat_ = Q^H y).
-  void load(const CVector& y);
-
-  /// Root-level tree center of a rotated vector (the lone componentwise
-  /// divide pair; bit-identical to the batched packed_root_centers value).
-  cf64 root_center_of(const cf64* yhat) const {
-    const std::size_t root = scale_.size() - 1;
-    const double d = diag_[root];
-    return cf64(yhat[root].real() / d, yhat[root].imag() / d);
-  }
+  /// Rotates the batch (yhat_t_batch_) and packs its root centers, after
+  /// checking the row count -- the shared head of both batch solves.
+  void rotate(const linalg::CMatrix& y_batch);
 
   /// Plain unconstrained depth-first search (hard decisions; identical
   /// arithmetic sequence to the soft-geosphere / SphereDecoder search).
   Search search_ml(const cf64* yhat, cf64 root_center, DetectionStats& stats);
 
   /// The single tree search: one enumeration pass filling ml_best_ /
-  /// lambda_ml_ / lambda_bar_ for the loaded vector.
+  /// lambda_ml_ / lambda_bar_ for the rotated vector `yhat`. Throws
+  /// std::runtime_error when it reaches no leaf.
   void sts_search(const cf64* yhat, cf64 root_center, DetectionStats& stats);
 
   /// Applies the STS leaf-update rules for the leaf in current_ at
@@ -171,8 +160,7 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   /// updates diff whole symbols with one XOR.
   std::vector<unsigned> bit_word_;
 
-  // Per-solve workspaces.
-  CVector yhat_;
+  // Per-search workspaces.
   sphere::GeoEnumerator enum_proto_;  ///< Attached prototype (zigzag + pruning).
   std::vector<sphere::GeoEnumerator> level_enum_;
   std::vector<unsigned> current_;

@@ -93,15 +93,6 @@ void SphereDecoder<Enumerator>::do_select_prepared(std::size_t i) {
 }
 
 template <class Enumerator>
-bool SphereDecoder<Enumerator>::search(const cf64* yhat, DetectionStats& stats) {
-  // Root center: the j-sum above the root is empty, so tree_center reduces
-  // to the lone componentwise divide pair (see center.h).
-  const std::size_t root = nc_ - 1;
-  const double d = level_diag_[root];
-  return search(yhat, stats, cf64(yhat[root].real() / d, yhat[root].imag() / d));
-}
-
-template <class Enumerator>
 bool SphereDecoder<Enumerator>::search(const cf64* yhat, DetectionStats& stats,
                                        cf64 root_center) {
   const std::size_t nc = nc_;
@@ -149,33 +140,16 @@ bool SphereDecoder<Enumerator>::search(const cf64* yhat, DetectionStats& stats,
 }
 
 template <class Enumerator>
-void SphereDecoder<Enumerator>::do_solve(const CVector& y, DetectionResult& out) {
-  if (y.size() != na_) throw std::invalid_argument("SphereDecoder: y/H shape mismatch");
-
-  multiply_into(qh_, y, yhat_);
-
-  DetectionStats stats;
-  if (!search(yhat_.data(), stats))
-    throw std::runtime_error(
-        "SphereDecoder: no solution inside the configured initial radius");
-
-  // Undo the detection-order permutation.
-  out.indices.resize(nc_);
-  for (std::size_t j = 0; j < nc_; ++j) out.indices[perm_[j]] = best_[j];
-  finish_result(out, stats);
-}
-
-template <class Enumerator>
 void SphereDecoder<Enumerator>::do_solve_batch(const linalg::CMatrix& y_batch,
                                                BatchResult& out) {
   if (y_batch.rows() != na_)
     throw std::invalid_argument("SphereDecoder: Y/H shape mismatch");
 
   // One SIMD-batched transposed rotation for the whole batch (vectors as
-  // lanes; see simd/rotate.h): row v of (Q^H Y)^T is bit-identical to
-  // Q^H y_v, so every search sees exactly the per-vector input, read in
-  // place from one contiguous span. The root-center divides are the only
-  // other batch-wide work, packed the same way.
+  // lanes; see simd/rotate.h): row v of (Q^H Y)^T is bit-identical to the
+  // mat-vec Q^H y_v, so every search sees exactly its own vector's input,
+  // read in place from one contiguous span. The root-center divides are
+  // the only other batch-wide work, packed the same way.
   simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
   simd::packed_root_centers(yhat_t_batch_, nc_ - 1, level_diag_[nc_ - 1], root_centers_,
                             rot_scratch_);
@@ -189,6 +163,7 @@ void SphereDecoder<Enumerator>::do_solve_batch(const linalg::CMatrix& y_batch,
     if (!search(yhat_t_batch_.row_data(v), stats, root_centers_[v]))
       throw std::runtime_error(
           "SphereDecoder: no solution inside the configured initial radius");
+    // Undo the detection-order permutation.
     unsigned* dst = out.indices.data() + v * nc_;
     for (std::size_t j = 0; j < nc_; ++j) dst[perm_[j]] = best_[j];
   }

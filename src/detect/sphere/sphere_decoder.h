@@ -6,10 +6,10 @@
 // node sequences; only the PED-computation counts differ (Section 5.3).
 //
 // prepare() performs the per-channel work once (column ordering,
-// Householder QR, per-level scale factors, workspace sizing); solve()
-// rotates one received vector into the triangular basis and runs the tree
-// search -- so an OFDM frame pays the factorization once per subcarrier,
-// not once per received vector.
+// Householder QR, per-level scale factors, workspace sizing); solve_batch()
+// rotates the received vectors into the triangular basis together and runs
+// one tree search per vector -- so an OFDM frame pays the factorization
+// once per subcarrier, not once per received vector.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +30,9 @@ struct SphereConfig {
   /// Order channel columns by energy before the QR decomposition
   /// (off by default: the paper's decoders process columns as-is).
   bool sorted_qr = false;
-  /// Initial squared sphere radius. The default (infinite) guarantees a
-  /// solution; a finite radius may prune everything, in which case solve()
-  /// throws std::runtime_error.
+  /// Initial squared sphere radius. The default (infinite) finds a
+  /// solution unless every branch cost overflows; a finite radius may prune
+  /// everything. Either way the solve throws std::runtime_error.
   double initial_radius_sq = std::numeric_limits<double>::infinity();
 };
 
@@ -56,11 +56,11 @@ class SphereDecoder final : public Detector {
   void prepare_adopted(const linalg::CMatrix& h, const prepare::QrSlot& slot);
 
  protected:
-  void do_solve(const CVector& y, DetectionResult& out) override;
   /// One SIMD-batched Q^H Y rotation for the whole batch (vectors as lanes,
   /// see simd/rotate.h) plus packed root-center divides, then one search
-  /// per row. Bit-identical to looping do_solve over the columns on every
-  /// tier.
+  /// per row. Every tier's rotation row and root center is bit-identical
+  /// to the scalar per-vector arithmetic, so a vector's result does not
+  /// depend on the tier, its column or the batch size.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed Householder QR across the batch (prepare/batch_qr.h), with
   /// per-slot column orderings first when sorted QR is configured; select
@@ -72,13 +72,9 @@ class SphereDecoder final : public Detector {
 
  private:
   /// Depth-first search against the prepared channel, reading the rotated
-  /// received vector from `yhat` (length nc_); leaves the winning path in
-  /// best_ and accumulates counters into `stats`. Returns false if the
-  /// configured initial radius prunes everything.
-  bool search(const cf64* yhat, DetectionStats& stats);
-  /// Same search with the root-level center precomputed by the caller (the
-  /// batched path packs all the root divides; the value is bit-identical to
-  /// what the one-argument form computes, so both forms agree exactly).
+  /// received vector from `yhat` (length nc_) and its packed root-level
+  /// center; leaves the winning path in best_ and accumulates counters into
+  /// `stats`. Returns false if the search reaches no leaf.
   bool search(const cf64* yhat, DetectionStats& stats, cf64 root_center);
 
   /// Installs the per-level state derived from the already-set na_/nc_/r_
@@ -96,10 +92,9 @@ class SphereDecoder final : public Detector {
   std::vector<std::size_t> perm_;     ///< Detection-order column permutation.
   linalg::CMatrix r_;                 ///< Upper-triangular QR factor.
   linalg::CMatrix qh_;                ///< Q^H, applied to each received vector.
-  CVector yhat_;                      ///< Q^H y (per-solve scratch).
   linalg::CMatrix yhat_t_batch_;      ///< (Q^H Y)^T -- one row per vector.
 
-  // Per-level state, reused across solve() calls to avoid allocation.
+  // Per-level state, reused across searches to avoid allocation.
   std::vector<Enumerator> level_enum_;
   std::vector<double> level_scale_;     ///< |r_ll|^2 * alpha^2.
   std::vector<double> level_diag_;      ///< r_ll * alpha (center denominator).

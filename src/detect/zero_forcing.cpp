@@ -24,23 +24,11 @@ void ZeroForcingDetector::do_select_prepared(std::size_t i) {
   filter_ = slot_filters_[i];
 }
 
-void ZeroForcingDetector::do_solve(const CVector& y, DetectionResult& out) {
-  multiply_into(filter_, y, equalized_);
-
-  DetectionStats stats;
-  out.indices.resize(equalized_.size());
-  for (std::size_t k = 0; k < equalized_.size(); ++k) {
-    out.indices[k] = constellation().slice(equalized_[k]);
-    ++stats.slicer_ops;
-  }
-  finish_result(out, stats);
-}
-
 void ZeroForcingDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
-  // Column v of filter_ * Y is bit-identical to filter_ * y_v (the
-  // multiply_into accumulation-order guarantee), so slicing the batched
-  // product reproduces the per-vector decisions exactly.
-  multiply_into(filter_, y_batch, equalized_batch_);
+  // Column v of filter_ * Y is bit-identical to the mat-vec filter_ * y_v
+  // (the multiply_into accumulation-order guarantee), whatever the batch
+  // size, so a vector's decisions do not depend on its column.
+  multiply_into(filter_, y_batch, equalized_);
   const std::size_t nc = filter_.rows();
   const std::size_t count = y_batch.cols();
   out.count = count;
@@ -49,7 +37,7 @@ void ZeroForcingDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchRe
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v)
     for (std::size_t k = 0; k < nc; ++k) {
-      out.indices[v * nc + k] = constellation().slice(equalized_batch_(k, v));
+      out.indices[v * nc + k] = constellation().slice(equalized_(k, v));
       ++stats.slicer_ops;
     }
   out.stats = stats;

@@ -1,11 +1,14 @@
-// Tests for the batched third phase of the detection contract
-// (solve_batch / solve_soft_batch):
-//  * solve_batch(Y) is bit-exactly a loop of solve() over Y's columns --
-//    same decisions, same summed counters -- for EVERY registry detector
-//    (overridden batch kernels and the base-class loop fallback alike),
-//    across batch sizes {1, 3, ofdm_symbols},
-//  * solve_soft_batch matches a loop of solve_soft() including every LLR
-//    bit,
+// Tests for the solve phase of the detection contract. Every detector has
+// one solve routine per mode (do_solve_batch / do_solve_soft_batch), and
+// the one-shot solve() / solve_soft() run it on a batch of one:
+//  * solve_batch(Y) equals N one-shot solves of Y's columns -- N batches
+//    of one -- bit for bit: same decisions, same summed counters, for
+//    EVERY registry detector across batch sizes {1, 3, ofdm_symbols}. So a
+//    vector's result does not depend on its lane or tail position,
+//  * solve_soft_batch matches N one-shot solve_soft() calls including
+//    every LLR bit,
+//  * every entry point rejects a received batch with the wrong row count
+//    with std::invalid_argument,
 //  * changing the batch size (and the stream count) between prepares leaks
 //    no state,
 //  * batch accounting: a batch of N counts as N detections and ONE
@@ -98,13 +101,19 @@ TEST_P(BatchSolveRegistry, BatchMatchesLoopBitExactly) {
     loop_det->prepare(h, n0);
     batch_det->prepare(h, n0);
 
-    // Reference: the loop the base-class fallback promises, via the public
-    // per-vector API on a separate instance.
+    // Reference: N one-shot solves (N batches of one) on a separate
+    // instance. Each vector then sits in lane 0 of a one-column batch, so
+    // equality shows that a vector's result does not depend on its lane or
+    // on falling in a SIMD tail.
     std::vector<unsigned> ref_indices;
     DetectionStats ref_stats;
     for (std::size_t v = 0; v < count; ++v) {
       y_batch.col_into(v, y);
       const DetectionResult r = loop_det->solve(y);
+      EXPECT_EQ(r.stats.batch_calls, 0u) << spec.text();
+      ASSERT_EQ(r.symbols.size(), r.indices.size()) << spec.text();
+      for (std::size_t k = 0; k < r.indices.size(); ++k)
+        EXPECT_EQ(r.symbols[k], c.point(r.indices[k])) << spec.text();
       ref_indices.insert(ref_indices.end(), r.indices.begin(), r.indices.end());
       ref_stats += r.stats;
     }
@@ -171,6 +180,29 @@ TEST_P(BatchSolveRegistry, SolveBatchBeforePrepareThrows) {
   }
 }
 
+TEST_P(BatchSolveRegistry, WrongRowCountThrowsInvalidArgument) {
+  // A received vector or batch must have n_a rows, at every entry point.
+  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const Constellation& c = Constellation::qam(16);
+  const auto det = spec.create(c);
+  Rng rng(1414);
+  det->prepare(random_channel(rng, 4, 3), db_to_lin(-14.0));
+  for (const std::size_t rows : {std::size_t{3}, std::size_t{5}}) {
+    const CVector y(rows, cf64{0.5, -0.5});
+    const linalg::CMatrix y_batch(rows, 2);
+    EXPECT_THROW(det->solve(y), std::invalid_argument) << spec.text() << " rows=" << rows;
+    EXPECT_THROW(det->solve_batch(y_batch), std::invalid_argument)
+        << spec.text() << " rows=" << rows;
+    if (SoftDetector* soft = det->soft()) {
+      SoftBatchResult out;
+      EXPECT_THROW(soft->solve_soft(y), std::invalid_argument)
+          << spec.text() << " rows=" << rows;
+      EXPECT_THROW(soft->solve_soft_batch(y_batch, out), std::invalid_argument)
+          << spec.text() << " rows=" << rows;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, BatchSolveRegistry,
                          ::testing::ValuesIn(all_registry_specs()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
@@ -203,6 +235,7 @@ TEST(BatchSolve, SoftBatchMatchesLoopBitExactlyIncludingLlrs) {
     for (std::size_t v = 0; v < count; ++v) {
       y_batch.col_into(v, y);
       const SoftDetectionResult r = loop_det->soft()->solve_soft(y);
+      EXPECT_EQ(r.stats.batch_calls, 0u);
       ref_indices.insert(ref_indices.end(), r.indices.begin(), r.indices.end());
       ref_llrs.insert(ref_llrs.end(), r.llrs.begin(), r.llrs.end());
       ref_stats += r.stats;

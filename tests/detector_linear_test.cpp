@@ -48,7 +48,7 @@ TEST(ZeroForcing, EqualizedOutputIsInterferenceFree) {
   const auto y = transmit(rng, h, c, sent, 0.0);
   zf.detect(y, h, 0.0);
   for (std::size_t k = 0; k < 4; ++k)
-    EXPECT_LT(std::abs(zf.last_equalized()[k] - c.point(sent[k])), 1e-9);
+    EXPECT_LT(std::abs(zf.last_equalized()(k, 0) - c.point(sent[k])), 1e-9);
 }
 
 TEST(Mmse, ConvergesToZfAtHighSnr) {
@@ -62,7 +62,7 @@ TEST(Mmse, ConvergesToZfAtHighSnr) {
   zf.detect(y, h, 1e-10);
   mmse.detect(y, h, 1e-10);
   for (std::size_t k = 0; k < 3; ++k)
-    EXPECT_LT(std::abs(zf.last_equalized()[k] - mmse.last_equalized()[k]), 1e-6);
+    EXPECT_LT(std::abs(zf.last_equalized()(k, 0) - mmse.last_equalized()(k, 0)), 1e-6);
 }
 
 TEST(Mmse, BeatsZfAtLowSnrOnIllConditionedChannel) {

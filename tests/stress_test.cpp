@@ -1,18 +1,25 @@
 // Stress and adversarial-input sweeps: poorly conditioned channels,
-// degenerate enumeration geometries, and cross-constellation consistency.
+// degenerate enumeration geometries, overflowing tree searches, and
+// cross-constellation consistency.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "channel/kronecker.h"
 #include "channel/rayleigh.h"
 #include "common/db.h"
 #include "common/rng.h"
-#include "detect/spec.h"
+#include "detect/hybrid.h"
 #include "detect/ml_exhaustive.h"
+#include "detect/prepare/simd/dispatch.h"
+#include "detect/spec.h"
 #include "detect/sphere/enumerators.h"
+#include "detect/sphere/simd/dispatch.h"
 #include "detect/sphere/sphere_decoder.h"
 #include "link/link_simulator.h"
 #include "test_util.h"
@@ -133,6 +140,83 @@ TEST(Stress, ZeroReceivedVector) {
   const auto h = random_channel(rng, 4, 4);
   const auto r = geo->detect(CVector(4, cf64{}), h, 0.1);
   EXPECT_EQ(r.indices.size(), 4u);  // Valid decision, no crash.
+}
+
+// ---- Overflowing tree searches -------------------------------------------------
+
+/// RAII override of the tree-search and prepare kernel tiers.
+struct TierGuard {
+  explicit TierGuard(const char* name) {
+    sphere::simd::set_kernel_override(name);
+    prepare::simd::set_kernel_override(name);
+  }
+  ~TierGuard() {
+    sphere::simd::set_kernel_override(nullptr);
+    prepare::simd::set_kernel_override(nullptr);
+  }
+};
+
+TEST(Stress, UnboundedSearchWithoutALeafThrows) {
+  // A finite received vector far outside the constellation: its tree
+  // centers exceed ~1e154 grid units, so every branch cost overflows to
+  // +inf and even an unbounded search admits no child. Each tree search
+  // must throw runtime_error rather than return a decision it never
+  // reached (or read past its candidate lists). The slicing and exhaustive
+  // detectors still return a defined decision.
+  const Constellation& c = Constellation::qam(16);
+  Rng rng(8);
+  const auto h = random_channel(rng, 4, 4);
+  const double n0 = db_to_lin(-20.0);
+  const CVector healthy = transmit(rng, h, c, random_indices(rng, c, 4), n0);
+  CVector hostile = healthy;
+  hostile[0] = cf64{1e300, 0.0};
+  linalg::CMatrix y_batch(4, 2);
+  y_batch.set_col(0, healthy);
+  y_batch.set_col(1, hostile);
+
+  std::vector<std::string> specs = {"hybrid:0", "hybrid:200"};
+  for (const DetectorInfo& info : detector_registry())
+    specs.push_back(info.param_required ? info.name + ":8" : info.name);
+  const std::set<std::string> no_tree = {"zf", "mmse", "mmse-sic", "ml"};
+
+  for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
+    const TierGuard tier(kernel->name);
+    for (const std::string& text : specs) {
+      for (const bool warm : {false, true}) {
+        const auto det = DetectorSpec::parse(text).create(c);
+        det->prepare(h, n0);
+        SoftDetector* soft = det->soft();
+        if (warm) {
+          det->solve(healthy);
+          if (soft != nullptr) soft->solve_soft(healthy);
+        }
+        // Hybrid follows its route: hybrid:0 always takes the sphere
+        // decoder, hybrid:200 always ZF, the default threshold depends on H.
+        bool tree = no_tree.count(text) == 0;
+        if (const auto* hybrid = dynamic_cast<const HybridDetector*>(det.get()))
+          tree = hybrid->sphere_fraction() > 0.0;
+        const std::string who =
+            text + " tier=" + kernel->name + (warm ? " warm " : " fresh ");
+        const auto expect = [&](const char* entry,
+                                const std::function<std::vector<unsigned>()>& run) {
+          if (tree) {
+            EXPECT_THROW(run(), std::runtime_error) << who << entry;
+            return;
+          }
+          for (const unsigned idx : run()) EXPECT_LT(idx, c.order()) << who << entry;
+        };
+        expect("solve", [&] { return det->solve(hostile).indices; });
+        expect("solve_batch", [&] { return det->solve_batch(y_batch).indices; });
+        if (soft == nullptr) continue;
+        expect("solve_soft", [&] { return soft->solve_soft(hostile).indices; });
+        expect("solve_soft_batch", [&] {
+          SoftBatchResult out;
+          soft->solve_soft_batch(y_batch, out);
+          return out.indices;
+        });
+      }
+    }
+  }
 }
 
 // ---- Cross-constellation link consistency -------------------------------------
