@@ -34,13 +34,13 @@ SoftGeosphereDetector::SoftGeosphereDetector(const Constellation& c, double llr_
 
 SoftGeosphereDetector::Search SoftGeosphereDetector::search(
     const cf64* yhat, cf64 root_center, double radius_sq, std::ptrdiff_t mask_level,
-    const std::vector<std::uint8_t>* mask, DetectionStats& stats) {
+    const std::vector<std::uint8_t>* mask, DetectionStats& stats_out) {
   const std::size_t nc = scale_.size();
   const Constellation& cons = constellation();
 
+  DetectionStats stats;  // Search-local, added to the caller's once.
   ++stats.tree_searches;
   Search out;
-  out.best.assign(nc, 0);
   out.best_dist = radius_sq;
   partial_[nc] = 0.0;
 
@@ -72,13 +72,14 @@ SoftGeosphereDetector::Search SoftGeosphereDetector::search(
     partial_[level] = partial_[level + 1] + scale_[level] * child->cost_grid;
     if (level == 0) {
       out.best_dist = partial_[0];
-      out.best = current_;
+      std::copy(current_.begin(), current_.end(), best_.begin());
       out.found = true;
     } else {
       --level;
       level_enum_[level].reset(center_at(level), stats);
     }
   }
+  stats_out += stats;
   return out;
 }
 
@@ -129,6 +130,7 @@ void SoftGeosphereDetector::do_select_prepared(std::size_t i) {
     level_enum_.assign(nc, enum_proto_);
     current_.assign(nc, 0);
     partial_.assign(nc + 1, 0.0);
+    best_.assign(nc, 0);
   }
 }
 
@@ -155,12 +157,11 @@ void SoftGeosphereDetector::do_solve_batch(const linalg::CMatrix& y_batch,
   DetectionStats stats;
   // There is no column permutation here, so the paths copy straight out.
   for (std::size_t v = 0; v < count; ++v) {
-    const Search ml = search(yhat_t_batch_.row_data(v), root_centers_[v], kInf, -1,
-                             nullptr, stats);
-    if (!ml.found)
+    if (!search(yhat_t_batch_.row_data(v), root_centers_[v], kInf, -1, nullptr, stats)
+             .found)
       throw std::runtime_error(
           "SoftGeosphereDetector: no solution found (unbounded search)");
-    std::copy(ml.best.begin(), ml.best.end(),
+    std::copy(best_.begin(), best_.end(),
               out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
   }
   out.stats = stats;
@@ -194,7 +195,7 @@ void SoftGeosphereDetector::solve_soft_row(const cf64* yhat, cf64 root_center,
   const Search ml = search(yhat, root_center, kInf, -1, nullptr, stats);
   if (!ml.found)
     throw std::runtime_error("SoftGeosphereDetector: no solution found (unbounded search)");
-  std::copy(ml.best.begin(), ml.best.end(), indices);
+  std::copy(best_.begin(), best_.end(), indices);
   ml_bits_.resize(bits);
 
   // Counter-hypothesis radius: LLR magnitudes are clamped, so any solution
@@ -202,9 +203,11 @@ void SoftGeosphereDetector::solve_soft_row(const cf64* yhat, cf64 root_center,
   const double counter_radius = ml.best_dist + llr_clamp_ * noise_var_;
 
   for (std::size_t k = 0; k < nc; ++k) {
-    cons.bits_from_index(ml.best[k], ml_bits_.data());
+    cons.bits_from_index(indices[k], ml_bits_.data());
     for (unsigned b = 0; b < bits; ++b) {
       // Allowed set: symbols whose bit b is the complement of the ML bit.
+      // The counter search only reports its distance; its path in best_
+      // is not read.
       const unsigned want = ml_bits_[b] ^ 1u;
       const std::vector<std::uint8_t>& mask = bit_masks_[b * 2 + want];
       const Search counter = search(yhat, root_center, counter_radius,

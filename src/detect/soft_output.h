@@ -74,7 +74,6 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
 
  private:
   struct Search {
-    std::vector<unsigned> best;
     double best_dist = 0.0;
     bool found = false;
   };
@@ -82,7 +81,7 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   /// Depth-first search reading the rotated received vector from `yhat`
   /// and its packed root-level tree center; `mask_level`/`mask` optionally
   /// restrict the symbol at one tree level to a subset of constellation
-  /// indices.
+  /// indices. Leaves the winning path in best_.
   Search search(const cf64* yhat, cf64 root_center, double radius_sq,
                 std::ptrdiff_t mask_level, const std::vector<std::uint8_t>* mask,
                 DetectionStats& stats);
@@ -125,6 +124,7 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   std::vector<sphere::GeoEnumerator> level_enum_;
   std::vector<unsigned> current_;
   std::vector<double> partial_;
+  std::vector<unsigned> best_;  ///< Best path of the last search.
   std::vector<std::uint8_t> ml_bits_;
 
   // Per-batch workspaces (shared SIMD rotation and root centers).

@@ -1,6 +1,7 @@
 #include "detect/soft_sts.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -80,10 +81,14 @@ void SoftGeosphereStsDetector::do_select_prepared(std::size_t i) {
     level_enum_.assign(nc, enum_proto_);
     current_.assign(nc, 0);
     partial_.assign(nc + 1, 0.0);
+    best_.assign(nc, 0);
     ml_best_.assign(nc, 0);
     ml_word_.assign(nc, 0);
     radius_epoch_.assign(nc, 0);
     radius_cache_.assign(nc, 0.0);
+    decided_max_.assign(nc, 0.0);
+    row_max_.assign(nc, kInf);
+    open_max_.assign(nc, kInf);
   }
   lambda_bar_.assign(nc * cons.bits_per_symbol(), kInf);
 }
@@ -101,13 +106,13 @@ void SoftGeosphereStsDetector::rotate(const linalg::CMatrix& y_batch) {
 }
 
 SoftGeosphereStsDetector::Search SoftGeosphereStsDetector::search_ml(
-    const cf64* yhat, cf64 root_center, DetectionStats& stats) {
+    const cf64* yhat, cf64 root_center, DetectionStats& stats_out) {
   const std::size_t nc = scale_.size();
   const Constellation& cons = constellation();
+  DetectionStats stats;  // Search-local, added to the caller's once.
   ++stats.tree_searches;
 
   Search out;
-  out.best.assign(nc, 0);
   out.best_dist = kInf;
   partial_[nc] = 0.0;
 
@@ -131,39 +136,47 @@ SoftGeosphereStsDetector::Search SoftGeosphereStsDetector::search_ml(
     partial_[level] = partial_[level + 1] + scale_[level] * child->cost_grid;
     if (level == 0) {
       out.best_dist = partial_[0];
-      out.best = current_;
+      std::copy(current_.begin(), current_.end(), best_.begin());
       out.found = true;
     } else {
       --level;
       level_enum_[level].reset(center_at(level), stats);
     }
   }
+  stats_out += stats;
   return out;
 }
 
-double SoftGeosphereStsDetector::prune_radius(std::size_t level) const {
-  const std::size_t nc = scale_.size();
+inline double SoftGeosphereStsDetector::masked_row_max(std::size_t j) const {
   const unsigned bits = constellation().bits_per_symbol();
-  double r = lambda_ml_;
-  // Decided levels (above `level`): this subtree can only serve bits whose
-  // path value already differs from the ML candidate's -- other bits'
-  // counter-hypotheses live in sibling subtrees (and a later ML flip
-  // re-admits its bits at old-lambda_ml, which every prune here respected).
-  for (std::size_t j = level + 1; j < nc; ++j) {
-    unsigned diff = bit_word_[current_[j]] ^ ml_word_[j];
-    for (unsigned b = 0; diff != 0; ++b, diff >>= 1)
-      if (diff & 1u) r = std::max(r, lambda_bar_[j * bits + b]);
+  const unsigned diff = bit_word_[current_[j]] ^ ml_word_[j];
+  const double* row = lambda_bar_.data() + j * bits;
+  // Decided row: this subtree can only serve bits whose path value already
+  // differs from the ML candidate's -- other bits' counter-hypotheses live
+  // in sibling subtrees (and a later ML flip re-admits its bits at
+  // old-lambda_ml, which every prune here respected). A masked-off bit
+  // reads as +0.0 through an all-zero mask, with no branch per bit.
+  double m = 0.0;
+  for (unsigned b = 0; b < bits; ++b) {
+    const std::uint64_t keep = std::uint64_t{0} - ((diff >> b) & 1u);
+    m = std::max(m, std::bit_cast<double>(std::bit_cast<std::uint64_t>(row[b]) & keep));
   }
-  // Open levels (<= `level`): both bit values are still reachable below.
-  for (std::size_t j = 0; j <= level; ++j)
-    for (unsigned b = 0; b < bits; ++b) r = std::max(r, lambda_bar_[j * bits + b]);
+  return m;
+}
+
+inline void SoftGeosphereStsDetector::set_radius(std::size_t level, double decided) {
+  // Open levels (<= `level`): both bit values are still reachable below,
+  // so every bit of those rows counts -- their prefix max is open_max_.
   // Clamp bound: leaves at lambda_ml + clamp * N0 or farther saturate the
   // LLR in both soft strategies, so they never need to be visited. Same
   // expression as the reference detector's counter_radius.
-  return std::min(r, lambda_ml_ + llr_clamp_ * noise_var_);
+  const double r = std::max(std::max(lambda_ml_, decided), open_max_[level]);
+  decided_max_[level] = decided;
+  radius_cache_[level] = std::min(r, lambda_ml_ + llr_clamp_ * noise_var_);
+  radius_epoch_[level] = epoch_;
 }
 
-void SoftGeosphereStsDetector::leaf_update(DetectionStats& stats) {
+inline void SoftGeosphereStsDetector::leaf_update(DetectionStats& stats) {
   const std::size_t nc = scale_.size();
   const unsigned bits = constellation().bits_per_symbol();
   const double d = partial_[0];
@@ -181,50 +194,65 @@ void SoftGeosphereStsDetector::leaf_update(DetectionStats& stats) {
     return;
   }
 
-  if (d < lambda_ml_) {
-    // ML flip: for every bit where the new leaf differs, the OLD candidate
-    // is the closest visited leaf with the now-countered value (lambda_ml
-    // is the min over all visited leaves), so old lambda_ml is the exact
-    // new counter distance -- and it never exceeds the slot's old value.
-    for (std::size_t k = 0; k < nc; ++k) {
-      const unsigned w = bit_word_[current_[k]];
-      unsigned diff = w ^ ml_word_[k];
-      for (unsigned b = 0; diff != 0; ++b, diff >>= 1)
-        if (diff & 1u) {
-          lambda_bar_[k * bits + b] = lambda_ml_;
-          ++stats.counter_updates;
-        }
+  // Lowest table row written by this leaf (nc: none); rows it writes get
+  // their row max refreshed, and the prefix max from it upward.
+  std::size_t lowest = nc;
+  const auto refresh_row = [&](std::size_t k) {
+    const double* row = lambda_bar_.data() + k * bits;
+    double m = row[0];
+    for (unsigned b = 1; b < bits; ++b) m = std::max(m, row[b]);
+    row_max_[k] = m;
+    lowest = std::min(lowest, k);
+  };
+
+  const bool flip = d < lambda_ml_;
+  for (std::size_t k = 0; k < nc; ++k) {
+    const unsigned w = bit_word_[current_[k]];
+    unsigned diff = w ^ ml_word_[k];
+    bool row_changed = false;
+    for (; diff != 0; diff &= diff - 1) {
+      const std::size_t slot = k * bits + static_cast<unsigned>(std::countr_zero(diff));
+      if (flip) {
+        // ML flip: for every bit where the new leaf differs, the OLD
+        // candidate is the closest visited leaf with the now-countered
+        // value (lambda_ml is the min over all visited leaves), so old
+        // lambda_ml is the exact new counter distance -- and it never
+        // exceeds the slot's old value.
+        lambda_bar_[slot] = lambda_ml_;
+      } else if (d < lambda_bar_[slot]) {
+        // Ordinary leaf: a counter-hypothesis candidate for every
+        // differing bit.
+        lambda_bar_[slot] = d;
+      } else {
+        continue;
+      }
+      ++stats.counter_updates;
+      row_changed = true;
+    }
+    if (row_changed) refresh_row(k);
+    if (flip) {
       ml_best_[k] = current_[k];
       ml_word_[k] = w;
     }
-    lambda_ml_ = d;
-    ++epoch_;
-    return;
   }
-
-  // Ordinary leaf: a counter-hypothesis candidate for every differing bit.
-  bool changed = false;
-  for (std::size_t k = 0; k < nc; ++k) {
-    unsigned diff = bit_word_[current_[k]] ^ ml_word_[k];
-    for (unsigned b = 0; diff != 0; ++b, diff >>= 1)
-      if ((diff & 1u) && d < lambda_bar_[k * bits + b]) {
-        lambda_bar_[k * bits + b] = d;
-        ++stats.counter_updates;
-        changed = true;
-      }
-  }
-  if (changed) ++epoch_;
+  if (flip) lambda_ml_ = d;
+  for (std::size_t j = lowest; j < nc; ++j)
+    open_max_[j] = j == 0 ? row_max_[0] : std::max(open_max_[j - 1], row_max_[j]);
+  if (flip || lowest < nc) ++epoch_;
 }
 
 void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
-                                          DetectionStats& stats) {
+                                          DetectionStats& stats_out) {
   const std::size_t nc = scale_.size();
   const Constellation& cons = constellation();
+  DetectionStats stats;  // Search-local, added to the caller's once.
   ++stats.tree_searches;
 
   ml_found_ = false;
   lambda_ml_ = kInf;
   std::fill(lambda_bar_.begin(), lambda_bar_.end(), kInf);
+  std::fill(row_max_.begin(), row_max_.end(), kInf);
+  std::fill(open_max_.begin(), open_max_.end(), kInf);
   // epoch_ = 1 with all stamps at 0 marks every cached radius stale.
   epoch_ = 1;
   std::fill(radius_epoch_.begin(), radius_epoch_.end(), 0);
@@ -238,11 +266,13 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
   level_enum_[level].reset(root_center, stats);
 
   for (;;) {
-    // The pruning radius of a level depends on the decided path above it
-    // and the tables; recompute only when either changed (epoch stamps).
+    // A level's radius is set on descent; a table or ML change since then
+    // (a newer epoch) recomputes its decided part over every decided row.
     if (radius_epoch_[level] != epoch_) {
-      radius_cache_[level] = prune_radius(level);
-      radius_epoch_[level] = epoch_;
+      double decided = 0.0;
+      for (std::size_t j = level + 1; j < nc; ++j)
+        decided = std::max(decided, masked_row_max(j));
+      set_radius(level, decided);
     }
     const double budget = (radius_cache_[level] - partial_[level + 1]) / scale_[level];
     const auto child = level_enum_[level].next(budget, stats);
@@ -257,11 +287,15 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
     if (level == 0) {
       leaf_update(stats);
     } else {
+      // The path grew by row `level`, and this level's radius is current
+      // (set above at this epoch): the child's decided part adds one row.
+      const double decided = std::max(decided_max_[level], masked_row_max(level));
       --level;
       level_enum_[level].reset(center_at(level), stats);
-      radius_epoch_[level] = 0;  // Decided path changed: cache is stale.
+      set_radius(level, decided);
     }
   }
+  stats_out += stats;
 
   if (!ml_found_)
     throw std::runtime_error(
@@ -300,11 +334,10 @@ void SoftGeosphereStsDetector::do_solve_batch(const linalg::CMatrix& y_batch,
   out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    const Search ml = search_ml(yhat_t_batch_.row_data(v), root_centers_[v], stats);
-    if (!ml.found)
+    if (!search_ml(yhat_t_batch_.row_data(v), root_centers_[v], stats).found)
       throw std::runtime_error(
           "SoftGeosphereStsDetector: no solution found (unbounded search)");
-    std::copy(ml.best.begin(), ml.best.end(),
+    std::copy(best_.begin(), best_.end(),
               out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
   }
   out.stats = stats;

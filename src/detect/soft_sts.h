@@ -108,7 +108,6 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
 
  private:
   struct Search {
-    std::vector<unsigned> best;
     double best_dist = 0.0;
     bool found = false;
   };
@@ -119,6 +118,7 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
 
   /// Plain unconstrained depth-first search (hard decisions; identical
   /// arithmetic sequence to the soft-geosphere / SphereDecoder search).
+  /// Leaves the winning path in best_.
   Search search_ml(const cf64* yhat, cf64 root_center, DetectionStats& stats);
 
   /// The single tree search: one enumeration pass filling ml_best_ /
@@ -127,11 +127,17 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   void sts_search(const cf64* yhat, cf64 root_center, DetectionStats& stats);
 
   /// Applies the STS leaf-update rules for the leaf in current_ at
-  /// distance partial_[0].
+  /// distance partial_[0], refreshing row_max_ and open_max_ where the
+  /// table changed. Inlined into sts_search.
   void leaf_update(DetectionStats& stats);
 
-  /// The loosest relevant pruning radius at `level` (see file comment).
-  double prune_radius(std::size_t level) const;
+  /// max over the bits of decided row j whose path value differs from the
+  /// ML candidate's of lambda_bar_[j][b], as +0.0 when none differs.
+  double masked_row_max(std::size_t j) const;
+
+  /// Sets the decided part and the pruning radius of `level` (see file
+  /// comment) and stamps it with the current epoch.
+  void set_radius(std::size_t level, double decided);
 
   /// Writes the nc * Q LLRs of the finished tables into `llrs`
   /// (stream-major), using the reference detector's exact formulas.
@@ -165,6 +171,7 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   std::vector<sphere::GeoEnumerator> level_enum_;
   std::vector<unsigned> current_;
   std::vector<double> partial_;
+  std::vector<unsigned> best_;  ///< Best path of the last search_ml.
 
   // STS state (valid between sts_search and emit_llrs).
   bool ml_found_ = false;
@@ -172,12 +179,30 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   std::vector<unsigned> ml_best_;   ///< ML candidate path (symbol indices).
   std::vector<unsigned> ml_word_;   ///< Packed bits of each ML symbol.
   std::vector<double> lambda_bar_;  ///< nc x Q counter-hypothesis distances.
-  /// Lazy radius revalidation: epoch_ bumps on every table change; a
-  /// level's cached radius is recomputed when its stamp falls behind (and
-  /// invalidated outright on descent, since the decided path changed).
+  /// Incremental pruning radius. The radius of level l is
+  ///   min(lambda_ml + clamp * N0, max(lambda_ml, decided(l), open(l)))
+  /// with decided(l) the max of the masked rows j > l and open(l) the max
+  /// of the whole rows j <= l. Only leaf updates write the table, and they
+  /// refresh row_max_ (per-row max) and open_max_ (its prefix max, so
+  /// open(l) = open_max_[l]) for the rows they wrote. A descent from l + 1
+  /// to l extends the path by one row, so decided(l) = max(decided(l + 1),
+  /// masked row l + 1) costs one row. epoch_ bumps on every table or ML
+  /// change; a level whose stamp falls behind recomputes decided(l) over
+  /// all its decided rows.
+  ///
+  /// Why the order of max does not matter: the table never holds NaN or
+  /// -0.0. Each entry is +inf, a leaf distance summed from +0.0 with
+  /// non-negative products, or an earlier lambda_ml. So max over entries
+  /// is exact and order-free, and a masked-off bit may contribute +0.0,
+  /// which never exceeds lambda_ml. lambda_ml stays the first operand, so
+  /// a NaN lambda_ml from non-finite input still wins, as it does in a
+  /// sequential scan.
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> radius_epoch_;
   std::vector<double> radius_cache_;
+  std::vector<double> decided_max_;  ///< decided(l), valid with radius_epoch_[l].
+  std::vector<double> row_max_;      ///< max_b lambda_bar_[j][b].
+  std::vector<double> open_max_;     ///< max_{j <= l} row_max_[j].
 
   // Per-batch workspaces (shared SIMD rotation and root centers).
   linalg::CMatrix yhat_t_batch_;  ///< (Q^H Y)^T -- one row per vector.

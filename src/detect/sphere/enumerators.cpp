@@ -192,7 +192,7 @@ std::optional<Child> ShabanyEnumerator::next(double budget, DetectionStats& stat
   }
 
   if (queue_.empty()) return std::nullopt;
-  const std::size_t mi = argmin_cost(queue_);
+  const std::size_t mi = argmin_cost(queue_.data(), queue_.size());
   if (queue_[mi].cost >= budget) return std::nullopt;
 
   const Entry e = queue_[mi];

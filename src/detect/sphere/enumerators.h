@@ -25,7 +25,7 @@
 // spacing 2). The sphere decoder rescales by |r_ll|^2 * alpha^2.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -50,12 +50,12 @@ struct Child {
 
 namespace detail {
 
-/// Smallest-cost entry index in a (short) queue; the queues hold at most
+/// Smallest-cost entry index among q[0, n); the queues hold at most
 /// ~sqrt(M) entries, so a linear scan beats heap bookkeeping.
 template <typename Entry>
-inline std::size_t argmin_cost(const std::vector<Entry>& q) {
+inline std::size_t argmin_cost(const Entry* q, std::size_t n) {
   std::size_t best = 0;
-  for (std::size_t i = 1; i < q.size(); ++i)
+  for (std::size_t i = 1; i < n; ++i)
     if (q[i].cost < q[best].cost) best = i;
   return best;
 }
@@ -85,26 +85,32 @@ class GeoEnumerator {
   explicit GeoEnumerator(Options options) : options_(options) {}
 
   // The enumerator is the innermost loop of every Geosphere-family tree
-  // search (one reset per node descent, one next per candidate), so its
-  // methods are defined inline below -- out-of-line calls here cost more
-  // than the zigzag arithmetic they wrap.
+  // search (one reset per node descent, one next per candidate), and an
+  // out-of-line call costs more than the zigzag arithmetic it wraps. So
+  // reset() and next() are always inlined into the searches, and their
+  // bodies below are kept lean enough for that: no growth path (the
+  // column zigzags and the queue are fixed arrays of kMaxLevels, and each
+  // column contributes at most one queue entry, so the queue never holds
+  // more than pam_levels) and no libm call (Zigzag1D's start level is
+  // plain arithmetic).
+
+  /// Largest supported PAM level count: 16 (256-QAM).
+  static constexpr int kMaxLevels = kMaxPamOffset;
 
   void attach(const Constellation& c) {
+    assert(c.pam_levels() <= kMaxLevels);
     levels_ = c.pam_levels();
-    column_.resize(static_cast<std::size_t>(levels_));
-    col_open_.assign(static_cast<std::size_t>(levels_), 0);
-    queue_.reserve(static_cast<std::size_t>(levels_));
   }
 
   /// Begin enumerating children around `center` (grid units). Performs the
   /// slicing step and seeds the queue with the sliced point.
-  void reset(cf64 center, DetectionStats& stats);
+  [[gnu::always_inline]] void reset(cf64 center, DetectionStats& stats);
 
   /// Next child with exact cost < budget, in non-decreasing cost order;
   /// std::nullopt when no remaining child can satisfy the budget. `budget`
   /// must be non-increasing across calls within one reset (the sphere
   /// radius only shrinks).
-  std::optional<Child> next(double budget, DetectionStats& stats);
+  [[gnu::always_inline]] std::optional<Child> next(double budget, DetectionStats& stats);
 
   const Options& options() const { return options_; }
 
@@ -129,11 +135,11 @@ class GeoEnumerator {
   double ci_ = 0.0, cq_ = 0.0;  ///< Center, grid units.
   int li0_ = 0, lq0_ = 0;       ///< Sliced point (lower-bound reference).
 
-  Zigzag1D horizontal_;                 ///< Column-opening order.
-  std::vector<Zigzag1D> column_;        ///< Per-column vertical zigzag.
-  std::vector<std::uint8_t> col_open_;  ///< Column has been opened.
-  bool horizontal_closed_ = false;      ///< No further columns can fit.
-  int newest_column_ = -1;              ///< Most recently opened column.
+  Zigzag1D horizontal_;                        ///< Column-opening order.
+  std::array<Zigzag1D, kMaxLevels> column_{};  ///< Per-column vertical zigzag.
+  Zigzag1D column_entered_;                    ///< A column right after its entry row.
+  bool horizontal_closed_ = false;             ///< No further columns can fit.
+  int newest_column_ = -1;                     ///< Most recently opened column.
 
   // Successor generation is deferred from the pop that causes it to the
   // following next() call, when the (possibly much smaller) budget is
@@ -144,7 +150,8 @@ class GeoEnumerator {
   int pending_advance_ = -1;    ///< Column owed a vertical successor.
   bool pending_open_ = false;   ///< A horizontal column-open is owed.
 
-  std::vector<Entry> queue_;  ///< <=1 outstanding candidate per column.
+  std::array<Entry, kMaxLevels> queue_{};  ///< <=1 outstanding candidate per column.
+  std::size_t queue_size_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -222,8 +229,6 @@ inline void GeoEnumerator::reset(cf64 center, DetectionStats& stats) {
   assert(levels_ > 0 && "attach() must be called before reset()");
   ci_ = center.real();
   cq_ = center.imag();
-  queue_.clear();
-  std::fill(col_open_.begin(), col_open_.end(), std::uint8_t{0});
   horizontal_closed_ = false;
   pending_advance_ = -1;
   pending_open_ = false;
@@ -232,15 +237,17 @@ inline void GeoEnumerator::reset(cf64 center, DetectionStats& stats) {
   // with the closest constellation point.
   horizontal_.reset(ci_, levels_);
   li0_ = horizontal_.take();
-  column_[static_cast<std::size_t>(li0_)].reset(cq_, levels_);
-  lq0_ = column_[static_cast<std::size_t>(li0_)].take();
+  Zigzag1D& first = column_[static_cast<std::size_t>(li0_)];
+  first.reset(cq_, levels_);
+  lq0_ = first.take();
+  column_entered_ = first;
   ++stats.slicer_ops;
 
   const double cost = cost_of(li0_, lq0_);
   ++stats.ped_computations;
-  col_open_[static_cast<std::size_t>(li0_)] = 1;
   newest_column_ = li0_;
-  queue_.push_back({cost, li0_, lq0_});
+  queue_[0] = {cost, li0_, lq0_};
+  queue_size_ = 1;
   ++stats.queue_ops;
 }
 
@@ -248,48 +255,51 @@ inline void GeoEnumerator::advance_column(int li, double budget, DetectionStats&
   Zigzag1D& vz = column_[static_cast<std::size_t>(li)];
   if (vz.done()) return;
 
+  const int lq = vz.peek_level();
   if (options_.geometric_pruning) {
     // |dQ| offsets are non-decreasing along the vertical zigzag, so one
     // failed lower-bound test closes the whole remaining column without
     // any exact distance computation (paper Section 3.2).
     ++stats.lb_lookups;
     const int di = std::abs(li - li0_);
-    if (geometric_lower_bound_sq(di, vz.peek_offset()) >= budget) {
+    if (geometric_lower_bound_sq(di, vz.offset(lq)) >= budget) {
       ++stats.lb_prunes;
       vz.close();
       return;
     }
   }
-  const int lq = vz.take();
+  vz.consume(lq);
   const double cost = cost_of(li, lq);
   ++stats.ped_computations;
   if (cost >= budget) {
     vz.close();  // Costs are sorted within a column.
     return;
   }
-  queue_.push_back({cost, li, lq});
+  queue_[queue_size_++] = {cost, li, lq};
   ++stats.queue_ops;
 }
 
 inline void GeoEnumerator::open_next_column(double budget, DetectionStats& stats) {
   if (horizontal_closed_ || horizontal_.done()) return;
 
+  const int li = horizontal_.peek_level();
   if (options_.geometric_pruning) {
     // Entry points of successive columns sit on the sliced row (dQ = 0)
     // with non-decreasing |dI|, so one failed test closes all remaining
     // columns.
     ++stats.lb_lookups;
-    if (geometric_lower_bound_sq(horizontal_.peek_offset(), 0) >= budget) {
+    if (geometric_lower_bound_sq(horizontal_.offset(li), 0) >= budget) {
       ++stats.lb_prunes;
       horizontal_closed_ = true;
       return;
     }
   }
-  const int li = horizontal_.take();
-  col_open_[static_cast<std::size_t>(li)] = 1;
+  horizontal_.consume(li);
+  // Every column's vertical zigzag runs around the same center, so a new
+  // column starts in the state the first column had after its entry row.
   Zigzag1D& vz = column_[static_cast<std::size_t>(li)];
-  vz.reset(cq_, levels_);
-  const int lq = vz.take();  // Entry row: the sliced row.
+  vz = column_entered_;
+  const int lq = lq0_;  // Entry row: the sliced row.
   const double cost = cost_of(li, lq);
   ++stats.ped_computations;
   newest_column_ = li;
@@ -300,7 +310,7 @@ inline void GeoEnumerator::open_next_column(double budget, DetectionStats& stats
     horizontal_closed_ = true;
     return;
   }
-  queue_.push_back({cost, li, lq});
+  queue_[queue_size_++] = {cost, li, lq};
   ++stats.queue_ops;
 }
 
@@ -316,13 +326,12 @@ inline std::optional<Child> GeoEnumerator::next(double budget, DetectionStats& s
     pending_open_ = false;
   }
 
-  if (queue_.empty()) return std::nullopt;
-  const std::size_t mi = detail::argmin_cost(queue_);
+  if (queue_size_ == 0) return std::nullopt;
+  const std::size_t mi = detail::argmin_cost(queue_.data(), queue_size_);
   if (queue_[mi].cost >= budget) return std::nullopt;  // Sorted: node exhausted.
 
   const Entry e = queue_[mi];
-  queue_[mi] = queue_.back();
-  queue_.pop_back();
+  queue_[mi] = queue_[--queue_size_];
   ++stats.queue_ops;
 
   // Exploring e (paper Fig. 5, step 3) owes: the next point of e's column

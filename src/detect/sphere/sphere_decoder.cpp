@@ -1,5 +1,6 @@
 #include "detect/sphere/sphere_decoder.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "detect/sphere/center.h"
@@ -93,10 +94,11 @@ void SphereDecoder<Enumerator>::do_select_prepared(std::size_t i) {
 }
 
 template <class Enumerator>
-bool SphereDecoder<Enumerator>::search(const cf64* yhat, DetectionStats& stats,
+bool SphereDecoder<Enumerator>::search(const cf64* yhat, DetectionStats& stats_out,
                                        cf64 root_center) {
   const std::size_t nc = nc_;
   const Constellation& cons = constellation();
+  DetectionStats stats;  // Search-local, added to the caller's once.
   ++stats.tree_searches;
 
   double radius_sq = config_.initial_radius_sq;
@@ -129,13 +131,14 @@ bool SphereDecoder<Enumerator>::search(const cf64* yhat, DetectionStats& stats,
       // searching; the enumerator's sorted order guarantees the sibling
       // scan terminates immediately when nothing closer remains.
       radius_sq = partial_dist_[0];
-      best_ = current_;
+      std::copy(current_.begin(), current_.end(), best_.begin());
       found = true;
     } else {
       --level;
       level_enum_[level].reset(center_at(level), stats);
     }
   }
+  stats_out += stats;
   return found;
 }
 

@@ -4,7 +4,6 @@
 // alternating sides, handling constellation boundaries.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -15,12 +14,26 @@ class Zigzag1D {
  public:
   /// Prepare enumeration of levels [0, levels) whose grid coordinates are
   /// g(l) = 2l - (levels-1), around continuous center `center` (grid units).
+  ///
+  /// Start-level contract: with raw = (center + levels - 1) / 2, the start
+  /// is clamp(lround(raw), 0, levels - 1) for every finite |raw| < 2^63,
+  /// halves rounding away from zero; for NaN, +/-inf and |raw| >= 2^63 it
+  /// is 0 (where glibc's lround returns LONG_MIN). It is computed without a
+  /// libm call: for 0.5 <= raw < levels - 0.5, raw + 0.5 rounds to a double
+  /// whose truncation is lround(raw) (below 0.5 the sum can round up to 1.0,
+  /// so that range is excluded first).
   void reset(double center, int levels) {
     assert(levels >= 1);
     levels_ = levels;
     center_ = center;
     const double raw = (center + static_cast<double>(levels - 1)) / 2.0;
-    start_ = static_cast<int>(std::clamp<long>(std::lround(raw), 0, levels - 1));
+    const double top = static_cast<double>(levels) - 0.5;
+    if (!(raw >= 0.5))  // Also NaN and -inf.
+      start_ = 0;
+    else if (raw < top)
+      start_ = static_cast<int>(raw + 0.5);
+    else
+      start_ = raw < 0x1p63 ? levels - 1 : 0;  // +inf and >= 2^63: 0.
     below_ = start_ - 1;
     above_ = start_ + 1;
     pending_start_ = true;
@@ -39,19 +52,25 @@ class Zigzag1D {
     return below_ok ? below_ : above_;
   }
 
-  /// |peek_level() - start|: the PAM offset used by the geometric
-  /// lower-bound table. Non-decreasing across the enumeration.
-  int peek_offset() const { return std::abs(peek_level() - start_); }
+  /// |level - start|: the PAM offset used by the geometric lower-bound
+  /// table. Non-decreasing along the enumeration.
+  int offset(int level) const { return std::abs(level - start_); }
 
-  /// Consume and return the next level.
-  int take() {
-    const int l = peek_level();
+  /// Consume `l`, which must be peek_level() -- for callers that already
+  /// peeked, so the zigzag comparison is not repeated.
+  void consume(int l) {
     if (pending_start_)
       pending_start_ = false;
     else if (l == below_)
       --below_;
     else
       ++above_;
+  }
+
+  /// Consume and return the next level.
+  int take() {
+    const int l = peek_level();
+    consume(l);
     return l;
   }
 

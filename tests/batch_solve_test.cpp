@@ -15,10 +15,15 @@
 //    batch_call, so batched and per-vector runs report identical
 //    detection_calls / ped_evaluations,
 //  * the batched LinkSimulator reproduces the recorded pre-batching (PR 4
-//    per-vector) LinkStats bit-for-bit, for any thread count.
+//    per-vector) LinkStats bit-for-bit, for any thread count,
+//  * warm solves allocate nothing: once a detector has solved a batch,
+//    solving it again makes no global operator new call.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -30,6 +35,31 @@
 #include "phy/frame.h"
 #include "sim/engine.h"
 #include "test_util.h"
+
+// Every global operator new in this binary is counted, so a test can assert
+// that a stretch of code allocates nothing. The replacements stay out of
+// line: inlined, GCC pairs their malloc/free with the new/delete
+// expressions around them and reports a mismatch. The nothrow forms are
+// replaced too (std::stable_sort's buffer uses them), so that under ASan
+// every scalar new and delete pairs through malloc and free.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace geosphere {
 namespace {
@@ -211,6 +241,51 @@ INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, BatchSolveRegistry,
                              if (ch == ':' || ch == '-') ch = '_';
                            return name;
                          });
+
+// Warm solves allocate nothing: after one pass over a prepared batch, a
+// second pass over the same channels and received vectors makes no global
+// operator new call in solve_batch or, where the detector has one,
+// solve_soft_batch. Every registry detector, plus hybrid at both routing
+// extremes (hybrid:0 sends every channel to Geosphere, hybrid:200 every
+// channel to ZF). Prepare and select are not counted.
+TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
+  std::vector<std::string> specs = all_registry_specs();  // kbest:8 included.
+  specs.insert(specs.end(), {"hybrid:0", "hybrid:200"});
+  constexpr std::size_t kChannels = 4, kVectors = 5;
+  for (unsigned qam : {16u, 64u}) {
+    const Constellation& c = Constellation::qam(qam);
+    Rng rng(40 + qam);
+    const double n0 = 3.0 / db_to_lin(18.0);
+    std::vector<linalg::CMatrix> hs;
+    std::vector<linalg::CMatrix> ys;
+    for (std::size_t s = 0; s < kChannels; ++s) {
+      hs.push_back(random_channel(rng, 4, 3));
+      ys.push_back(make_batch(rng, hs.back(), c, kVectors, n0));
+    }
+    for (const std::string& text : specs) {
+      const auto det = DetectorSpec::parse(text).create(c);
+      SoftDetector* soft = det->soft();
+      det->prepare_batch(hs, n0);
+      BatchResult out;
+      SoftBatchResult soft_out;
+      std::size_t hard_allocs = 0, soft_allocs = 0;
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t s = 0; s < kChannels; ++s) {
+          det->select_prepared(s);
+          std::size_t before = g_allocations.load();
+          det->solve_batch(ys[s], out);
+          if (pass == 1) hard_allocs += g_allocations.load() - before;
+          if (soft == nullptr) continue;
+          before = g_allocations.load();
+          soft->solve_soft_batch(ys[s], soft_out);
+          if (pass == 1) soft_allocs += g_allocations.load() - before;
+        }
+      }
+      EXPECT_EQ(hard_allocs, 0u) << text << ", " << qam << "-QAM solve_batch";
+      EXPECT_EQ(soft_allocs, 0u) << text << ", " << qam << "-QAM solve_soft_batch";
+    }
+  }
+}
 
 TEST(BatchSolve, SoftBatchMatchesLoopBitExactlyIncludingLlrs) {
   const DetectorSpec spec = DetectorSpec::parse("soft-geosphere");

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -78,7 +81,7 @@ TEST(Zigzag1D, PeekOffsetsAreNonDecreasing) {
       z.reset(rng.uniform(-2.0 * levels, 2.0 * levels), levels);
       int prev = -1;
       while (!z.done()) {
-        const int off = z.peek_offset();
+        const int off = z.offset(z.peek_level());
         EXPECT_GE(off, prev);
         prev = off;
         z.take();
@@ -112,6 +115,57 @@ TEST(Zigzag1D, SingleLevel) {
   EXPECT_FALSE(z.done());
   EXPECT_EQ(z.take(), 0);
   EXPECT_TRUE(z.done());
+}
+
+/// The start-level contract of Zigzag1D::reset, spelled with lround: the
+/// rounded, clamped raw coordinate, and 0 where lround has no defined
+/// result (NaN, +/-inf and |raw| >= 2^63; glibc returns LONG_MIN there).
+int lround_clamp_start(double center, int levels) {
+  const double raw = (center + static_cast<double>(levels - 1)) / 2.0;
+  if (!(std::abs(raw) < 0x1p63)) return 0;
+  return static_cast<int>(std::clamp<long>(std::lround(raw), 0, levels - 1));
+}
+
+TEST(Zigzag1D, StartLevelMatchesLroundClamp) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> centers;
+  // Every integer center in [-40, 40] -- which covers the grid midpoints,
+  // where raw is a half-integer -- and both nextafter neighbours.
+  for (int c = -40; c <= 40; ++c) {
+    const double x = c;
+    centers.insert(centers.end(), {x, std::nextafter(x, -inf), std::nextafter(x, inf)});
+  }
+  centers.insert(centers.end(), {0.0, -0.0, 1e157, -1e157, inf, -inf,
+                                 std::numeric_limits<double>::quiet_NaN()});
+  Rng rng(5);
+  for (int i = 0; i < 1000000; ++i) {
+    // Half near the grid, half arbitrary bit patterns (every magnitude,
+    // plus some infinities and NaNs).
+    if (i % 2 == 0) {
+      centers.push_back(rng.uniform(-40.0, 40.0));
+    } else {
+      const std::uint64_t bits = rng.engine()();
+      double x = 0.0;
+      std::memcpy(&x, &bits, sizeof x);
+      centers.push_back(x);
+    }
+  }
+  for (int levels : {2, 4, 8, 16}) {
+    // Raw values at the rounding and conversion edges, reached through
+    // center = 2 raw - (levels - 1) (exactly where that is representable).
+    std::vector<double> edge_centers;
+    for (double raw : {0.49999999999999994, 0x1p52 + 0.5, 0x1p62, std::nextafter(0x1p63, 0.0),
+                       0x1p63, std::nextafter(0x1p63, inf)})
+      for (double sign : {1.0, -1.0})
+        edge_centers.push_back(2.0 * sign * raw - static_cast<double>(levels - 1));
+    Zigzag1D z;
+    for (const std::vector<double>* set : {&centers, &edge_centers})
+      for (double center : *set) {
+        z.reset(center, levels);
+        ASSERT_EQ(z.start_level(), lround_clamp_start(center, levels))
+            << "levels " << levels << ", center " << center;
+      }
+  }
 }
 
 // ---- Geometric lower-bound table -------------------------------------------
