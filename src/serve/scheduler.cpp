@@ -13,8 +13,9 @@ namespace {
 
 /// Probe frames for the per-TTI rate choice are short: the probe emulates
 /// ideal rate adaptation (link::best_rate over the candidate list on a
-/// fresh deterministic channel draw), and a full-length payload would make
-/// the scheduler as expensive as the detection pipeline it feeds.
+/// fresh deterministic channel draw, one frame per candidate that can
+/// still win), and a full-length payload would make the scheduler as
+/// expensive as the detection pipeline it feeds.
 constexpr std::size_t kProbePayloadBytes = 100;
 
 }  // namespace
@@ -113,10 +114,12 @@ CellSchedule CellScheduler::schedule_tti(std::uint64_t tti) {
   out.snr_db = snr_sum / static_cast<double>(out.users.size());
 
   // Rate choice over the candidate QAM list. A single-candidate list needs
-  // no probe; otherwise a short probe frame per candidate on a fresh
-  // (seed, cell, tti)-derived channel draw emulates ideal rate adaptation
-  // (link::best_rate semantics: candidate order, strictly greater net
-  // throughput wins).
+  // no probe; otherwise short probe frames on a fresh (seed, cell,
+  // tti)-derived channel draw emulate ideal rate adaptation (highest net
+  // throughput wins, a tie goes to the first-listed QAM). link::best_rate
+  // probes the highest-rate candidates first and skips any whose
+  // error-free throughput cannot beat the best probed so far, so on a
+  // clean channel one probe frame settles the choice.
   if (spec_.qams.size() == 1) {
     out.qam = spec_.qams.front();
   } else {
@@ -128,6 +131,7 @@ CellSchedule CellScheduler::schedule_tti(std::uint64_t tti) {
         link::best_rate(channel(out.users.size()), probe, det_spec_, 1, probe_seed,
                         spec_.qams);
     out.qam = choice.qam_order;
+    out.probe_frames = choice.simulated_frames;
   }
   return out;
 }

@@ -2,8 +2,10 @@
 // arrivals feed per-user frame queues, link::user_selection picks which
 // backlogged users transmit (SNR-windowed, longest-unserved-first round
 // robin, index tie-break -- fully deterministic), and link::best_rate
-// picks the group's QAM order from the cell's candidate list via a short
-// probe frame per candidate (ideal rate adaptation, emulated cheaply).
+// picks the group's QAM order from the cell's candidate list by probing
+// with one short frame per candidate that can still win (ideal rate
+// adaptation, emulated cheaply: a candidate whose error-free throughput
+// cannot beat the best probed so far is never simulated).
 //
 // Every random decision derives from (master seed, cell index, TTI) alone
 // -- never from thread count or execution order -- so two schedulers with
@@ -30,6 +32,9 @@ struct CellSchedule {
   std::vector<std::size_t> users;  ///< Scheduled user ids, ascending. Empty: idle TTI.
   unsigned qam = 0;                ///< 0 on an idle TTI.
   double snr_db = 0.0;  ///< Group SNR (mean of the scheduled users' mean SNRs).
+  /// Probe frames simulated for the rate choice: 0 on an idle TTI or with
+  /// a single-QAM candidate list, at most the list's length otherwise.
+  std::uint64_t probe_frames = 0;
 };
 
 /// The scheduler and queue state of one cell. Not thread-safe; the server

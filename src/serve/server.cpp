@@ -170,6 +170,7 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
       cc.hash_mix(sched.users.size());
       for (const std::size_t u : sched.users) cc.hash_mix(u);
       cc.hash_mix(sched.qam);
+      cc.probe_frames += sched.probe_frames;
       const FrameJob& job = jobs[c];
       if (job.codec == nullptr) continue;
       ++cc.scheduled_frames;

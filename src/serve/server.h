@@ -61,6 +61,9 @@ struct CellCounters {
   std::uint64_t schedule_hash = 14695981039346656037ull;
   DetectionStats detection;          ///< Summed detector counters.
   std::uint64_t detection_calls = 0; ///< Per-received-vector solves.
+  /// Rate-probe frames simulated (CellSchedule::probe_frames summed over
+  /// TTIs); not part of schedule_hash.
+  std::uint64_t probe_frames = 0;
 
   /// Frame error rate over per-user frames (0 when nothing transmitted).
   double fer() const;
@@ -108,7 +111,9 @@ class Server {
   sim::ThreadPool pool_;
   /// Per-worker detector cache keyed on (spec text, QAM) -- same design as
   /// sim::Engine's: instances are stateful and per-thread, cached across
-  /// TTIs and runs so the steady-state pipeline allocates nothing per TTI.
+  /// TTIs and runs so the receive phase reuses warm detectors. The
+  /// schedule phase is not warm: each rate-probe frame builds its own
+  /// simulator, detector and receiver (link::best_rate's default runner).
   std::vector<std::unordered_map<std::string, std::unique_ptr<Detector>>> detector_cache_;
   /// Per-worker receive workspaces, warm across TTIs and runs.
   std::vector<link::FrameReceiver> receivers_;

@@ -1,5 +1,6 @@
 #include "serve/spec.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -147,6 +148,10 @@ CellSpec CellSpec::parse(const std::string& text, const CellSpec& defaults) {
         const std::size_t order = parse_size(text, "qams entry", q, 4, 256);
         if (order != 4 && order != 16 && order != 64 && order != 256)
           fail(text, "qams entries must be 4, 16, 64 or 256, got \"" + q + "\"");
+        // A repeat can never win the rate choice (a tie goes to the first
+        // entry), yet it would cost a probe frame.
+        if (std::find(spec.qams.begin(), spec.qams.end(), order) != spec.qams.end())
+          fail(text, "duplicate qams entry \"" + std::to_string(order) + "\"");
         spec.qams.push_back(static_cast<unsigned>(order));
       }
       if (spec.qams.empty()) fail(text, "qams must name at least one QAM order");

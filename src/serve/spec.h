@@ -16,7 +16,8 @@
 //   snr=DB        cell target SNR (scheduler's window center, default 20)
 //   spread=DB     user mean SNRs drawn uniform in snr +/- spread (default 5)
 //   window=DB     user-selection SNR window around snr     (default 3)
-//   qams=Q|Q|...  rate-adaptation candidate QAM orders     (default 4|16|64)
+//   qams=Q|Q|...  rate-adaptation candidate QAM orders, no repeats
+//                                                          (default 4|16|64)
 //   payload=BYTES per-user frame payload                   (default 500)
 //
 // Example (two cells):
@@ -51,9 +52,9 @@ struct CellSpec {
   std::size_t payload_bytes = 500;
 
   /// Parses one cell ("users=8,load=0.5,..."). Strict: unknown or duplicate
-  /// keys, malformed numbers, out-of-range values, invalid channel /
-  /// detector specs and fixed-dims channels (traces pin their own client
-  /// count; the scheduler varies it per TTI) all throw
+  /// keys, repeated qams entries, malformed numbers, out-of-range values,
+  /// invalid channel / detector specs and fixed-dims channels (traces pin
+  /// their own client count; the scheduler varies it per TTI) all throw
   /// std::invalid_argument naming the valid keys.
   static CellSpec parse(const std::string& text);
 

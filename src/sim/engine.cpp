@@ -1,10 +1,10 @@
 #include "sim/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
 #include "coding/spec.h"
-#include "link/throughput.h"
 
 namespace geosphere::sim {
 
@@ -69,53 +69,7 @@ link::RateChoice Engine::best_rate(const channel::ChannelModel& channel,
                                    link::LinkScenario base, const DetectorSpec& spec,
                                    std::size_t frames, std::uint64_t seed,
                                    const std::vector<unsigned>& candidate_qams) {
-  const std::size_t nq = candidate_qams.size();
-  std::vector<link::LinkSimulator> sims;
-  sims.reserve(nq);
-  for (const unsigned qam : candidate_qams) {
-    link::LinkScenario scenario = base;
-    scenario.frame.qam_order = qam;
-    sims.emplace_back(channel, scenario);
-  }
-
-  // One flat work pool over (candidate, frame): candidates run
-  // concurrently instead of one frame batch after another. Identical
-  // draws for every candidate: same seed, per-frame seeding.
-  std::vector<std::vector<link::LinkStats>> partial(
-      pool_.size(), std::vector<link::LinkStats>(nq));
-  std::atomic<std::size_t> next{0};
-  const std::size_t total = nq * frames;
-  pool_.run_on_workers([&](std::size_t worker) {
-    for (std::size_t g; (g = next.fetch_add(1, std::memory_order_relaxed)) < total;) {
-      const std::size_t qi = g / frames;
-      const std::size_t f = g % frames;
-      Detector& detector = worker_detector(worker, spec, candidate_qams[qi]);
-      Rng rng = Rng::for_frame(seed, f);
-      sims[qi].simulate_frame(detector, spec.decision(), rng, partial[worker][qi]);
-    }
-  });
-
-  // Same selection rule as link::best_rate: candidate order, strictly
-  // greater throughput wins. Worker-ordered merge keeps the accumulation
-  // associative-deterministic (all-integer counters).
-  link::RateChoice best;
-  for (std::size_t qi = 0; qi < nq; ++qi) {
-    link::LinkStats stats;
-    sims[qi].init_stats(stats);
-    for (const auto& p : partial) stats += p[qi];
-
-    const link::LinkScenario& scenario = sims[qi].scenario();
-    const double mbps = link::net_throughput_mbps(
-        channel.num_tx(), candidate_qams[qi], scenario.frame.code_rate_value(),
-        stats.per_client_fer(), scenario.frame.data_subcarriers);
-    if (best.qam_order == 0 || mbps > best.throughput_mbps) {
-      best.qam_order = candidate_qams[qi];
-      best.code_rate = scenario.frame.code_rate_value();
-      best.throughput_mbps = mbps;
-      best.stats = stats;
-    }
-  }
-  return best;
+  return link::best_rate(channel, base, spec, frames, seed, candidate_qams, runner());
 }
 
 link::RateChoice Engine::best_rate(const channel::ChannelSpec& chspec,
@@ -172,6 +126,14 @@ std::vector<SweepCell> Engine::run_sweep_impl(const channel::ChannelModel& chann
     code_specs.push_back(coding::CodeSpec::parse(code));
   if (code_specs.empty())
     throw std::invalid_argument("SweepSpec: codes must not be empty");
+  // A repeated QAM can never win (a tie goes to the first entry), yet it
+  // would cost a candidate per sweep point.
+  for (std::size_t qi = 0; qi < spec.candidate_qams.size(); ++qi)
+    if (std::find(spec.candidate_qams.begin(), spec.candidate_qams.begin() + qi,
+                  spec.candidate_qams[qi]) != spec.candidate_qams.begin() + qi)
+      throw std::invalid_argument("SweepSpec: candidate QAM " +
+                                  std::to_string(spec.candidate_qams[qi]) +
+                                  " is listed more than once");
 
   const std::size_t ns = spec.snr_grid_db.size();
   const std::size_t nd = specs.size();
@@ -234,40 +196,33 @@ std::vector<SweepCell> Engine::run_sweep_impl(const channel::ChannelModel& chann
     }
   });
 
-  // Assemble cells SNR-major, then detector, then code, applying the same
-  // selection rule as best_rate per cell (candidate order, strictly
-  // greater wins).
+  // Assemble cells SNR-major, then detector, then code; each cell offers
+  // its candidates, in list order, to the one rate-choice rule.
   std::vector<SweepCell> out;
   out.reserve(ns * nd * nc);
   for (std::size_t si = 0; si < ns; ++si) {
     for (std::size_t di = 0; di < nd; ++di) {
       for (std::size_t ci = 0; ci < nc; ++ci) {
-        SweepCell cell;
-        cell.detector = spec.detectors[di];
-        cell.channel = channel_label;
-        cell.decision = specs[di].decision();
-        cell.snr_db = spec.snr_grid_db[si];
-        cell.code = code_specs[ci].text();
-        double best_mbps = 0.0;
+        link::RateSelector selector;
         for (std::size_t qi = 0; qi < nq; ++qi) {
           const link::LinkSimulator& sim = sims[(si * nc + ci) * nq + qi];
           link::LinkStats stats;
           sim.init_stats(stats);
           for (const auto& p : partial)
             stats += p[((si * nd + di) * nc + ci) * nq + qi];
-
-          const double mbps = link::net_throughput_mbps(
-              channel.num_tx(), spec.candidate_qams[qi],
-              sim.scenario().frame.code_rate_value(), stats.per_client_fer(),
-              sim.scenario().frame.data_subcarriers);
-          if (cell.best_qam == 0 || mbps > best_mbps) {
-            cell.best_qam = spec.candidate_qams[qi];
-            cell.code_rate = sim.scenario().frame.code_rate_value();
-            cell.throughput_mbps = mbps;
-            cell.stats = stats;
-            best_mbps = mbps;
-          }
+          selector.offer(qi, link::rate_choice(sim, std::move(stats)));
         }
+        link::RateChoice& best = selector.choice();
+        SweepCell cell;
+        cell.detector = spec.detectors[di];
+        cell.channel = channel_label;
+        cell.decision = specs[di].decision();
+        cell.snr_db = spec.snr_grid_db[si];
+        cell.code = code_specs[ci].text();
+        cell.best_qam = best.qam_order;
+        cell.code_rate = best.code_rate;
+        cell.throughput_mbps = best.throughput_mbps;
+        cell.stats = std::move(best.stats);
         out.push_back(std::move(cell));
       }
     }

@@ -110,9 +110,9 @@ class Engine {
   /// link-layer helpers (best_rate, find_snr_for_fer).
   link::FrameBatchRunner runner();
 
-  /// Thread-pooled ideal rate adaptation (link::best_rate semantics,
-  /// bit-identical results). Parallelizes across rate-adaptation
-  /// candidates AND frames, not frames only.
+  /// link::best_rate on this engine's runner(): the same branch-and-bound
+  /// choice, bit for bit, with each simulated candidate's frames spread
+  /// over the pool.
   link::RateChoice best_rate(const channel::ChannelModel& channel,
                              link::LinkScenario base, const DetectorSpec& spec,
                              std::size_t frames, std::uint64_t seed,
@@ -142,7 +142,9 @@ class Engine {
   /// (detector, code, SNR) cell, every rate-adaptation candidate, every
   /// frame -- is one flat work pool, so large sweeps use all cores even
   /// when a single cell would not; results remain bit-identical for any
-  /// thread count.
+  /// thread count. Every candidate is simulated (no pruning), and each
+  /// cell's choice follows link::RateSelector's rule. A candidate QAM
+  /// listed twice throws std::invalid_argument, like an empty code axis.
   std::vector<SweepCell> run_sweep(const channel::ChannelModel& channel,
                                    const SweepSpec& spec);
 

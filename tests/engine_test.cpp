@@ -147,6 +147,7 @@ TEST(Engine, BestRateMatchesSequentialBestRate) {
   const link::RateChoice par = engine.best_rate(ch, base, geo, 15, 9, {4, 16, 64});
   EXPECT_EQ(seq.qam_order, par.qam_order);
   EXPECT_DOUBLE_EQ(seq.throughput_mbps, par.throughput_mbps);
+  EXPECT_EQ(seq.simulated_frames, par.simulated_frames);
   expect_identical(seq.stats, par.stats);
 }
 
@@ -370,6 +371,25 @@ TEST(Engine, RunSweepSupportsSoftDetectors) {
   const auto hard_cells = engine.run_sweep(ch, spec);
   ASSERT_EQ(hard_cells.size(), 1u);
   EXPECT_EQ(hard_cells[0].decision, DecisionMode::kHard);
+}
+
+TEST(Engine, RunSweepRejectsARepeatedCandidateQam) {
+  // A repeat can never win (a tie goes to the first entry) but would cost
+  // a candidate per sweep point, so the up-front validation refuses it.
+  channel::RayleighChannel ch(4, 2);
+  SweepSpec spec;
+  spec.detectors = {"zf"};
+  spec.snr_grid_db = {20.0};
+  spec.candidate_qams = {16, 64, 16};
+  spec.frames = 1;
+  Engine engine(1);
+  try {
+    (void)engine.run_sweep(ch, spec);
+    FAIL() << "expected a repeated candidate QAM to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("candidate QAM 16"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Engine, SpecBasedSweepMatchesExplicitModel) {

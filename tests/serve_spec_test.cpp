@@ -113,6 +113,7 @@ TEST(ServeSpec, RejectsOutOfRangeValues) {
   expect_reject("window=0", "window must be > 0");
   expect_reject("qams=32", "qams entries must be 4, 16, 64 or 256");
   expect_reject("qams=", "qams entry must be an integer");
+  expect_reject("qams=4|16|4", "duplicate qams entry \"4\"");
   expect_reject("payload=0", "payload must be an integer");
 }
 

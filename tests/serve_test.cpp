@@ -178,8 +178,11 @@ TEST(CellScheduler, RoundRobinWithIndexTieBreak) {
 TEST(CellScheduler, SingleCandidateQamListSkipsTheProbe) {
   const CellSpec spec = CellSpec::parse("users=4,antennas=2,load=1.0,qams=64");
   CellScheduler sched(spec, 5, 0);
-  for (std::uint64_t tti = 0; tti < 4; ++tti)
-    EXPECT_EQ(sched.schedule_tti(tti).qam, 64u);
+  for (std::uint64_t tti = 0; tti < 4; ++tti) {
+    const CellSchedule s = sched.schedule_tti(tti);
+    EXPECT_EQ(s.qam, 64u);
+    EXPECT_EQ(s.probe_frames, 0u);
+  }
 }
 
 TEST(CellScheduler, ScheduleIsSeedDeterministic) {
@@ -193,6 +196,12 @@ TEST(CellScheduler, ScheduleIsSeedDeterministic) {
     EXPECT_EQ(sa.users, sb.users);
     EXPECT_EQ(sa.qam, sb.qam);
     EXPECT_EQ(sa.snr_db, sb.snr_db);
+    EXPECT_EQ(sa.probe_frames, sb.probe_frames);
+    // One probe frame per candidate at most; an idle TTI probes nothing.
+    EXPECT_LE(sa.probe_frames, sa.users.empty() ? 0u : 2u);
+    if (!sa.users.empty()) {
+      EXPECT_GE(sa.probe_frames, 1u);
+    }
   }
 }
 
@@ -217,7 +226,7 @@ std::vector<std::uint64_t> counter_row(const CellCounters& c) {
           c.delivered_bits, c.backlog_end,       c.schedule_hash,      d.ped_computations,
           d.visited_nodes,  d.lb_lookups,        d.lb_prunes,          d.slicer_ops,
           d.queue_ops,      d.preprocess_calls,  d.prepare_batch_calls, d.batch_calls,
-          d.tree_searches,  d.counter_updates,   c.detection_calls};
+          d.tree_searches,  d.counter_updates,   c.detection_calls,    c.probe_frames};
 }
 
 const char* const kCounterFields[] = {
@@ -226,7 +235,7 @@ const char* const kCounterFields[] = {
     "delivered_bits", "backlog_end",       "schedule_hash",      "ped_computations",
     "visited_nodes",  "lb_lookups",        "lb_prunes",          "slicer_ops",
     "queue_ops",      "preprocess_calls",  "prepare_batch_calls", "batch_calls",
-    "tree_searches",  "counter_updates",   "detection_calls"};
+    "tree_searches",  "counter_updates",   "detection_calls",    "probe_frames"};
 
 /// Expects `got` to equal `want` field by field, naming the first misses.
 void expect_counters(const CellCounters& got, const std::vector<std::uint64_t>& want,
@@ -248,6 +257,8 @@ void expect_same_deterministic(const ServeResult& a, const ServeResult& b) {
       EXPECT_EQ(a.cells[c].schedule_log[i].tti, b.cells[c].schedule_log[i].tti);
       EXPECT_EQ(a.cells[c].schedule_log[i].users, b.cells[c].schedule_log[i].users);
       EXPECT_EQ(a.cells[c].schedule_log[i].qam, b.cells[c].schedule_log[i].qam);
+      EXPECT_EQ(a.cells[c].schedule_log[i].probe_frames,
+                b.cells[c].schedule_log[i].probe_frames);
     }
   }
 }
@@ -329,14 +340,16 @@ TEST(Server, CountersMatchRecordedGolden) {
       "users=4,antennas=2,load=0.5,payload=30,detector=zf,qams=16,snr=20;"
       "users=4,antennas=2,load=0.6,payload=30,detector=soft-geosphere-sts,code=3/4,"
       "qams=4|16,snr=12");
-  // One row per cell, fields in kCounterFields order.
+  // One row per cell, fields in kCounterFields order. The last column,
+  // probe_frames, counts the rate probe's simulated frames: at most 2 per
+  // TTI for a 2-QAM list, and none for the single-QAM zf cell.
   const std::vector<std::vector<std::uint64_t>> golden = {
       {12, 49, 12, 24, 22, 2, 174, 7680, 7040, 27, 0x915ee58c41ccfc31ull, 8364, 5808, 11250,
-       8433, 5547, 12135, 576, 12, 576, 2448, 0, 2448},
+       8433, 5547, 12135, 576, 12, 576, 2448, 0, 2448, 13},
       {12, 25, 12, 22, 21, 1, 4, 5280, 5040, 4, 0xc1f574107856d8c5ull, 0, 0, 0, 0, 3168, 0,
-       576, 12, 576, 0, 0, 1728},
+       576, 12, 576, 0, 0, 1728, 0},
       {12, 31, 12, 23, 17, 6, 480, 5520, 4080, 14, 0x9521bf85f7fd4cd1ull, 33622, 20921, 30246,
-       5865, 9241, 45311, 576, 12, 576, 1440, 7491, 1440}};
+       5865, 9241, 45311, 576, 12, 576, 1440, 7491, 1440, 15}};
   for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
     const AllLayersOnTier tier(kernel->name);
     Server server(spec, 1);
@@ -345,6 +358,7 @@ TEST(Server, CountersMatchRecordedGolden) {
     for (std::size_t c = 0; c < golden.size(); ++c)
       expect_counters(r.cells[c].counters, golden[c],
                       std::string(kernel->name) + " cell " + std::to_string(c));
+    EXPECT_EQ(r.cells[1].counters.probe_frames, 0u) << kernel->name;
   }
 }
 

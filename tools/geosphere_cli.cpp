@@ -333,7 +333,7 @@ void write_serve_json(const std::string& path, const serve::ServeResult& r,
                  "      \"scheduled_users\": %llu,\n      \"user_frames_ok\": %llu,\n"
                  "      \"user_frames_error\": %llu,\n      \"bit_errors\": %llu,\n"
                  "      \"delivered_bits\": %llu,\n      \"backlog_end\": %llu,\n"
-                 "      \"detection_calls\": %llu,\n"
+                 "      \"detection_calls\": %llu,\n      \"probe_frames\": %llu,\n"
                  "      \"schedule_hash\": \"%016llx\",\n"
                  "      \"fer\": %.6f,\n      \"goodput_mbps\": %.6f,\n",
                  static_cast<unsigned long long>(cc.arrivals),
@@ -345,6 +345,7 @@ void write_serve_json(const std::string& path, const serve::ServeResult& r,
                  static_cast<unsigned long long>(cc.delivered_bits),
                  static_cast<unsigned long long>(cc.backlog_end),
                  static_cast<unsigned long long>(cc.detection_calls),
+                 static_cast<unsigned long long>(cc.probe_frames),
                  static_cast<unsigned long long>(cc.schedule_hash), cc.fer(),
                  cc.goodput_mbps());
     latency(r.cells[c].latency, "      ");
@@ -382,7 +383,8 @@ int cmd_serve(const Args& args) {
               spec.cells.size(), static_cast<unsigned long long>(result.ttis),
               static_cast<unsigned long long>(result.seed), server.threads());
   sim::TablePrinter table({"cell", "users", "detector", "arrivals", "frames", "streams",
-                           "FER", "goodput (Mbps)", "backlog", "schedule hash"});
+                           "probe frames", "FER", "goodput (Mbps)", "backlog",
+                           "schedule hash"});
   for (std::size_t c = 0; c < result.cells.size(); ++c) {
     const serve::CellReport& rep = result.cells[c];
     const serve::CellCounters& cc = rep.counters;
@@ -391,7 +393,8 @@ int cmd_serve(const Args& args) {
                   static_cast<unsigned long long>(cc.schedule_hash));
     table.add_row({std::to_string(c), std::to_string(rep.spec.users), rep.spec.detector,
                    std::to_string(cc.arrivals), std::to_string(cc.scheduled_frames),
-                   std::to_string(cc.scheduled_users), sim::TablePrinter::fmt(cc.fer()),
+                   std::to_string(cc.scheduled_users), std::to_string(cc.probe_frames),
+                   sim::TablePrinter::fmt(cc.fer()),
                    sim::TablePrinter::fmt(cc.goodput_mbps()),
                    std::to_string(cc.backlog_end), hash});
   }
