@@ -11,7 +11,8 @@ namespace geosphere::coding {
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 
 /// CRC-32 over a bit vector (bits packed LSB-first into bytes, trailing
-/// partial byte zero-padded) -- convenient for PHY payloads.
+/// partial byte zero-padded) -- convenient for PHY payloads. Allocates
+/// nothing.
 std::uint32_t crc32_bits(const BitVector& bits);
 
 }  // namespace geosphere::coding

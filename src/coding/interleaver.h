@@ -31,6 +31,9 @@ class BlockInterleaver {
 
   /// forward()[k] = position of input bit k in the output block.
   const std::vector<std::size_t>& forward() const { return forward_; }
+  /// inverse()[k] = position of interleaved bit k in the deinterleaved
+  /// block (deinterleave's scatter map).
+  const std::vector<std::size_t>& inverse() const { return inverse_; }
 
  private:
   std::vector<std::size_t> forward_;

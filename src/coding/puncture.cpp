@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "coding/simd/viterbi_kernel.h"
+
 namespace geosphere::coding {
 
 double code_rate_value(CodeRate r) {
@@ -72,17 +74,28 @@ std::vector<double> Puncturer::depuncture(const std::vector<double>& received,
   return out;
 }
 
-void Puncturer::depuncture(const std::vector<double>& received, std::size_t coded_bits,
-                           std::vector<double>& out) const {
+template <class T>
+void Puncturer::depuncture_into(const std::vector<T>& received, std::size_t coded_bits,
+                                T erasure, std::vector<T>& out) const {
   if (received.size() != punctured_length(coded_bits))
     throw std::invalid_argument("Puncturer::depuncture: length mismatch");
-  out.assign(coded_bits, 0.5);
+  out.assign(coded_bits, erasure);
   std::size_t r = 0;
   std::size_t k = 0;  // Position in the pattern, wrapping.
   for (std::size_t i = 0; i < coded_bits; ++i) {
     if (pattern_[k]) out[i] = received[r++];
     if (++k == pattern_.size()) k = 0;
   }
+}
+
+void Puncturer::depuncture(const std::vector<double>& received, std::size_t coded_bits,
+                           std::vector<double>& out) const {
+  depuncture_into(received, coded_bits, 0.5, out);
+}
+
+void Puncturer::depuncture(const std::vector<std::int16_t>& received, std::size_t coded_bits,
+                           std::vector<std::int16_t>& out) const {
+  depuncture_into(received, coded_bits, static_cast<std::int16_t>(simd::kQuantErasure), out);
 }
 
 }  // namespace geosphere::coding

@@ -1,8 +1,9 @@
 // Puncturing of the rate-1/2 mother code to 2/3 and 3/4 (the 802.11a
-// patterns). Depuncturing reinserts erasures (confidence 0.5) for the
-// soft-input Viterbi decoder.
+// patterns). Depuncturing reinserts erasures (confidence 0.5, or the
+// quantized level simd::kQuantErasure) for the soft-input Viterbi decoders.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -37,9 +38,18 @@ class Puncturer {
   void depuncture(const std::vector<double>& received, std::size_t coded_bits,
                   std::vector<double>& out) const;
 
+  /// The same for quantized levels (coding/quantized_viterbi.h): erasures
+  /// are simd::kQuantErasure, the level of confidence 0.5.
+  void depuncture(const std::vector<std::int16_t>& received, std::size_t coded_bits,
+                  std::vector<std::int16_t>& out) const;
+
   CodeRate rate() const { return rate_; }
 
  private:
+  template <class T>
+  void depuncture_into(const std::vector<T>& received, std::size_t coded_bits, T erasure,
+                       std::vector<T>& out) const;
+
   CodeRate rate_;
   std::vector<std::uint8_t> pattern_;  ///< 1 = transmit, 0 = puncture.
 };

@@ -7,12 +7,14 @@
 // ViterbiDecoder.
 //
 // Relationship to ViterbiDecoder: identical API shape, identical decision
-// and traceback layout, and the surviving path is the same as the double
-// decoder's up to branch-cost quantization (the 8192 "almost infinity"
-// start offset is provably exact; the only behavioral difference is the
-// +-1/2-LSB rounding of each branch cost). The quantized decoder is what
-// frame codecs use when FrameConfig::viterbi selects kQuantized; the double
-// decoder remains the reference and the default.
+// and traceback layout. On confidences in {0, 1/2, 1} -- hard decisions and
+// erasures -- the decoded bits are exactly the double decoder's (the
+// argument is in viterbi_kernel.h), so every hard-decision frame decodes
+// through decode_levels() whichever decoder FrameConfig::viterbi names. On
+// other soft inputs the surviving path is the double decoder's up to the
+// +-1/2-LSB rounding of each branch cost. The double decoder remains the
+// soft reference and the default; kQuantized selects this decoder for
+// soft frames.
 #pragma once
 
 #include <array>
@@ -39,15 +41,25 @@ struct QuantizedViterbiWorkspace {
 
 class QuantizedViterbi {
  public:
-  /// Quantization of one confidence value: clamp(round(c * 254), 0, 254).
-  /// 0.5 maps to the exact midpoint 127, keeping erasures neutral.
+  /// Quantization of one confidence value: clamp(round(c * 254), 0, 254),
+  /// halves rounding away from zero. 0.5 maps to the exact midpoint 127,
+  /// keeping erasures neutral. NaN maps to 0; +inf and every c * 254 >= 254
+  /// map to 254.
   static std::int16_t quantize(double confidence);
 
   /// Soft-input decode, same contract as ViterbiDecoder::decode_soft:
   /// per-bit confidence of being 1 in [0, 1], 0.5 = erasure, even length,
-  /// tail-terminated. Allocation-free given a warm workspace.
+  /// tail-terminated. quantize() into ws.quantized, then decode_levels().
+  /// Allocation-free given a warm workspace.
   void decode_soft(const double* confidence, std::size_t size,
                    QuantizedViterbiWorkspace& ws, BitVector& out) const;
+
+  /// Decode of already quantized levels in [0, simd::kQuantOne] (0 = a
+  /// certain 0, kQuantOne = a certain 1, kQuantErasure = an erasure): the
+  /// entry hard decisions take, with no quantize pass. Allocation-free
+  /// given a warm workspace.
+  void decode_levels(const std::int16_t* levels, std::size_t size,
+                     QuantizedViterbiWorkspace& ws, BitVector& out) const;
 
   /// Convenience wrapper over a call-local workspace (tests, one-offs).
   BitVector decode_soft(const std::vector<double>& confidence) const;

@@ -40,12 +40,40 @@
 // at kInitOffset = 8192 (a penalty standing in for the double decoder's
 // +inf; any state reaches any other in 6 steps at <= 6*508 = 3048 < 8192,
 // so a fake-start path can never beat a true path and the offset is exact
-// -- see quantized_viterbi.cpp). Metrics renormalize by their exact
-// horizontal minimum every kRenormInterval = 32 steps; the worst-case
+// -- see "Exact on hard decisions" below). Metrics renormalize by their
+// exact horizontal minimum every kRenormInterval = 32 steps; the worst-case
 // running metric is 8192 + 32*508 = 24448 < 32767, so plain wrapping int16
 // adds never overflow and every tier's arithmetic is exact integer math --
 // bit-identical across scalar/SSE2/AVX2 by construction, locked by
 // tests/quantized_viterbi_test.cpp.
+//
+// Exact on hard decisions and erasures. On confidences in {0, 1/2, 1}
+// (levels 0, 127, 254) this op decodes exactly the bits acs_double
+// decodes, which is why every hard-decision frame decodes here
+// (phy::FrameCodec::decode), whichever decoder FrameConfig::viterbi names:
+//   * Exact inputs. quantize maps 0, 1/2 and 1 exactly to 0, 127 and 254.
+//     On these values |c - (1-o)| = 1 - |c - o| holds exactly, so every
+//     int16 branch cost (e or 508 - e) is exactly 254x the double cost.
+//   * Same comparisons. Double metrics are sums of multiples of 1/2, far
+//     below 2^53, so (m + a) + b is exact. The int16 metrics equal 254x
+//     those, minus the common minimum that renormalization subtracts. Both
+//     maps preserve every comparison, ties included, and both ops keep the
+//     even predecessor on a tie (strict <).
+//   * The start offset. Before step 6, a true path (one from state 0)
+//     costs at most 6*508 = 3048 < 8192 = kInitOffset. From step 6 on, any
+//     fake-start path into a state is strictly beaten by a true path that
+//     reaches the fake path's step-6 state within 6 steps. So on every
+//     state reachable from state 0, the int16 decision equals the double
+//     decision. Traceback starts at state 0 and follows survivors with
+//     finite double metrics, which are reachable states only, so the
+//     decoded bits are identical. Decisions on unreachable states may
+//     differ, and nothing reads them.
+//   * No overflow. Levels stay in [0, 254], so the bound above holds
+//     unchanged.
+// The offset has slack: a fake path and the true path into the same state
+// share their inputs, so their coded bits differ by the fake start state's
+// zero-input response, at most 10 of the 12 bits of 6 steps (start state
+// 51). Every offset above 10*254 = 2540 is therefore exact too.
 //
 // ---- acs_double: IEEE-754 double ------------------------------------------
 //

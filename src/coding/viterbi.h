@@ -5,12 +5,16 @@
 // Two implementations share this header's traceback contract, and both run
 // their add-compare-select through the runtime-dispatched kernel layer in
 // coding/simd/viterbi_kernel.h:
-//   * ViterbiDecoder -- the double-precision reference below, the layer's
-//     `acs_double` op. Branch costs are |confidence - coded_bit| sums; exact,
-//     allocation-free via ViterbiWorkspace, identical on every kernel tier
-//     and still the arbiter for the repo's link-level goldens.
+//   * ViterbiDecoder -- the double-precision soft reference below, the
+//     layer's `acs_double` op. Branch costs are |confidence - coded_bit|
+//     sums; exact, allocation-free via ViterbiWorkspace, identical on every
+//     kernel tier and still the arbiter for the repo's link-level goldens
+//     and the tests' independent reference.
 //   * QuantizedViterbi (quantized_viterbi.h) -- the int16 `acs` op, which
-//     reuses viterbi_traceback() on the same packed decision words.
+//     reuses viterbi_traceback() on the same packed decision words. It is
+//     exact on hard decisions and erasures (confidences 0, 1/2 and 1; the
+//     argument is in viterbi_kernel.h), so the frame codec decodes every
+//     hard-decision frame on it and runs this decoder for soft frames only.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,12 @@
 // The receive-side coded pipeline, batched per frame across streams:
-//   demap -> deinterleave-soft -> depuncture -> (batched) Viterbi -> CRC.
+//   demap -> deinterleave -> depuncture -> (batched) Viterbi -> CRC.
 // One CodedPipeline owns the codec workspace all streams of a frame share,
-// so after the first frame the whole receive chain allocates nothing, and
-// the Viterbi kernel (double or quantized SIMD, per FrameConfig::viterbi)
-// runs back-to-back over the streams -- the hot loop the coded-throughput
-// bench measures.
+// so after the first frame of a shape the whole receive chain, CRC
+// included, allocates nothing (CodedPipeline.WarmFrameDecodesAllocateNothing
+// holds it to that), and the Viterbi kernel runs back-to-back over the
+// streams. Hard streams always decode on the int16 kernel (bit-identical to
+// the double decoder on hard decisions); soft streams decode on the one
+// FrameConfig::viterbi selects.
 //
 // Each stream is scored against its transmitted payload: exact bit errors,
 // and a CRC32 delivery check that emulates an in-band frame check sequence

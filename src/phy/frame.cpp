@@ -14,8 +14,11 @@ FrameCodec::FrameCodec(const FrameConfig& config)
 
 std::size_t FrameCodec::stream_bits() const {
   if (!config_.coded) return config_.payload_bits();
-  return puncturer_.punctured_length(
-      coding::ConvolutionalEncoder::coded_length(config_.payload_bits()));
+  return puncturer_.punctured_length(coded_bits());
+}
+
+std::size_t FrameCodec::coded_bits() const {
+  return coding::ConvolutionalEncoder::coded_length(config_.payload_bits());
 }
 
 std::size_t FrameCodec::ofdm_symbols_per_frame() const {
@@ -56,26 +59,18 @@ void FrameCodec::finish_decode(CodecWorkspace& ws, BitVector& out) const {
   if (!config_.coded) {
     // Uncoded: hard threshold the confidences, descramble, done. (Erasures
     // at exactly 0.5 fall to 0 -- arbitrary but deterministic.)
-    ws.decoded.resize(ws.stream.size());
-    for (std::size_t i = 0; i < ws.stream.size(); ++i)
-      ws.decoded[i] = ws.stream[i] > 0.5 ? 1u : 0u;
-    scrambler_.apply_in_place(ws.decoded);
-    out = ws.decoded;
-    return;
-  }
-
-  const std::size_t coded_bits =
-      coding::ConvolutionalEncoder::coded_length(config_.payload_bits());
-  puncturer_.depuncture(ws.stream, coded_bits, ws.depunctured);
-  if (config_.viterbi == ViterbiImpl::kQuantized) {
-    quantized_viterbi_.decode_soft(ws.depunctured.data(), ws.depunctured.size(),
-                                   ws.quantized, ws.decoded);
+    out.resize(ws.stream.size());
+    for (std::size_t i = 0; i < ws.stream.size(); ++i) out[i] = ws.stream[i] > 0.5 ? 1u : 0u;
   } else {
-    viterbi_.decode_soft(ws.depunctured.data(), ws.depunctured.size(), ws.viterbi,
-                         ws.decoded);
+    puncturer_.depuncture(ws.stream, coded_bits(), ws.depunctured);
+    if (config_.viterbi == ViterbiImpl::kQuantized) {
+      quantized_viterbi_.decode_soft(ws.depunctured.data(), ws.depunctured.size(),
+                                     ws.quantized, out);
+    } else {
+      viterbi_.decode_soft(ws.depunctured.data(), ws.depunctured.size(), ws.viterbi, out);
+    }
   }
-  scrambler_.apply_in_place(ws.decoded);
-  out = ws.decoded;
+  scrambler_.apply_in_place(out);
 }
 
 BitVector FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
@@ -101,23 +96,35 @@ void FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
   if (symbol_indices.size() != ofdm_symbols * config_.data_subcarriers)
     throw std::invalid_argument("FrameCodec::decode: symbol count mismatch");
 
+  // Each detected bit lands at its deinterleaved position as a quantized
+  // level, 0 or kQuantOne. On these levels and the depuncturer's erasures
+  // the int16 decoder returns exactly the double decoder's bits
+  // (coding/simd/viterbi_kernel.h), so hard frames skip both the double
+  // trellis and the quantize pass, whatever config_.viterbi says.
   const unsigned q = constellation_->bits_per_symbol();
-  // Hard decisions become 0/1 confidences so the coded back half can share
-  // the soft path (the reference decoder treats them identically).
-  ws.stream.resize(ofdm_symbols * per_symbol);
-  ws.block.resize(per_symbol);
+  const std::vector<std::size_t>& inverse = interleaver_.inverse();
+  ws.levels.resize(ofdm_symbols * per_symbol);
   std::uint8_t bits[8] = {};  // Q <= 8: 256-QAM is the largest supported order.
   for (std::size_t sym = 0; sym < ofdm_symbols; ++sym) {
+    std::int16_t* block = ws.levels.data() + sym * per_symbol;
     for (std::size_t sc = 0; sc < config_.data_subcarriers; ++sc) {
       constellation_->bits_from_index(symbol_indices[sym * config_.data_subcarriers + sc],
                                       bits);
-      for (unsigned b = 0; b < q; ++b) ws.block[sc * q + b] = bits[b] ? 1.0 : 0.0;
+      for (unsigned b = 0; b < q; ++b)
+        block[inverse[sc * q + b]] = static_cast<std::int16_t>(bits[b] * coding::simd::kQuantOne);
     }
-    interleaver_.deinterleave_soft(ws.block.data(), ws.stream.data() + sym * per_symbol);
   }
+  ws.levels.resize(stream_bits());  // Drop the padding region.
 
-  ws.stream.resize(stream_bits());  // Drop the padding region.
-  finish_decode(ws, out);
+  if (!config_.coded) {
+    out.resize(ws.levels.size());
+    for (std::size_t i = 0; i < ws.levels.size(); ++i) out[i] = ws.levels[i] != 0 ? 1u : 0u;
+  } else {
+    puncturer_.depuncture(ws.levels, coded_bits(), ws.depunctured_levels);
+    quantized_viterbi_.decode_levels(ws.depunctured_levels.data(),
+                                     ws.depunctured_levels.size(), ws.quantized, out);
+  }
+  scrambler_.apply_in_place(out);
 }
 
 void FrameCodec::decode_soft(const std::vector<double>& bit_confidences,

@@ -9,13 +9,16 @@
 //   * code: rate 1/2, 2/3 or 3/4 (punctured), or "none" -- an uncoded mode
 //     that keeps the scrambler and interleaver but skips the encoder,
 //     puncturer and Viterbi entirely (a raw-BER baseline).
-//   * viterbi: the double-precision decoder (default, the arbiter for the
-//     repo's goldens) or the quantized int16 decoder
-//     (coding/quantized_viterbi.h) the batched coded pipeline uses. Both
-//     run their add-compare-select through the coding/simd kernel layer.
+//   * viterbi: the soft decoder -- the double-precision decoder (default,
+//     the arbiter for the repo's goldens) or the quantized int16 decoder
+//     (coding/quantized_viterbi.h). Hard decisions always decode on the
+//     int16 kernel, which returns exactly the double decoder's bits on
+//     them, so this axis only matters for soft frames. Both decoders run
+//     their add-compare-select through the coding/simd kernel layer.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "coding/convolutional.h"
@@ -30,11 +33,13 @@
 
 namespace geosphere::phy {
 
-/// Which Viterbi implementation the receive chain runs. Both decode the
-/// same trellis with the same tie rule on the coding/simd kernel tiers:
-/// kDouble (the `acs_double` op) gives the same bits on every tier;
-/// kQuantized (the int16 `acs` op) trades <= 1/2-LSB branch-cost rounding
-/// for int16 lanes (16 butterflies per AVX2 register against 4).
+/// Which Viterbi implementation the soft receive chain (decode_soft) runs.
+/// Both decode the same trellis with the same tie rule on the coding/simd
+/// kernel tiers: kDouble (the `acs_double` op) gives the same bits on every
+/// tier; kQuantized (the int16 `acs` op) trades <= 1/2-LSB branch-cost
+/// rounding for int16 lanes (16 butterflies per AVX2 register against 4).
+/// The hard receive chain (decode) ignores it: on hard decisions and
+/// erasures the int16 op is exact, so both settings give the same bits.
 enum class ViterbiImpl { kDouble, kQuantized };
 
 struct FrameConfig {
@@ -43,7 +48,7 @@ struct FrameConfig {
   /// code_rate is ignored and the effective rate is 1.
   bool coded = true;
   coding::CodeRate code_rate = coding::CodeRate::kHalf;
-  ViterbiImpl viterbi = ViterbiImpl::kDouble;
+  ViterbiImpl viterbi = ViterbiImpl::kDouble;  ///< The soft decoder only.
   std::size_t payload_bytes = 1000;
   std::size_t data_subcarriers = 48;
 
@@ -77,16 +82,17 @@ struct EncodedFrame {
   }
 };
 
-/// Reusable receive-chain scratch: the deinterleaved confidence stream, the
-/// depuncture buffer and the decoder workspaces. Grown on first use, then
+/// Reusable receive-chain scratch: the deinterleaved stream and its
+/// depunctured copy (confidences on the soft path, int16 levels on the
+/// hard path) and the decoder workspaces. Grown on first use, then
 /// steady-state decodes of same-shape frames allocate nothing, hard or
 /// soft, on either Viterbi implementation. One per thread; shareable across
 /// codecs.
 struct CodecWorkspace {
   std::vector<double> stream;
   std::vector<double> depunctured;
-  std::vector<double> block;  ///< One OFDM symbol of hard bits as 0.0/1.0.
-  BitVector decoded;
+  std::vector<std::int16_t> levels;  ///< Hard bits as 0 / simd::kQuantOne.
+  std::vector<std::int16_t> depunctured_levels;
   coding::ViterbiWorkspace viterbi;
   coding::QuantizedViterbiWorkspace quantized;
 };
@@ -100,12 +106,16 @@ class FrameCodec {
   EncodedFrame encode(const BitVector& payload) const;
 
   /// Hard-decision receive chain: detected symbol indices -> payload bits.
+  /// The bits are demapped straight into deinterleaved int16 levels and
+  /// decoded by QuantizedViterbi::decode_levels, whatever config().viterbi
+  /// says (the result is the double decoder's, bit for bit).
   BitVector decode(const std::vector<unsigned>& symbol_indices,
                    std::size_t ofdm_symbols) const;
 
   /// Soft-decision receive chain: per-coded-bit confidences (probability
   /// that the bit is 1, in transmitted/interleaved order, Q consecutive
-  /// values per subcarrier) -> payload bits via the soft Viterbi decoder.
+  /// values per subcarrier) -> payload bits via the soft Viterbi decoder
+  /// config().viterbi selects.
   BitVector decode_soft(const std::vector<double>& bit_confidences,
                         std::size_t ofdm_symbols) const;
 
@@ -127,7 +137,9 @@ class FrameCodec {
  private:
   /// Transmitted (post-puncturing) bits per frame, before padding.
   std::size_t stream_bits() const;
-  /// Shared back half: ws.stream holds the stream_bits() kept confidences;
+  /// Mother-code (rate-1/2, tail included) bits per frame.
+  std::size_t coded_bits() const;
+  /// Soft back half: ws.stream holds the stream_bits() kept confidences;
   /// decodes + descrambles into `out`.
   void finish_decode(CodecWorkspace& ws, BitVector& out) const;
 

@@ -5,8 +5,16 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "coding/convolutional.h"
+#include "coding/interleaver.h"
+#include "coding/puncture.h"
+#include "coding/scrambler.h"
+#include "coding/viterbi.h"
 #include "common/rng.h"
+#include "link/coded_pipeline.h"
 #include "phy/fft.h"
 #include "phy/frame.h"
 #include "phy/ofdm.h"
@@ -282,11 +290,158 @@ TEST(FrameCodec, WarmDecodesAllocateNothing) {
   }
 }
 
+/// The hard receive chain on the double decoder, rebuilt from the coding
+/// layer without FrameCodec's decode code: 0/1 doubles, deinterleave_soft,
+/// depuncture (0.5 erasures), ViterbiDecoder::decode_soft, descramble.
+BitVector reference_hard_decode(const FrameConfig& cfg, const std::vector<unsigned>& symbols,
+                                std::size_t ofdm_symbols) {
+  const Constellation& c = Constellation::qam(cfg.qam_order);
+  const unsigned q = c.bits_per_symbol();
+  const std::size_t per_symbol = cfg.coded_bits_per_ofdm_symbol(c);
+  const coding::BlockInterleaver interleaver(per_symbol, q);
+  std::vector<double> stream;
+  std::vector<double> block(per_symbol);
+  BitVector bits(q);
+  for (std::size_t sym = 0; sym < ofdm_symbols; ++sym) {
+    for (std::size_t sc = 0; sc < cfg.data_subcarriers; ++sc) {
+      c.bits_from_index(symbols[sym * cfg.data_subcarriers + sc], bits.data());
+      for (unsigned b = 0; b < q; ++b) block[sc * q + b] = bits[b] ? 1.0 : 0.0;
+    }
+    const std::vector<double> deinterleaved = interleaver.deinterleave_soft(block);
+    stream.insert(stream.end(), deinterleaved.begin(), deinterleaved.end());
+  }
+
+  BitVector decoded;
+  if (!cfg.coded) {
+    stream.resize(cfg.payload_bits());
+    for (const double v : stream) decoded.push_back(v > 0.5 ? 1u : 0u);
+  } else {
+    const coding::Puncturer punct(cfg.code_rate);
+    const std::size_t coded_bits = coding::ConvolutionalEncoder::coded_length(cfg.payload_bits());
+    stream.resize(punct.punctured_length(coded_bits));
+    decoded = coding::ViterbiDecoder().decode_soft(punct.depuncture(stream, coded_bits));
+  }
+  return coding::Scrambler().apply(decoded);
+}
+
+TEST(FrameCodec, HardDecodeMatchesDoubleReference) {
+  // Hard frames decode on the int16 kernel whatever FrameConfig::viterbi
+  // says. Bit for bit, that must be the double decoder's answer on 0/1
+  // confidences with 0.5 erasures (the argument is in
+  // coding/simd/viterbi_kernel.h), at every QAM, code and error rate.
+  const coding::CodeRate rates[] = {coding::CodeRate::kHalf, coding::CodeRate::kTwoThirds,
+                                    coding::CodeRate::kThreeQuarters};
+  Rng rng(2014);
+  for (const unsigned qam : {4u, 16u, 64u, 256u}) {
+    for (std::size_t code = 0; code < 4; ++code) {
+      FrameConfig cfg;
+      cfg.qam_order = qam;
+      cfg.payload_bytes = 120;
+      cfg.coded = code < 3;
+      if (cfg.coded) cfg.code_rate = rates[code];
+      FrameConfig quantized_cfg = cfg;
+      quantized_cfg.viterbi = ViterbiImpl::kQuantized;
+      const FrameCodec codec(cfg);
+      const FrameCodec quantized_codec(quantized_cfg);
+      CodecWorkspace ws;
+      BitVector out;
+      for (const double symbol_error_rate : {0.0, 0.02, 0.1, 0.4}) {
+        for (int frame_index = 0; frame_index < 3; ++frame_index) {
+          const EncodedFrame frame = codec.encode(rng.bits(cfg.payload_bits()));
+          std::vector<unsigned> detected = frame.symbol_indices;
+          for (auto& index : detected) {
+            if (rng.uniform() >= symbol_error_rate) continue;
+            const auto shift = static_cast<unsigned>(rng.uniform_int(static_cast<int>(qam) - 1));
+            index = (index + 1 + shift) % qam;  // Any other symbol.
+          }
+
+          const std::string label =
+              "QAM " + std::to_string(qam) + ", code " +
+              (cfg.coded ? coding::code_rate_label(cfg.code_rate) : "none") +
+              ", symbol errors " + std::to_string(symbol_error_rate) + ", frame " +
+              std::to_string(frame_index);
+          const BitVector want = reference_hard_decode(cfg, detected, frame.ofdm_symbols);
+          ASSERT_EQ(want.size(), cfg.payload_bits()) << label;
+          if (symbol_error_rate == 0.0) {
+            ASSERT_EQ(want, frame.payload) << label;
+          }
+          codec.decode(detected, frame.ofdm_symbols, ws, out);
+          ASSERT_EQ(out, want) << "double setting, " << label;
+          quantized_codec.decode(detected, frame.ofdm_symbols, ws, out);
+          ASSERT_EQ(out, want) << "quantized setting, " << label;
+        }
+      }
+    }
+  }
+}
+
 TEST(FrameCodec, RejectsBadInputs) {
   FrameConfig cfg;
   FrameCodec codec(cfg);
   EXPECT_THROW(codec.encode(BitVector(7)), std::invalid_argument);
   EXPECT_THROW(codec.decode(std::vector<unsigned>(5), 1), std::invalid_argument);
+}
+
+// ---- Coded pipeline -----------------------------------------------------------
+
+TEST(CodedPipeline, WarmFrameDecodesAllocateNothing) {
+  // coded_pipeline.h's promise: after the first frame of a shape the whole
+  // receive chain -- demap, deinterleave, depuncture, Viterbi and the CRC
+  // verdict -- allocates nothing, hard or soft, on both Viterbi settings and
+  // at every code.
+  const coding::CodeRate rates[] = {coding::CodeRate::kHalf, coding::CodeRate::kTwoThirds,
+                                    coding::CodeRate::kThreeQuarters};
+  constexpr std::size_t kStreams = 4;
+  for (const ViterbiImpl impl : {ViterbiImpl::kDouble, ViterbiImpl::kQuantized}) {
+    for (std::size_t code = 0; code < 4; ++code) {
+      FrameConfig cfg;
+      cfg.qam_order = 64;
+      cfg.payload_bytes = 100;
+      cfg.viterbi = impl;
+      cfg.coded = code < 3;
+      if (cfg.coded) cfg.code_rate = rates[code];
+      const FrameCodec codec(cfg);
+      Rng rng(70 + code);
+
+      // Per stream: the encoded frame, its symbols with one error, and the
+      // same symbols' bits as 0/1 confidences in transmitted order.
+      const unsigned q = codec.constellation().bits_per_symbol();
+      std::vector<EncodedFrame> tx;
+      std::vector<std::vector<unsigned>> rx;
+      std::vector<std::vector<double>> rx_conf;
+      BitVector bits(q);
+      for (std::size_t k = 0; k < kStreams; ++k) {
+        tx.push_back(codec.encode(rng.bits(cfg.payload_bits())));
+        rx.push_back(tx.back().symbol_indices);
+        rx.back()[k * 7] ^= 1u;
+        std::vector<double> conf(rx.back().size() * q);
+        for (std::size_t i = 0; i < rx.back().size(); ++i) {
+          codec.constellation().bits_from_index(rx.back()[i], bits.data());
+          for (unsigned b = 0; b < q; ++b) conf[i * q + b] = bits[b] ? 1.0 : 0.0;
+        }
+        rx_conf.push_back(std::move(conf));
+      }
+
+      link::CodedPipeline pipeline;
+      std::vector<link::StreamDecodeResult> results;
+      const std::size_t syms = codec.ofdm_symbols_per_frame();
+      pipeline.decode_frame_hard(codec, rx, syms, tx, results);
+      pipeline.decode_frame_soft(codec, rx_conf, syms, tx, results);
+
+      const std::string label =
+          std::string(impl == ViterbiImpl::kDouble ? "double " : "quantized ") +
+          (cfg.coded ? coding::code_rate_label(cfg.code_rate) : "none");
+      std::size_t before = g_allocations.load();
+      pipeline.decode_frame_hard(codec, rx, syms, tx, results);
+      EXPECT_EQ(g_allocations.load() - before, 0u) << "hard frame, " << label;
+      ASSERT_EQ(results.size(), kStreams);
+
+      before = g_allocations.load();
+      pipeline.decode_frame_soft(codec, rx_conf, syms, tx, results);
+      EXPECT_EQ(g_allocations.load() - before, 0u) << "soft frame, " << label;
+      ASSERT_EQ(results.size(), kStreams);
+    }
+  }
 }
 
 }  // namespace

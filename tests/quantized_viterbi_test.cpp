@@ -1,16 +1,19 @@
 // Tests for the Viterbi kernel layer and the quantized batched Viterbi hot
 // path: cross-tier bit exactness of both ACS ops (scalar / SSE2 / AVX2), the
 // double op against the decoder loop it replaced, agreement of the quantized
-// decoder with the double-precision reference decoder, punctured round
-// trips, termination and erasure edge cases, and the allocation-free
+// decoder with the double-precision reference decoder (bit for bit on hard
+// decisions and erasures), punctured round trips, termination and erasure
+// edge cases, the quantizer's rounding and clamp, and the allocation-free
 // workspace API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coding/convolutional.h"
@@ -257,6 +260,100 @@ TEST(QuantizedViterbi, CleanChannelMatchesDoubleExactly) {
   }
 }
 
+/// Coded bits of a tail-terminated path that starts in encoder state
+/// `start`. For start != 0 the tail-terminated encoder cannot produce the
+/// stream: only a path from a fake start state explains it, which presses
+/// on the quantized decoder's start offset.
+BitVector encode_from(unsigned start, const BitVector& info) {
+  BitVector out;
+  unsigned state = start;
+  const auto push = [&](unsigned u) {
+    const unsigned window = (u << 6) | state;
+    out.push_back(static_cast<std::uint8_t>(parity(window & ConvolutionalEncoder::kG0)));
+    out.push_back(static_cast<std::uint8_t>(parity(window & ConvolutionalEncoder::kG1)));
+    state = (window >> 1) & 0x3Fu;
+  };
+  for (const auto b : info) push(b & 1u);
+  for (int t = 0; t < ConvolutionalEncoder::kTailBits; ++t) push(0);
+  return out;
+}
+
+TEST(QuantizedViterbi, HardAndErasureInputsMatchDoubleDecoder) {
+  // The exactness argument in viterbi_kernel.h, checked: on hard decisions
+  // (levels 0 / kQuantOne) and the depuncturer's erasures (kQuantErasure),
+  // decode_levels returns the bits the double decoder returns on the same
+  // stream as 0 / 1/2 / 1 confidences. Every hard-decision frame decodes
+  // through it. Streams: codewords with 0-50% flipped bits, constant and
+  // alternating streams, and codewords from every nonzero start state;
+  // rate 1/2 and the 2/3 and 3/4 erasure patterns; 6 (tail only) to 4006
+  // steps; every supported tier.
+  KernelOverrideGuard guard;
+  const ConvolutionalEncoder enc;
+  const ViterbiDecoder reference;
+  const QuantizedViterbi quantized;
+  QuantizedViterbiWorkspace ws;
+  Rng rng(2718);
+  BitVector got;
+
+  for (const std::size_t steps : {6u, 7u, 31u, 32u, 33u, 64u, 65u, 4006u}) {
+    const std::size_t info_bits = steps - ConvolutionalEncoder::kTailBits;
+    const std::size_t n = 2 * steps;
+    std::vector<std::pair<std::string, BitVector>> streams;
+    for (const double flip : {0.0, 0.01, 0.05, 0.1, 0.3, 0.5}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        BitVector coded = enc.encode(rng.bits(info_bits));
+        for (auto& b : coded) b = static_cast<std::uint8_t>(b ^ (rng.uniform() < flip ? 1u : 0u));
+        streams.emplace_back("flip rate " + std::to_string(flip), coded);
+      }
+    }
+    streams.emplace_back("all-zero", BitVector(n, 0));
+    streams.emplace_back("all-one", BitVector(n, 1));
+    BitVector alternating(n);
+    for (std::size_t i = 0; i < n; ++i) alternating[i] = static_cast<std::uint8_t>(i % 2);
+    streams.emplace_back("alternating", alternating);
+    // Codewords from nonzero start states, clean and noisy: only a
+    // fake-start path explains them, so they catch a start offset too small
+    // to be exact (any offset below 2540; see viterbi_kernel.h). The start
+    // acts on the first steps only, so the long frame skips them.
+    for (unsigned start = 1; start < 64 && steps <= 100; ++start) {
+      streams.emplace_back("start state " + std::to_string(start),
+                           encode_from(start, rng.bits(info_bits)));
+      for (const double flip : {0.05, 0.1, 0.2}) {
+        BitVector coded = encode_from(start, rng.bits(info_bits));
+        for (auto& b : coded) b = static_cast<std::uint8_t>(b ^ (rng.uniform() < flip ? 1u : 0u));
+        streams.emplace_back("start state " + std::to_string(start) + ", flip rate " +
+                                 std::to_string(flip),
+                             coded);
+      }
+    }
+
+    for (const CodeRate rate :
+         {CodeRate::kHalf, CodeRate::kTwoThirds, CodeRate::kThreeQuarters}) {
+      const Puncturer punct(rate);
+      for (const auto& [label, coded] : streams) {
+        const BitVector sent = punct.puncture(coded);
+        std::vector<double> conf(sent.size());
+        std::vector<std::int16_t> levels(sent.size());
+        for (std::size_t i = 0; i < sent.size(); ++i) {
+          conf[i] = sent[i] ? 1.0 : 0.0;
+          levels[i] = static_cast<std::int16_t>(sent[i] ? simd::kQuantOne : 0);
+        }
+        const std::vector<double> conf_full = punct.depuncture(conf, n);
+        std::vector<std::int16_t> levels_full;
+        punct.depuncture(levels, n, levels_full);
+
+        for (const auto* kernel : simd::supported_viterbi_kernels()) {
+          simd::set_viterbi_kernel_override(kernel->name);
+          quantized.decode_levels(levels_full.data(), levels_full.size(), ws, got);
+          ASSERT_EQ(got, reference.decode_soft(conf_full))
+              << "tier " << kernel->name << ", " << steps << " steps, rate "
+              << code_rate_label(rate) << ", " << label;
+        }
+      }
+    }
+  }
+}
+
 TEST(QuantizedViterbi, NoisyBerTracksDoubleDecoder) {
   // At 8-bit resolution the quantized decoder's coded BER may differ from
   // the double reference only marginally. Bound the absolute difference at
@@ -393,6 +490,18 @@ TEST(ViterbiWorkspace, ReferenceDecoderWorkspaceApiMatchesLegacyApi) {
   }
 }
 
+/// clamp(lround(c * 254), 0, 254), the quantizer's contract as lround
+/// computes it, where lround has a defined result. NaN and c * 254 <= -2^63
+/// give 0, as they did through glibc's LONG_MIN. +inf and c * 254 >= 2^63
+/// give 254: the clamp the contract states, where the lround quantizer
+/// returned 0.
+int lround_clamp_level(double c) {
+  const double x = c * static_cast<double>(simd::kQuantOne);
+  if (x >= 0x1p63) return simd::kQuantOne;
+  if (!(x > -0x1p63)) return 0;
+  return static_cast<int>(std::clamp<long>(std::lround(x), 0, simd::kQuantOne));
+}
+
 TEST(QuantizedViterbi, QuantizeLevels) {
   EXPECT_EQ(QuantizedViterbi::quantize(0.0), 0);
   EXPECT_EQ(QuantizedViterbi::quantize(1.0), simd::kQuantOne);
@@ -400,6 +509,59 @@ TEST(QuantizedViterbi, QuantizeLevels) {
   // Out-of-range inputs clamp instead of wrapping.
   EXPECT_EQ(QuantizedViterbi::quantize(-3.0), 0);
   EXPECT_EQ(QuantizedViterbi::quantize(7.0), simd::kQuantOne);
+  // Beyond long's range the clamp still holds (lround overflowed to 0 here).
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(QuantizedViterbi::quantize(inf), simd::kQuantOne);
+  EXPECT_EQ(QuantizedViterbi::quantize(1e300), simd::kQuantOne);
+  EXPECT_EQ(QuantizedViterbi::quantize(0x1p63 / 254.0), simd::kQuantOne);
+  EXPECT_EQ(QuantizedViterbi::quantize(-inf), 0);
+  EXPECT_EQ(QuantizedViterbi::quantize(std::numeric_limits<double>::quiet_NaN()), 0);
+
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                0.5,
+                                inf,
+                                -inf,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                1e300,
+                                -1e300,
+                                0x1p63 / 254.0,
+                                std::nextafter(0x1p63 / 254.0, 0.0),
+                                -0x1p63 / 254.0};
+  // The rounding edges of every half-level k + 1/2 (k = -1 .. 254), in the
+  // space the quantizer rounds in: c = (k + 1/2) / 254 and its neighbours,
+  // the largest c with c * 254 below the half-level, and the smallest two
+  // that reach it. (Truncating x + 0.5 misrounds x = 0.49999999999999994
+  // alone, and no double c has c * 254 equal to it.)
+  for (int k = -1; k <= simd::kQuantOne; ++k) {
+    const double half = k + 0.5;
+    const double c = half / 254.0;
+    values.insert(values.end(), {c, std::nextafter(c, -inf), std::nextafter(c, inf)});
+    double below = c, above = c;
+    while (below * 254.0 >= half) below = std::nextafter(below, -inf);
+    while (above * 254.0 < half) above = std::nextafter(above, inf);
+    values.insert(values.end(), {below, above, std::nextafter(above, inf)});
+  }
+  Rng rng(254);
+  for (int i = 0; i < 1000000; ++i) {
+    // Half around [0, 1], half arbitrary bit patterns (every magnitude,
+    // both zeros, subnormals, infinities and NaNs).
+    if (i % 2 == 0) {
+      values.push_back(rng.uniform(-0.1, 1.1));
+    } else {
+      const std::uint64_t bits = rng.engine()();
+      double x = 0.0;
+      std::memcpy(&x, &bits, sizeof x);
+      values.push_back(x);
+    }
+  }
+  for (const double c : values)
+    ASSERT_EQ(QuantizedViterbi::quantize(c), lround_clamp_level(c)) << "c = " << c;
 }
 
 }  // namespace

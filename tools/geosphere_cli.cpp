@@ -27,7 +27,8 @@
 // them all); channel names are ChannelSpec registry forms (`list-channels`
 // prints them all) -- a channel recorded with trace-record replays through
 // any command via --channel trace:FILE. serve specs are ServeSpec forms
-// (';'-separated cells of key=value pairs).
+// (';'-separated cells of key=value pairs). --viterbi picks the soft
+// decoder only: hard decisions decode to the same bits under both values.
 // Common flags: --threads N (default: all cores), --frames N, --seed N.
 // Flags accept both "--flag value" and "--flag=value".
 #include <cstdio>
@@ -163,7 +164,8 @@ channel::ChannelSpec channel_spec(const Args& args, const std::string& fallback)
   return channel::ChannelSpec::parse(args.get("channel", fallback));
 }
 
-/// The --viterbi flag: which decoder implementation coded runs use.
+/// The --viterbi flag: which decoder soft-decision coded runs use. Hard
+/// decisions always decode on the int16 kernel, bit-identical to double.
 phy::ViterbiImpl viterbi_impl(const Args& args) {
   const std::string v = args.get("viterbi", "double");
   if (v == "double") return phy::ViterbiImpl::kDouble;
@@ -548,7 +550,9 @@ void usage() {
        detectors +
        " kbest:K (list-detectors shows optional :PARAM forms and defaults)\n"
        "channels:  " +
-       channels + "\nrates:     " + rates)
+       channels + "\nrates:     " + rates +
+       "\n--viterbi: the soft-decision decoder (default double); hard decisions\n"
+       "           decode to the same bits under both values")
           .c_str());
 }
 
