@@ -2,26 +2,14 @@
 
 namespace geosphere::coding {
 
-namespace {
-
-unsigned parity(unsigned x) {
-  x ^= x >> 4;
-  x ^= x >> 2;
-  x ^= x >> 1;
-  return x & 1u;
-}
-
-}  // namespace
-
 BitVector ConvolutionalEncoder::encode(const BitVector& info) const {
   BitVector out;
   out.reserve(coded_length(info.size()));
-  unsigned state = 0;  // Bits 5..0 hold x[n-1]..x[n-6].
+  unsigned state = 0;
   const auto push = [&](unsigned input_bit) {
-    const unsigned window = (input_bit << 6) | state;  // Bit 6 = x[n].
-    out.push_back(static_cast<std::uint8_t>(parity(window & kG0)));
-    out.push_back(static_cast<std::uint8_t>(parity(window & kG1)));
-    state = (window >> 1) & 0x3Fu;
+    const unsigned pair = step(state, input_bit);
+    out.push_back(static_cast<std::uint8_t>(pair >> 1));
+    out.push_back(static_cast<std::uint8_t>(pair & 1u));
   };
   for (const auto b : info) push(b & 1u);
   for (int t = 0; t < kTailBits; ++t) push(0);

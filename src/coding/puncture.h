@@ -44,6 +44,8 @@ class Puncturer {
                   std::vector<std::int16_t>& out) const;
 
   CodeRate rate() const { return rate_; }
+  /// The pattern over the mother-code stream, repeating: 1 = transmit.
+  const std::vector<std::uint8_t>& pattern() const { return pattern_; }
 
  private:
   template <class T>

@@ -11,12 +11,14 @@ void draw_streams(const phy::FrameCodec& codec, Rng& rng, DrawnFrame& frame) {
     throw std::invalid_argument("draw_streams: link/frame subcarrier count mismatch");
   const linalg::CMatrix& h = frame.link.subcarriers.front();
   frame.tx.resize(h.cols());
-  for (phy::EncodedFrame& tx : frame.tx)
-    tx = codec.encode(rng.bits(codec.config().payload_bits()));
+  for (phy::EncodedFrame& tx : frame.tx) {
+    rng.bits(codec.config().payload_bits(), tx.payload);
+    codec.encode(tx);
+  }
   frame.noise.clear();
   if (frame.n0 > 0.0) {  // add_awgn semantics: no draws at non-positive variance.
     frame.noise.resize(codec.ofdm_symbols_per_frame() * nsc * h.rows());
-    for (cf64& v : frame.noise) v = rng.cgaussian(frame.n0);
+    rng.fill_cgaussian(frame.n0, frame.noise.data(), frame.noise.size());
   }
 }
 

@@ -40,7 +40,9 @@ struct DrawnFrame {
 /// The transmit half that follows the link draw: per stream, draws the
 /// payload bits and encodes them, then draws the symbol-major noise (no
 /// draws at n0 <= 0). `frame.link` and `frame.n0` must already be set;
-/// the stream and antenna counts come from the link's matrices.
+/// the stream and antenna counts come from the link's matrices. Payloads,
+/// symbols and noise are written into `frame`'s existing storage, so a
+/// warm frame of the same shape allocates nothing.
 void draw_streams(const phy::FrameCodec& codec, Rng& rng, DrawnFrame& frame);
 
 /// Detects and decodes drawn frames. Owns every per-frame workspace and

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "coding/convolutional.h"
+
 namespace geosphere::phy {
 
 FrameCodec::FrameCodec(const FrameConfig& config)
@@ -10,7 +12,23 @@ FrameCodec::FrameCodec(const FrameConfig& config)
       constellation_(&Constellation::qam(config.qam_order)),
       puncturer_(config.code_rate),
       interleaver_(config.data_subcarriers * Constellation::qam(config.qam_order).bits_per_symbol(),
-                   Constellation::qam(config.qam_order).bits_per_symbol()) {}
+                   Constellation::qam(config.qam_order).bits_per_symbol()) {
+  scramble_.assign(config_.payload_bits(), 0);
+  scrambler_.apply_in_place(scramble_);  // Scrambled zeros: the sequence itself.
+
+  const unsigned q = constellation_->bits_per_symbol();  // <= 8: 256-QAM is the largest.
+  const std::vector<std::size_t>& forward = interleaver_.forward();
+  bit_target_.resize(forward.size());
+  for (std::size_t k = 0; k < forward.size(); ++k)
+    bit_target_[k] = static_cast<std::uint32_t>((forward[k] / q) << 3 | (q - 1 - forward[k] % q));
+
+  index_of_word_.resize(std::size_t{1} << q);
+  std::uint8_t bits[8] = {};
+  for (unsigned word = 0; word < index_of_word_.size(); ++word) {
+    for (unsigned b = 0; b < q; ++b) bits[b] = static_cast<std::uint8_t>((word >> (q - 1 - b)) & 1u);
+    index_of_word_[word] = constellation_->index_from_bits(bits);
+  }
+}
 
 std::size_t FrameCodec::stream_bits() const {
   if (!config_.coded) return config_.payload_bits();
@@ -26,32 +44,75 @@ std::size_t FrameCodec::ofdm_symbols_per_frame() const {
   return (stream_bits() + per_symbol - 1) / per_symbol;
 }
 
-EncodedFrame FrameCodec::encode(const BitVector& payload) const {
+// Why the one pass equals the stage-by-stage chain (Scrambler::apply,
+// ConvolutionalEncoder::encode, Puncturer::puncture, zero pad,
+// BlockInterleaver::interleave per OFDM symbol, index_from_bits):
+//  * Scrambling XORs payload bit i with bit i of a sequence that depends
+//    only on the seed, so scramble_[i] (the scrambler applied to zeros)
+//    gives the same bits.
+//  * ConvolutionalEncoder::step is the encoder's own shift register, so
+//    each scrambled bit, then each of the 6 zero tail bits, yields the same
+//    (A, B) pair.
+//  * The puncturer walks its pattern over A0 B0 A1 B1 ... from position 0
+//    and keeps the bits where it reads 1; the pass walks the same pattern
+//    over the same stream, so the kept bits come out in the same order.
+//  * Kept bit p of the stream is bit k = p mod ncbps of OFDM symbol
+//    p / ncbps. The interleaver moves it to forward()[k] = sc * Q + b of
+//    that symbol's block, and index_from_bits reads subcarrier sc's bits
+//    b = 0..Q-1 MSB-first; the pass ORs it into bit Q-1-b of word sc.
+//    Each (sc, b) receives exactly one bit, since forward() is a bijection.
+//  * Padding bits are zero in the chain, so leaving them unset in the
+//    zeroed words is the same, and index_of_word_ is index_from_bits of
+//    each word's bits.
+void FrameCodec::encode(EncodedFrame& frame) const {
+  const BitVector& payload = frame.payload;
   if (payload.size() != config_.payload_bits())
     throw std::invalid_argument("FrameCodec::encode: payload size mismatch");
 
-  const BitVector scrambled = scrambler_.apply(payload);
-  BitVector stream =
-      config_.coded ? puncturer_.puncture(encoder_.encode(scrambled)) : scrambled;
+  const std::size_t nsc = config_.data_subcarriers;
+  const std::size_t per_symbol = bit_target_.size();
+  frame.punctured_bits = stream_bits();
+  frame.ofdm_symbols = ofdm_symbols_per_frame();
+  frame.symbol_indices.assign(frame.ofdm_symbols * nsc, 0u);
 
+  unsigned* block = frame.symbol_indices.data();  // This OFDM symbol's words.
+  std::size_t k = 0;                              // Bit position in the block.
+  const auto emit = [&](unsigned bit) {
+    const std::uint32_t target = bit_target_[k];
+    block[target >> 3] |= bit << (target & 7u);
+    if (++k == per_symbol) {
+      k = 0;
+      block += nsc;
+    }
+  };
+
+  if (!config_.coded) {
+    for (std::size_t i = 0; i < payload.size(); ++i) emit((payload[i] ^ scramble_[i]) & 1u);
+  } else {
+    using coding::ConvolutionalEncoder;
+    const std::vector<std::uint8_t>& pattern = puncturer_.pattern();
+    std::size_t p = 0;  // Position in the puncture pattern, wrapping.
+    unsigned state = 0;
+    const auto keep = [&](unsigned bit) {
+      if (pattern[p]) emit(bit);
+      if (++p == pattern.size()) p = 0;
+    };
+    const auto push = [&](unsigned input_bit) {
+      const unsigned pair = ConvolutionalEncoder::step(state, input_bit);
+      keep(pair >> 1);
+      keep(pair & 1u);
+    };
+    for (std::size_t i = 0; i < payload.size(); ++i) push((payload[i] ^ scramble_[i]) & 1u);
+    for (int t = 0; t < ConvolutionalEncoder::kTailBits; ++t) push(0);
+  }
+
+  for (unsigned& word : frame.symbol_indices) word = index_of_word_[word];
+}
+
+EncodedFrame FrameCodec::encode(const BitVector& payload) const {
   EncodedFrame frame;
   frame.payload = payload;
-  frame.punctured_bits = stream.size();
-
-  const std::size_t per_symbol = config_.coded_bits_per_ofdm_symbol(*constellation_);
-  frame.ofdm_symbols = (stream.size() + per_symbol - 1) / per_symbol;
-  stream.resize(frame.ofdm_symbols * per_symbol, 0);  // Zero pad bits.
-
-  const unsigned q = constellation_->bits_per_symbol();
-  frame.symbol_indices.reserve(frame.ofdm_symbols * config_.data_subcarriers);
-  for (std::size_t sym = 0; sym < frame.ofdm_symbols; ++sym) {
-    const BitVector block(stream.begin() + static_cast<std::ptrdiff_t>(sym * per_symbol),
-                          stream.begin() + static_cast<std::ptrdiff_t>((sym + 1) * per_symbol));
-    const BitVector interleaved = interleaver_.interleave(block);
-    for (std::size_t sc = 0; sc < config_.data_subcarriers; ++sc)
-      frame.symbol_indices.push_back(
-          constellation_->index_from_bits(&interleaved[sc * q]));
-  }
+  encode(frame);
   return frame;
 }
 

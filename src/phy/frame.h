@@ -1,7 +1,8 @@
 // Per-client PHY framing: the full 802.11-style transmit chain
 //   payload bits -> scramble -> convolutional encode -> puncture ->
 //   pad to OFDM symbols -> per-symbol interleave -> QAM map
-// and its inverse. In the uplink multi-user system every client runs an
+// (run as one pass over the payload, see FrameCodec::encode) and its
+// inverse. In the uplink multi-user system every client runs an
 // independent chain (one spatial stream each); the AP detects jointly and
 // decodes each client separately.
 //
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "coding/convolutional.h"
 #include "coding/interleaver.h"
 #include "coding/puncture.h"
 #include "coding/quantized_viterbi.h"
@@ -97,12 +97,24 @@ struct CodecWorkspace {
   coding::QuantizedViterbiWorkspace quantized;
 };
 
-/// Runs one client's transmit chain over `payload` (frame-level scrambler
-/// seeded per frame by the caller for reproducibility).
+/// Runs one client's transmit chain and its inverse for one FrameConfig.
+/// The scrambler uses its fixed default seed, so a frame's symbols depend
+/// only on its payload.
 class FrameCodec {
  public:
   explicit FrameCodec(const FrameConfig& config);
 
+  /// Encodes `frame.payload` (payload_bits() bits) into the rest of
+  /// `frame`, reusing its storage: a warm frame of the same shape
+  /// allocates nothing. One pass over the payload emits the coded bits of
+  /// the chain above in its order -- scramble, rate-1/2 encode with 6 tail
+  /// bits, puncture -- and ORs each one straight into the Q-bit word of
+  /// the subcarrier the block interleaver sends it to; a 2^Q-entry table
+  /// then maps each word to its symbol index. Padding bits stay zero. The
+  /// symbol indices are those of the stage-by-stage chain, bit for bit
+  /// (the argument is at the definition).
+  void encode(EncodedFrame& frame) const;
+  /// The same for a copy of `payload`.
   EncodedFrame encode(const BitVector& payload) const;
 
   /// Hard-decision receive chain: detected symbol indices -> payload bits.
@@ -145,12 +157,18 @@ class FrameCodec {
 
   FrameConfig config_;
   const Constellation* constellation_;
-  coding::ConvolutionalEncoder encoder_;
   coding::ViterbiDecoder viterbi_;
   coding::QuantizedViterbi quantized_viterbi_;
   coding::Puncturer puncturer_;
   coding::Scrambler scrambler_;
   coding::BlockInterleaver interleaver_;
+  /// The encoder's tables: the scrambler sequence over the payload; per
+  /// coded bit k of an OFDM symbol block, its interleaved subcarrier and bit
+  /// shift in that subcarrier's word, (sc << 3) | (Q - 1 - b); and the
+  /// symbol index of each Q-bit word (MSB = first bit).
+  BitVector scramble_;
+  std::vector<std::uint32_t> bit_target_;
+  std::vector<unsigned> index_of_word_;
 };
 
 }  // namespace geosphere::phy

@@ -36,7 +36,8 @@ namespace {
 
 /// One cell's frame in flight through a TTI: built by the schedule phase,
 /// received (detected and decoded) by one worker, folded into the cell's
-/// counters by the calling thread.
+/// counters by the calling thread. Kept across TTIs: draw_streams redraws
+/// the payloads, symbols and noise into `frame`'s existing storage.
 struct FrameJob {
   const phy::FrameCodec* codec = nullptr;  ///< nullptr: the cell is idle this TTI.
   link::DrawnFrame frame;

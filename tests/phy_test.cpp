@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <utility>
@@ -13,8 +14,10 @@
 #include "coding/puncture.h"
 #include "coding/scrambler.h"
 #include "coding/viterbi.h"
+#include "channel/rayleigh.h"
 #include "common/rng.h"
 #include "link/coded_pipeline.h"
+#include "link/frame_receiver.h"
 #include "phy/fft.h"
 #include "phy/frame.h"
 #include "phy/ofdm.h"
@@ -240,6 +243,73 @@ TEST(FrameCodec, HigherRatePuncturingShortensFrames) {
             FrameCodec(three_quarters).ofdm_symbols_per_frame());
 }
 
+/// The transmit chain stage by stage: scramble, encode, puncture, zero pad,
+/// interleave each OFDM symbol's block, map each subcarrier's Q bits.
+EncodedFrame reference_encode(const FrameConfig& cfg, const BitVector& payload) {
+  const Constellation& constellation = Constellation::qam(cfg.qam_order);
+  const BitVector scrambled = coding::Scrambler().apply(payload);
+  BitVector stream =
+      cfg.coded ? coding::Puncturer(cfg.code_rate)
+                      .puncture(coding::ConvolutionalEncoder().encode(scrambled))
+                : scrambled;
+  EncodedFrame frame;
+  frame.payload = payload;
+  frame.punctured_bits = stream.size();
+  const std::size_t per_symbol = cfg.coded_bits_per_ofdm_symbol(constellation);
+  frame.ofdm_symbols = (stream.size() + per_symbol - 1) / per_symbol;
+  stream.resize(frame.ofdm_symbols * per_symbol, 0);
+  const unsigned q = constellation.bits_per_symbol();
+  const coding::BlockInterleaver interleaver(per_symbol, q);
+  for (std::size_t sym = 0; sym < frame.ofdm_symbols; ++sym) {
+    const BitVector block(stream.begin() + static_cast<std::ptrdiff_t>(sym * per_symbol),
+                          stream.begin() + static_cast<std::ptrdiff_t>((sym + 1) * per_symbol));
+    const BitVector interleaved = interleaver.interleave(block);
+    for (std::size_t sc = 0; sc < cfg.data_subcarriers; ++sc)
+      frame.symbol_indices.push_back(constellation.index_from_bits(&interleaved[sc * q]));
+  }
+  return frame;
+}
+
+TEST(FrameCodec, EncodeMatchesReferenceChain) {
+  // The one-pass encoder against the stage-by-stage chain, through the
+  // returning wrapper and through one EncodedFrame reused across every
+  // shape. Uncoded 144 B fills its last OFDM symbol exactly at every QAM.
+  const std::size_t payload_bytes[] = {1, 2, 3, 13, 100, 500, 1500, 144};
+  EncodedFrame reused;
+  std::size_t exact_fills = 0;
+  for (const unsigned qam : {4u, 16u, 64u, 256u}) {
+    for (const char* code : {"1/2", "2/3", "3/4", "none"}) {
+      for (const std::size_t bytes : payload_bytes) {
+        FrameConfig cfg;
+        cfg.qam_order = qam;
+        cfg.payload_bytes = bytes;
+        cfg.set_code(coding::CodeSpec::parse(code));
+        const FrameCodec codec(cfg);
+        for (std::uint64_t trial = 0; trial < 3; ++trial) {
+          SCOPED_TRACE(std::to_string(qam) + "-QAM, code " + code + ", " +
+                       std::to_string(bytes) + " B, trial " + std::to_string(trial));
+          Rng rng(Rng::derive_seed(qam, bytes, trial));
+          const BitVector payload = rng.bits(cfg.payload_bits());
+          const EncodedFrame want = reference_encode(cfg, payload);
+          const EncodedFrame got = codec.encode(payload);
+          reused.payload = payload;
+          codec.encode(reused);
+          for (const EncodedFrame* frame : {&got, static_cast<const EncodedFrame*>(&reused)}) {
+            EXPECT_EQ(frame->payload, want.payload);
+            EXPECT_EQ(frame->ofdm_symbols, want.ofdm_symbols);
+            EXPECT_EQ(frame->punctured_bits, want.punctured_bits);
+            ASSERT_EQ(frame->symbol_indices, want.symbol_indices);
+          }
+          if (want.punctured_bits ==
+              want.ofdm_symbols * cfg.coded_bits_per_ofdm_symbol(codec.constellation()))
+            ++exact_fills;
+        }
+      }
+    }
+  }
+  EXPECT_GE(exact_fills, 4u * 3u);  // At least uncoded 144 B at every QAM.
+}
+
 TEST(FrameCodec, WarmDecodesAllocateNothing) {
   // CodecWorkspace's promise: once a workspace has decoded one frame of a
   // shape, the next hard or soft decode of that shape allocates nothing, on
@@ -440,6 +510,65 @@ TEST(CodedPipeline, WarmFrameDecodesAllocateNothing) {
       pipeline.decode_frame_soft(codec, rx_conf, syms, tx, results);
       EXPECT_EQ(g_allocations.load() - before, 0u) << "soft frame, " << label;
       ASSERT_EQ(results.size(), kStreams);
+    }
+  }
+}
+
+// ---- Transmit half -------------------------------------------------------------
+
+TEST(LinkDraw, WarmDrawStreamsAllocatesNothing) {
+  // draw_streams' promise: drawn again into a frame of the same shape, the
+  // payloads, symbols and noise reuse the frame's storage -- and come out
+  // exactly as drawn into a fresh frame. One frame goes through every shape.
+  struct Shape {
+    unsigned qam;
+    const char* code;
+    std::size_t payload_bytes;
+    std::size_t streams;
+    double n0;
+  };
+  const Shape shapes[] = {{64, "1/2", 500, 4, 0.01},
+                          {16, "3/4", 100, 2, 0.2},
+                          {4, "none", 60, 3, 0.5},
+                          {256, "2/3", 1500, 4, 0.0}};
+  link::DrawnFrame frame;
+  for (const Shape& s : shapes) {
+    FrameConfig cfg;
+    cfg.qam_order = s.qam;
+    cfg.payload_bytes = s.payload_bytes;
+    cfg.set_code(coding::CodeSpec::parse(s.code));
+    const FrameCodec codec(cfg);
+    const std::string label = std::to_string(s.qam) + "-QAM " + s.code;
+    Rng link_rng(s.qam);
+    frame.link = channel::RayleighChannel(4, s.streams).draw_link(link_rng, cfg.data_subcarriers);
+    frame.n0 = s.n0;
+
+    Rng warm_up(1);
+    link::draw_streams(codec, warm_up, frame);
+    Rng rng(2);
+    const std::size_t before = g_allocations.load();
+    link::draw_streams(codec, rng, frame);
+    EXPECT_EQ(g_allocations.load() - before, 0u) << label;
+
+    link::DrawnFrame fresh;
+    fresh.link = frame.link;
+    fresh.n0 = frame.n0;
+    Rng fresh_rng(2);
+    link::draw_streams(codec, fresh_rng, fresh);
+    ASSERT_EQ(frame.tx.size(), s.streams) << label;
+    for (std::size_t k = 0; k < s.streams; ++k) {
+      EXPECT_EQ(frame.tx[k].payload, fresh.tx[k].payload) << label;
+      EXPECT_EQ(frame.tx[k].symbol_indices, fresh.tx[k].symbol_indices) << label;
+      EXPECT_EQ(frame.tx[k].ofdm_symbols, fresh.tx[k].ofdm_symbols) << label;
+      EXPECT_EQ(frame.tx[k].punctured_bits, fresh.tx[k].punctured_bits) << label;
+    }
+    ASSERT_EQ(frame.noise.size(), fresh.noise.size()) << label;
+    EXPECT_EQ(frame.noise.size(), s.n0 > 0.0 ? codec.ofdm_symbols_per_frame() * 48 * 4 : 0u);
+    if (!frame.noise.empty()) {
+      EXPECT_EQ(std::memcmp(frame.noise.data(), fresh.noise.data(),
+                            frame.noise.size() * sizeof(cf64)),
+                0)
+          << label;
     }
   }
 }
