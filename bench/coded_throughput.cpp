@@ -15,8 +15,8 @@
 //    floor asserted by CI on the committed JSON is >= 3x at every point
 //    (the widest compiled kernel tier; the host block records which).
 //  * a per-tier section timing every compiled-and-supported kernel tier
-//    (scalar / sse2 / avx2) on one fixed workload, so the ISA scaling of
-//    the add-compare-select kernel is visible in the baseline.
+//    (scalar / avx2) on one fixed workload, so the ISA scaling of the
+//    add-compare-select kernel is visible in the baseline.
 //
 // The workload is decoder-level on purpose: binary-input AWGN confidences
 // (the exact posterior 1/(1+exp(-2y/sigma^2)) for BPSK at noise sigma),

@@ -1,7 +1,7 @@
 // Quantized soft-decision Viterbi decoder: the SIMD hot path behind the
 // coded pipeline. Confidences in [0, 1] are quantized once to int16 levels
 // (0.5 erasures land exactly on the midpoint 127), then a runtime-dispatched
-// add-compare-select kernel (scalar / SSE2 / AVX2, all bit-identical -- see
+// add-compare-select kernel (scalar or AVX2, bit-identical -- see
 // coding/simd/viterbi_kernel.h) sweeps the 64-state trellis, and the packed
 // decision words feed the same traceback as the double-precision
 // ViterbiDecoder.

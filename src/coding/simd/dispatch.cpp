@@ -4,16 +4,13 @@
 
 namespace geosphere::coding::simd {
 
-namespace detail {  // Defined by the kernel TUs; nullptr when built without the ISA.
-const ViterbiKernel* sse2_viterbi_kernel_or_null();
+namespace detail {  // Defined by the AVX2 TU; nullptr when built without the ISA.
 const ViterbiKernel* avx2_viterbi_kernel_or_null();
 }  // namespace detail
 
 namespace {
-using Dispatch =
-    dispatch::KernelDispatch<ViterbiKernel, scalar_viterbi_kernel,
-                             detail::sse2_viterbi_kernel_or_null,
-                             detail::avx2_viterbi_kernel_or_null>;
+using Dispatch = dispatch::KernelDispatch<ViterbiKernel, scalar_viterbi_kernel,
+                                          detail::avx2_viterbi_kernel_or_null>;
 }  // namespace
 
 std::vector<const ViterbiKernel*> compiled_viterbi_kernels() { return Dispatch::compiled(); }

@@ -44,7 +44,7 @@
 // exact horizontal minimum every kRenormInterval = 32 steps; the worst-case
 // running metric is 8192 + 32*508 = 24448 < 32767, so plain wrapping int16
 // adds never overflow and every tier's arithmetic is exact integer math --
-// bit-identical across scalar/SSE2/AVX2 by construction, locked by
+// bit-identical across scalar and AVX2 by construction, locked by
 // tests/quantized_viterbi_test.cpp.
 //
 // Exact on hard decisions and erasures. On confidences in {0, 1/2, 1}
@@ -110,13 +110,10 @@
 //
 // Tiers: the scalar function is branch-free and defines the bits; AVX2 runs
 // 4 butterflies per register (unpack + permute4x64 even/odd deinterleave,
-// blend selects, movemask decision words). The SSE2 tier runs the scalar
-// function. A bit-identical 2-lane SSE2 version measured 1.7-1.9x over
-// scalar in a standalone micro-benchmark (4-core Xeon, gcc 12.2; AVX2 ran
-// 2.3-4x there), but every benchmark workload runs the AVX2 tier, so no
-// measurement would guard a third implementation. All three TUs are built
+// blend selects, movemask decision words), 2.3-4x over scalar in a
+// standalone micro-benchmark (4-core Xeon, gcc 12.2). Both TUs are built
 // with -ffp-contract=off (CMakeLists.txt), and
-// tests/quantized_viterbi_test.cpp holds every tier to that reference loop
+// tests/quantized_viterbi_test.cpp holds both tiers to that reference loop
 // byte for byte.
 #pragma once
 
@@ -163,7 +160,7 @@ inline constexpr auto kPolarity0 = detail::make_polarity(ConvolutionalEncoder::k
 inline constexpr auto kPolarity1 = detail::make_polarity(ConvolutionalEncoder::kG1);
 
 struct ViterbiKernel {
-  /// Tier name: "scalar", "sse2" or "avx2" (the GEOSPHERE_KERNEL spellings).
+  /// Tier name: "scalar" or "avx2" (the GEOSPHERE_KERNEL spellings).
   const char* name;
 
   /// The quantized int16 ACS recursion over `steps` trellis steps.
@@ -185,13 +182,5 @@ struct ViterbiKernel {
   void (*acs_double)(const double* confidence, std::size_t steps, double* metric,
                      double* scratch, std::uint64_t* decisions);
 };
-
-namespace detail {
-
-/// The scalar tier's acs_double, which the SSE2 tier shares.
-void acs_double_scalar(const double* confidence, std::size_t steps, double* metric,
-                       double* scratch, std::uint64_t* decisions);
-
-}  // namespace detail
 
 }  // namespace geosphere::coding::simd

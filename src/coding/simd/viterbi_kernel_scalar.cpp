@@ -1,8 +1,8 @@
 // Portable scalar reference for both Viterbi ACS ops: the bit-exactness
-// anchor the SSE2/AVX2 tiers are held to. The int16 op is integer
-// arithmetic on a fixed renormalization schedule, so "bit-exact" needs no
-// floating-point pinning there -- the SIMD tiers only have to perform the
-// same adds, compares and the same tie rule. The double op follows the
+// anchor the AVX2 tier is held to. The int16 op is integer arithmetic on a
+// fixed renormalization schedule, so "bit-exact" needs no floating-point
+// pinning there -- the AVX2 tier only has to perform the same adds,
+// compares and the same tie rule. The double op follows the
 // operation sequence in viterbi_kernel.h, branch-free, in a TU built with
 // -ffp-contract=off.
 #include "coding/simd/viterbi_kernel.h"
@@ -53,10 +53,6 @@ void acs_scalar(const std::int16_t* quantized, std::size_t steps, std::int16_t* 
   if (cur != metric) std::memcpy(metric, cur, 64 * sizeof(std::int16_t));
 }
 
-}  // namespace
-
-namespace detail {
-
 void acs_double_scalar(const double* confidence, std::size_t steps, double* metric,
                        double* scratch, std::uint64_t* decisions) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -92,10 +88,10 @@ void acs_double_scalar(const double* confidence, std::size_t steps, double* metr
   if (cur != metric) std::memcpy(metric, cur, 64 * sizeof(double));
 }
 
-}  // namespace detail
+}  // namespace
 
 const ViterbiKernel& scalar_viterbi_kernel() {
-  static constexpr ViterbiKernel k{"scalar", acs_scalar, detail::acs_double_scalar};
+  static constexpr ViterbiKernel k{"scalar", acs_scalar, acs_double_scalar};
   return k;
 }
 

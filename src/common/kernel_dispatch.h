@@ -2,15 +2,21 @@
 // src/detect/prepare/simd, src/coding/simd): which tier of a layer's kernel
 // table runs in this process.
 //
+// Every layer has two tiers: the portable scalar reference, which defines
+// the bits and runs everywhere, and AVX2, chosen by cpuid. A tier earns its
+// place only when a benchmark workload runs it, since only then does a
+// measurement guard the code; every workload runs AVX2, so a host without
+// it runs the scalar tier (the same bits, slower).
+//
 // Selection order:
 //   1. A programmatic override (each layer's set_*_override, used by parity
 //      tests and benches).
-//   2. The GEOSPHERE_KERNEL environment variable: "scalar", "sse2", "avx2",
-//      or "auto" (unknown / unsupported names throw on first use -- a typo
+//   2. The GEOSPHERE_KERNEL environment variable: "scalar", "avx2" or
+//      "auto" (unknown / unsupported names throw on first use -- a typo
 //      must not silently fall back to a different tier). The one variable
 //      pins every layer, so GEOSPHERE_KERNEL=scalar pins the whole binary.
-//   3. Auto: the widest kernel that is both compiled into the binary and
-//      supported by the host CPU (cpuid-checked for AVX2).
+//   3. Auto: AVX2 when it is compiled into the binary and the host CPU
+//      supports it (cpuid), else scalar.
 //
 // The scalar reference kernel is always compiled and always supported; it
 // is the tier golden comparisons pin and the only tier on non-x86 builds.
@@ -37,17 +43,16 @@ std::invalid_argument unknown_tier(const std::string& who, const std::string& na
                                    const std::vector<const char*>& valid);
 
 /// The tiers of one layer's kernel table and the choice among them.
-/// `Kernel` is any table with a `const char* name`; `Sse2` and `Avx2`
-/// return nullptr when their translation unit was built without the ISA.
-template <class Kernel, const Kernel& (*Scalar)(), const Kernel* (*Sse2)(),
-          const Kernel* (*Avx2)()>
+/// `Kernel` is any table with a `const char* name`; `Avx2` returns nullptr
+/// when its translation unit was built without the ISA.
+template <class Kernel, const Kernel& (*Scalar)(), const Kernel* (*Avx2)()>
 class KernelDispatch {
  public:
-  /// Every kernel compiled into this binary, scalar first, widest last.
+  /// Every kernel compiled into this binary: scalar, then AVX2 if built.
   static std::vector<const Kernel*> compiled() { return tiers(false); }
 
-  /// The compiled kernels the host CPU can execute, scalar first, widest
-  /// last: the menu GEOSPHERE_KERNEL and the override select from.
+  /// The compiled kernels the host CPU can execute, scalar first: the menu
+  /// GEOSPHERE_KERNEL and the override select from.
   static std::vector<const Kernel*> supported() { return tiers(true); }
 
   /// Override, else the env/auto choice. That choice is resolved once per
@@ -69,9 +74,7 @@ class KernelDispatch {
  private:
   static std::vector<const Kernel*> tiers(bool host_only) {
     std::vector<const Kernel*> out{&Scalar()};
-    // SSE2 is part of the x86-64 baseline, so compiled implies supported;
     // AVX2 is compiled whenever the compiler can, and gated here by cpuid.
-    if (const Kernel* k = Sse2()) out.push_back(k);
     if (const Kernel* k = Avx2(); k != nullptr && (!host_only || cpu_has_avx2()))
       out.push_back(k);
     return out;

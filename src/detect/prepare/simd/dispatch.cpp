@@ -4,14 +4,12 @@
 
 namespace geosphere::prepare::simd {
 
-namespace detail {  // Defined by the kernel TUs; nullptr when built without the ISA.
-const Kernel* sse2_kernel_or_null();
+namespace detail {  // Defined by the AVX2 TU; nullptr when built without the ISA.
 const Kernel* avx2_kernel_or_null();
 }  // namespace detail
 
 namespace {
-using Dispatch = dispatch::KernelDispatch<Kernel, scalar_kernel, detail::sse2_kernel_or_null,
-                                          detail::avx2_kernel_or_null>;
+using Dispatch = dispatch::KernelDispatch<Kernel, scalar_kernel, detail::avx2_kernel_or_null>;
 }  // namespace
 
 std::vector<const Kernel*> compiled_kernels() { return Dispatch::compiled(); }

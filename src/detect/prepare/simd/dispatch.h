@@ -13,11 +13,11 @@ namespace geosphere::prepare::simd {
 /// The always-available portable reference kernel (width 1).
 const Kernel& scalar_kernel();
 
-/// Every kernel compiled into this binary, scalar first, widest last.
+/// Every kernel compiled into this binary: scalar, then AVX2 if built.
 std::vector<const Kernel*> compiled_kernels();
 
-/// The compiled kernels the host CPU can execute, scalar first, widest
-/// last.
+/// The compiled kernels the host CPU can execute: scalar, then AVX2 if the
+/// host has it.
 std::vector<const Kernel*> supported_kernels();
 
 /// The kernel the batched-prepare drivers use right now. Throws
@@ -25,7 +25,7 @@ std::vector<const Kernel*> supported_kernels();
 /// unsupported kernel.
 const Kernel& active_kernel();
 
-/// Force a tier by name ("scalar"/"sse2"/"avx2"), or pass nullptr to
+/// Force a tier by name ("scalar"/"avx2"), or pass nullptr to
 /// restore the default env/auto selection. Throws std::invalid_argument for
 /// names not in supported_kernels(). A test/bench hook.
 void set_kernel_override(const char* name);

@@ -40,10 +40,9 @@ namespace geosphere::prepare::simd {
 inline constexpr std::size_t kMaxLanes = 8;
 
 struct Kernel {
-  /// Tier name: "scalar", "sse2", or "avx2" (also the GEOSPHERE_KERNEL
-  /// spellings).
+  /// Tier name: "scalar" or "avx2" (also the GEOSPHERE_KERNEL spellings).
   const char* name;
-  /// Matrices one vector register covers (1, 2, or 4 lanes).
+  /// Matrices one vector register covers (1 or 4 lanes).
   std::size_t width;
 
   /// Householder reflector application (qr.cpp apply_reflector_to_column)

@@ -8,11 +8,12 @@
 //
 // Bit-identity contract: every operation is specified as an exact IEEE-754
 // sequence -- one rounding per arithmetic op, no FMA contraction, operands
-// in the documented order -- and every tier implements exactly that
-// sequence (scalar loops, SSE2 pairs, AVX2 quads all perform the identical
-// per-element mul/add/sub/div). Lanes never interact arithmetically, so
-// every kernel tier produces bit-identical results to the scalar reference;
-// tiers differ only in how many lanes one instruction covers. The kernel
+// in the documented order -- and both tiers implement exactly that
+// sequence (scalar loops and AVX2 quads perform the identical per-element
+// mul/add/sub/div). Lanes never interact arithmetically, so the AVX2 tier
+// produces bit-identical results to the scalar reference; the tiers differ
+// only in how many lanes one instruction covers (common/kernel_dispatch.h
+// says why there are two). The kernel
 // translation units are compiled with -ffp-contract=off so this holds even
 // under GEOSPHERE_NATIVE. Parity is locked by tests
 // (tests/sphere_kernel_test.cpp) at both the op level and the full-detector
@@ -28,10 +29,9 @@ namespace geosphere::sphere::simd {
 inline constexpr std::size_t kMaxLanes = 8;
 
 struct Kernel {
-  /// Tier name: "scalar", "sse2", or "avx2" (also the GEOSPHERE_KERNEL
-  /// spellings).
+  /// Tier name: "scalar" or "avx2" (also the GEOSPHERE_KERNEL spellings).
   const char* name;
-  /// Lanes one vector register covers (1, 2, or 4 doubles).
+  /// Lanes one vector register covers (1 or 4 doubles).
   std::size_t width;
 
   /// out[i] = num[i] / den[i] -- sphere budgets ((radius - pd) / scale) and
@@ -56,9 +56,9 @@ struct Kernel {
   /// -- the exact finite-operand sequence of std::complex<double> operator*
   /// followed by operator+=. The interleaved layout lets the batched
   /// rotation (rotate.h) read std::complex rows in place, no deinterleave
-  /// pass; SIMD tiers compute the subtraction as an exact sign-flip-then-
-  /// add (IEEE x - y == x + (-y), bit for bit), packing one (SSE2) or two
-  /// (AVX2) complex values per register. Each received vector is a lane;
+  /// pass; the AVX2 tier computes the subtraction as an exact sign-flip-
+  /// then-add (IEEE x - y == x + (-y), bit for bit), packing two complex
+  /// values per register. Each received vector is a lane;
   /// n is the batch size, not bounded by kMaxLanes (the ops loop over any
   /// n).
   void (*cmul_accum)(double a_re, double a_im, const double* b, double* acc,

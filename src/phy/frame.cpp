@@ -4,8 +4,20 @@
 #include <stdexcept>
 
 #include "coding/convolutional.h"
+#include "coding/scrambler.h"
 
 namespace geosphere::phy {
+
+namespace {
+
+/// Descrambles decoded payload bits with the scrambler sequence: the same
+/// XOR encode applies (see the argument above it). Every decode path
+/// returns payload_bits() bits, the sequence's length.
+void descramble(const BitVector& sequence, BitVector& bits) {
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] ^= sequence[i];
+}
+
+}  // namespace
 
 FrameCodec::FrameCodec(const FrameConfig& config)
     : config_(config),
@@ -14,7 +26,7 @@ FrameCodec::FrameCodec(const FrameConfig& config)
       interleaver_(config.data_subcarriers * Constellation::qam(config.qam_order).bits_per_symbol(),
                    Constellation::qam(config.qam_order).bits_per_symbol()) {
   scramble_.assign(config_.payload_bits(), 0);
-  scrambler_.apply_in_place(scramble_);  // Scrambled zeros: the sequence itself.
+  coding::Scrambler().apply_in_place(scramble_);  // Scrambled zeros: the sequence itself.
 
   const unsigned q = constellation_->bits_per_symbol();  // <= 8: 256-QAM is the largest.
   const std::vector<std::size_t>& forward = interleaver_.forward();
@@ -131,7 +143,7 @@ void FrameCodec::finish_decode(CodecWorkspace& ws, BitVector& out) const {
       viterbi_.decode_soft(ws.depunctured.data(), ws.depunctured.size(), ws.viterbi, out);
     }
   }
-  scrambler_.apply_in_place(out);
+  descramble(scramble_, out);
 }
 
 BitVector FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
@@ -185,7 +197,7 @@ void FrameCodec::decode(const std::vector<unsigned>& symbol_indices,
     quantized_viterbi_.decode_levels(ws.depunctured_levels.data(),
                                      ws.depunctured_levels.size(), ws.quantized, out);
   }
-  scrambler_.apply_in_place(out);
+  descramble(scramble_, out);
 }
 
 void FrameCodec::decode_soft(const std::vector<double>& bit_confidences,

@@ -25,7 +25,6 @@
 #include "coding/interleaver.h"
 #include "coding/puncture.h"
 #include "coding/quantized_viterbi.h"
-#include "coding/scrambler.h"
 #include "coding/spec.h"
 #include "coding/viterbi.h"
 #include "common/types.h"
@@ -160,12 +159,12 @@ class FrameCodec {
   coding::ViterbiDecoder viterbi_;
   coding::QuantizedViterbi quantized_viterbi_;
   coding::Puncturer puncturer_;
-  coding::Scrambler scrambler_;
   coding::BlockInterleaver interleaver_;
-  /// The encoder's tables: the scrambler sequence over the payload; per
-  /// coded bit k of an OFDM symbol block, its interleaved subcarrier and bit
-  /// shift in that subcarrier's word, (sc << 3) | (Q - 1 - b); and the
-  /// symbol index of each Q-bit word (MSB = first bit).
+  /// The scrambler sequence over the payload, which both encode and the
+  /// decoders XOR in; then the encoder's tables: per coded bit k of an OFDM
+  /// symbol block, its interleaved subcarrier and bit shift in that
+  /// subcarrier's word, (sc << 3) | (Q - 1 - b); and the symbol index of
+  /// each Q-bit word (MSB = first bit).
   BitVector scramble_;
   std::vector<std::uint32_t> bit_target_;
   std::vector<unsigned> index_of_word_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "coding/spec.h"
 #include "common/rng.h"
 #include "link/rate_adapt.h"
 #include "link/user_selection.h"
@@ -19,6 +20,15 @@ namespace {
 constexpr std::size_t kProbePayloadBytes = 100;
 
 }  // namespace
+
+phy::FrameConfig cell_frame_config(const CellSpec& cell, unsigned qam) {
+  phy::FrameConfig cfg;
+  cfg.qam_order = qam;
+  cfg.payload_bytes = cell.payload_bytes;
+  cfg.set_code(coding::CodeSpec::parse(cell.code));
+  cfg.viterbi = phy::ViterbiImpl::kQuantized;  // The int16 kernels; bit-identical across tiers.
+  return cfg;
+}
 
 CellScheduler::CellScheduler(const CellSpec& spec, std::uint64_t master_seed,
                              std::size_t cell_index)
@@ -124,6 +134,8 @@ CellSchedule CellScheduler::schedule_tti(std::uint64_t tti) {
     out.qam = spec_.qams.front();
   } else {
     link::LinkScenario probe;
+    // best_rate sets each candidate's QAM.
+    probe.frame = cell_frame_config(spec_, spec_.qams.front());
     probe.frame.payload_bytes = std::min(spec_.payload_bytes, kProbePayloadBytes);
     probe.snr_db = out.snr_db;
     const std::uint64_t probe_seed = rng.engine()();

@@ -5,7 +5,8 @@
 // picks the group's QAM order from the cell's candidate list by probing
 // with one short frame per candidate that can still win (ideal rate
 // adaptation, emulated cheaply: a candidate whose error-free throughput
-// cannot beat the best probed so far is never simulated).
+// cannot beat the best probed so far is never simulated). A probe frame is
+// the cell's own frame (cell_frame_config), cut to a short payload.
 //
 // Every random decision derives from (master seed, cell index, TTI) alone
 // -- never from thread count or execution order -- so two schedulers with
@@ -21,9 +22,16 @@
 #include "channel/channel_model.h"
 #include "channel/spec.h"
 #include "detect/spec.h"
+#include "phy/frame.h"
 #include "serve/spec.h"
 
 namespace geosphere::serve {
+
+/// The frame a cell transmits at `qam`: the cell's payload and code, soft
+/// frames decoded on the int16 kernel. Server::run encodes and decodes
+/// every frame with it, and the rate probe simulates it with a shorter
+/// payload, so a cell's QAM is chosen by the decoder its frames run.
+phy::FrameConfig cell_frame_config(const CellSpec& cell, unsigned qam);
 
 /// One TTI's decision for one cell: which users transmit (one spatial
 /// stream each, jointly detected as one MU-MIMO frame) at which QAM.

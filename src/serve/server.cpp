@@ -106,15 +106,9 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
       if (sched.users.empty()) return;  // Idle TTI: nothing queued.
 
       auto codec_it = codecs[c].find(sched.qam);
-      if (codec_it == codecs[c].end()) {
-        phy::FrameConfig cfg;
-        cfg.qam_order = sched.qam;
-        cfg.payload_bytes = cs.payload_bytes;
-        cfg.set_code(coding::CodeSpec::parse(cs.code));
-        cfg.viterbi = phy::ViterbiImpl::kQuantized;  // The batched int16 kernels;
-                                                     // bit-identical across tiers.
-        codec_it = codecs[c].emplace(sched.qam, phy::FrameCodec(cfg)).first;
-      }
+      if (codec_it == codecs[c].end())
+        codec_it =
+            codecs[c].emplace(sched.qam, phy::FrameCodec(cell_frame_config(cs, sched.qam))).first;
       job.codec = &codec_it->second;
 
       // The frame's channel, payloads and noise all come from one

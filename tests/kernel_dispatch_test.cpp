@@ -1,8 +1,8 @@
 // Tests for the runtime kernel dispatcher (src/common/kernel_dispatch.h),
 // run once against each of the three SIMD layers through their public
-// names: the tier registry order, the supported-vs-compiled menu, the
-// override's selection and reset, and the error an unknown tier name
-// raises.
+// names: the two tiers (scalar, then AVX2), the supported-vs-compiled
+// menu, the override's selection and reset, and the error an unknown or
+// removed tier name raises.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,11 +19,12 @@
 namespace geosphere {
 namespace {
 
-/// Position of a tier in the widening order every layer lists them in.
-std::size_t tier_rank(const std::string& name) {
-  const std::vector<std::string> order = {"scalar", "sse2", "avx2"};
-  return static_cast<std::size_t>(std::find(order.begin(), order.end(), name) -
-                                  order.begin());
+/// The names of a layer's kernels, in its order.
+template <class Kernel>
+std::vector<std::string> names(const std::vector<const Kernel*>& kernels) {
+  std::vector<std::string> out;
+  for (const Kernel* k : kernels) out.push_back(k->name);
+  return out;
 }
 
 /// The dispatcher contract, checked through one layer's public functions.
@@ -32,27 +33,25 @@ void expect_dispatcher_contract(std::vector<const Kernel*> (*compiled_fn)(),
                                 std::vector<const Kernel*> (*supported_fn)(),
                                 const Kernel& (*active)(),
                                 void (*set_override)(const char*)) {
-  // Scalar first, then the tiers in widening order.
+  // Two tiers at most: scalar, then AVX2 when the compiler could build it.
   const std::vector<const Kernel*> compiled = compiled_fn();
-  ASSERT_FALSE(compiled.empty());
-  EXPECT_STREQ(compiled.front()->name, "scalar");
+  const std::vector<std::string> scalar_only = {"scalar"};
+  const std::vector<std::string> both = {"scalar", "avx2"};
+  const std::vector<std::string> compiled_names = names(compiled);
+  ASSERT_TRUE(compiled_names == scalar_only || compiled_names == both)
+      << ::testing::PrintToString(compiled_names);
   if constexpr (requires(const Kernel& k) { k.width; }) {
     EXPECT_EQ(compiled.front()->width, 1u);
-  }
-  for (std::size_t i = 1; i < compiled.size(); ++i) {
-    EXPECT_GT(tier_rank(compiled[i]->name), tier_rank(compiled[i - 1]->name));
-    EXPECT_LT(tier_rank(compiled[i]->name), 3u) << compiled[i]->name;
-    if constexpr (requires(const Kernel& k) { k.width; }) {
-      EXPECT_GT(compiled[i]->width, compiled[i - 1]->width) << compiled[i]->name;
+    if (compiled.size() == 2) {
+      EXPECT_EQ(compiled.back()->width, 4u);
     }
   }
 
-  // What the host runs is a subset of what was compiled; scalar always runs.
+  // The host runs scalar, plus AVX2 when it was compiled and cpuid has it.
   const std::vector<const Kernel*> supported = supported_fn();
-  ASSERT_FALSE(supported.empty());
-  EXPECT_EQ(supported.front(), compiled.front());
-  for (const Kernel* k : supported)
-    EXPECT_NE(std::find(compiled.begin(), compiled.end(), k), compiled.end()) << k->name;
+  const bool avx2_here = compiled.size() == 2 && dispatch::cpu_has_avx2();
+  ASSERT_EQ(names(supported), avx2_here ? both : scalar_only);
+  for (std::size_t i = 0; i < supported.size(); ++i) EXPECT_EQ(supported[i], compiled[i]);
 
   // The override selects each supported tier; nullptr restores the default.
   // The last tier forced differs from the default whenever the host has two.
@@ -66,18 +65,21 @@ void expect_dispatcher_contract(std::vector<const Kernel*> (*compiled_fn)(),
   set_override(nullptr);
   EXPECT_EQ(&active(), default_kernel);
 
-  // An unknown name throws, lists the valid tiers, and changes nothing.
-  try {
-    set_override("avx1024");
-    ADD_FAILURE() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("'avx1024'"), std::string::npos) << what;
-    EXPECT_NE(what.find("valid here: auto"), std::string::npos) << what;
-    for (const Kernel* k : supported)
-      EXPECT_NE(what.find(k->name), std::string::npos) << what;
+  // An unknown name, or the removed SSE2 tier's, throws, lists the valid
+  // tiers, and changes nothing.
+  for (const std::string bad : {"avx1024", "sse2"}) {
+    try {
+      set_override(bad.c_str());
+      ADD_FAILURE() << "expected std::invalid_argument for " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("valid here: auto"), std::string::npos) << what;
+      for (const Kernel* k : supported)
+        EXPECT_NE(what.find(k->name), std::string::npos) << what;
+    }
+    EXPECT_EQ(&active(), default_kernel);
   }
-  EXPECT_EQ(&active(), default_kernel);
 }
 
 TEST(KernelDispatch, SphereLayer) {
@@ -104,8 +106,8 @@ TEST(KernelDispatch, EnvTierIsAutoWhenUnsetOrEmpty) {
   EXPECT_EQ(dispatch::env_tier(), "auto");
   ::setenv("GEOSPHERE_KERNEL", "", 1);
   EXPECT_EQ(dispatch::env_tier(), "auto");
-  ::setenv("GEOSPHERE_KERNEL", "sse2", 1);
-  EXPECT_EQ(dispatch::env_tier(), "sse2");
+  ::setenv("GEOSPHERE_KERNEL", "scalar", 1);
+  EXPECT_EQ(dispatch::env_tier(), "scalar");
   if (saved != nullptr) {
     ::setenv("GEOSPHERE_KERNEL", restore.c_str(), 1);
   } else {

@@ -1,5 +1,5 @@
 // Tests for the Viterbi kernel layer and the quantized batched Viterbi hot
-// path: cross-tier bit exactness of both ACS ops (scalar / SSE2 / AVX2), the
+// path: cross-tier bit exactness of both ACS ops (scalar / AVX2), the
 // double op against the decoder loop it replaced, agreement of the quantized
 // decoder with the double-precision reference decoder (bit for bit on hard
 // decisions and erasures), punctured round trips, termination and erasure

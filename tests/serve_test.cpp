@@ -2,9 +2,10 @@
 // histogram's bucket/merge/percentile algebra, the per-cell scheduler's
 // deterministic policies (backlog-only candidates, antenna truncation,
 // longest-unserved round robin with index tie-break, single-candidate
-// rate shortcut), and the Server determinism contract -- every
-// deterministic counter bit-identical for 1 vs 4 worker threads, under
-// every kernel tier, and equal to a recorded golden.
+// rate shortcut, a rate probe at the cell's code), and the Server
+// determinism contract -- every deterministic counter bit-identical for 1
+// vs 4 worker threads, under every kernel tier, and equal to a recorded
+// golden.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -185,6 +186,20 @@ TEST(CellScheduler, SingleCandidateQamListSkipsTheProbe) {
   }
 }
 
+TEST(CellScheduler, ProbeRunsTheCellsCode) {
+  // The rate probe simulates the cell's own frame, code rate included:
+  // on the same users, channel and noise, a rate-1/2 cell affords 64-QAM
+  // where a rate-3/4 cell must fall back to 16-QAM.
+  const std::string cell = "users=2,antennas=2,load=1.0,spread=0,payload=60,qams=4|16|64,snr=16";
+  CellScheduler half(CellSpec::parse(cell + ",code=1/2"), 1, 0);
+  CellScheduler three_quarters(CellSpec::parse(cell + ",code=3/4"), 1, 0);
+  const CellSchedule a = half.schedule_tti(0);
+  const CellSchedule b = three_quarters.schedule_tti(0);
+  EXPECT_EQ(a.users, b.users);
+  EXPECT_EQ(a.qam, 64u);
+  EXPECT_EQ(b.qam, 16u);
+}
+
 TEST(CellScheduler, ScheduleIsSeedDeterministic) {
   const CellSpec spec =
       CellSpec::parse("users=8,antennas=4,load=0.6,payload=40,qams=4|16");
@@ -342,14 +357,15 @@ TEST(Server, CountersMatchRecordedGolden) {
       "qams=4|16,snr=12");
   // One row per cell, fields in kCounterFields order. The last column,
   // probe_frames, counts the rate probe's simulated frames: at most 2 per
-  // TTI for a 2-QAM list, and none for the single-QAM zf cell.
+  // TTI for a 2-QAM list, and none for the single-QAM zf cell. The soft
+  // cell's probe runs its own frame (rate 3/4, int16 soft decoder).
   const std::vector<std::vector<std::uint64_t>> golden = {
       {12, 49, 12, 24, 22, 2, 174, 7680, 7040, 27, 0x915ee58c41ccfc31ull, 8364, 5808, 11250,
        8433, 5547, 12135, 576, 12, 576, 2448, 0, 2448, 13},
       {12, 25, 12, 22, 21, 1, 4, 5280, 5040, 4, 0xc1f574107856d8c5ull, 0, 0, 0, 0, 3168, 0,
        576, 12, 576, 0, 0, 1728, 0},
-      {12, 31, 12, 23, 17, 6, 480, 5520, 4080, 14, 0x9521bf85f7fd4cd1ull, 33622, 20921, 30246,
-       5865, 9241, 45311, 576, 12, 576, 1440, 7491, 1440, 15}};
+      {12, 31, 12, 23, 22, 1, 21, 5520, 5280, 9, 0xec43d5667e1a7564ull, 27617, 17406, 24637,
+       5406, 8386, 37194, 576, 12, 576, 1728, 5865, 1728, 18}};
   for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
     const AllLayersOnTier tier(kernel->name);
     Server server(spec, 1);
