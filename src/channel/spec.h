@@ -2,11 +2,11 @@
 //
 // Mirrors detect/spec.h's DetectorSpec on the channel axis: a spec is a
 // parsed registry name plus an optional parameter, and every layer -- the
-// CLI's --channel flag, sim::SweepSpec, sim::Engine's spec-based overloads
-// and link::LinkSimulator's owning constructor -- creates ChannelModel
-// instances through ChannelSpec::create(clients, antennas). With it a
-// sweep is a fully declarative scenario description: any channel x any
-// detector x any decision mode from strings alone.
+// CLI's --channel flag, sim::SweepSpec, sim::Engine's channel cache
+// (Engine::channel) and link::LinkSimulator's owning constructor -- creates
+// ChannelModel instances through ChannelSpec::create(clients, antennas).
+// With it a sweep is a fully declarative scenario description: any channel
+// x any detector x any decision mode from strings alone.
 //
 // Grammar: "name" or "name:PARAM". The parameter kind is per-model:
 //   "rayleigh"              i.i.d. Rayleigh flat fading

@@ -44,12 +44,15 @@
 // a thin prepare+solve convenience for one-shot callers (tests, examples,
 // single-vector experiments).
 //
-// Precondition: H, y and noise_var are finite. No detector checks this.
-// A NaN anywhere in H poisons R and every partial distance, so the
+// Precondition: H, y and noise_var are finite. The QR tree detectors check
+// H: their packed QR's rank test fails a channel whose ||H||_F^2 is not
+// finite, so selecting it throws std::domain_error (sphere/tree_problem.h).
+// Unchecked, a NaN in H poisons R and every partial distance and the
 // depth-first searches can no longer prune: one 4x4 16-QAM vector against
-// a channel with a single NaN entry visits the whole tree (69,904 PEDs).
-// Inputs from outside the program are checked where they enter (the trace
-// loader rejects non-finite entries, for example).
+// a channel with a single NaN entry would visit the whole tree (69,904
+// PEDs). The linear and exhaustive detectors, y and noise_var stay
+// unchecked; inputs from outside the program are checked where they enter
+// (the trace loader rejects non-finite entries, for example).
 //
 // No-leaf rule: finite inputs can still overflow. When every branch cost
 // of an unbounded tree search overflows to +inf (tree centers beyond about

@@ -10,55 +10,47 @@
 namespace geosphere {
 
 FsdDetector::FsdDetector(const Constellation& c)
-    : Detector(c), enumerator_({.geometric_pruning = false}) {
+    : Detector(c), enumerator_({.geometric_pruning = false}),
+      problem_("FsdDetector", c.scale()) {
   enumerator_.attach(c);
 }
 
 void FsdDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                    double /*noise_var*/) {
-  if (count == 0) return;
-  const std::size_t nc = hs[0].cols();
-  batch_shape_bad_ = nc == 0 || hs[0].rows() < nc;
-  if (batch_shape_bad_) return;  // invalid_argument, at select.
-  batch_qr_.run(hs, count, slot_qr_);
+  problem_.prepare_batch(hs, count);
 }
 
-void FsdDetector::do_select_prepared(std::size_t i) {
-  if (batch_shape_bad_)
-    throw std::invalid_argument("TreeProblem: requires 1 <= n_c <= n_a");
-  const prepare::QrSlot& slot = slot_qr_[i];
-  if (!slot.rank_ok)
-    throw std::domain_error("TreeProblem: channel matrix is (numerically) rank deficient");
-  problem_.install_factorized(slot.qh, slot.r, constellation());
-}
+void FsdDetector::do_select_prepared(std::size_t i) { problem_.select(i); }
 
 void FsdDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
-  problem_.rotate_batch(y_batch, yhat_t_batch_);
-  const std::size_t nc = problem_.r.cols();
+  problem_.rotate(y_batch);
+  const std::size_t nc = problem_.nc;
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
   out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    const std::vector<unsigned>& path = search(yhat_t_batch_.row_data(v), stats);
+    const std::vector<unsigned>& path =
+        search(problem_.yhat_t.row_data(v), problem_.root_centers[v], stats);
     for (std::size_t k = 0; k < nc; ++k) out.indices[v * nc + k] = path[k];
   }
   out.stats = stats;
 }
 
-const std::vector<unsigned>& FsdDetector::search(const cf64* yhat, DetectionStats& stats) {
-  const std::size_t nc = problem_.r.cols();
+const std::vector<unsigned>& FsdDetector::search(const cf64* yhat, cf64 root_center,
+                                                 DetectionStats& stats) {
+  const std::size_t nc = problem_.nc;
   const Constellation& cons = constellation();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const sphere::simd::Kernel& kern = sphere::simd::active_kernel();
 
-  // Full expansion of the top level.
+  // Full expansion of the top level, around the packed root center (the
+  // root's tree_center: no decisions above it).
   std::size_t used = 0;
   {
     const std::size_t top = nc - 1;
-    root_.assign(nc, 0);
-    enumerator_.reset(problem_.center(yhat, top, root_, cons), stats);
+    enumerator_.reset(root_center, stats);
     while (const auto child = enumerator_.next(kInf, stats)) {
       ++stats.visited_nodes;
       // Grown independently: nc can change across prepares, so the flat

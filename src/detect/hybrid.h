@@ -5,11 +5,10 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "detect/detector.h"
-#include "detect/prepare/batch_qr.h"
 #include "detect/sphere/sphere_decoder.h"
+#include "detect/sphere/tree_problem.h"
 #include "detect/zero_forcing.h"
 
 namespace geosphere {
@@ -38,14 +37,16 @@ class HybridDetector final : public Detector {
   /// one routing decision per prepared channel, batched all the way down
   /// (a one-shot solve() is a batch of one here too).
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
-  /// One packed Householder QR across the batch (prepare/batch_qr.h);
-  /// select reads slot i's conditioning off R's diagonal, counts the
-  /// routing decision, and hands the sphere decoder the already-computed
-  /// factorization (prepare_adopted). ZF-routed slots run ZF's own
-  /// prepare() (a batch of one) at select -- routing, not filtering, is
-  /// what shares the batched factorization. Degenerate shapes cannot be
-  /// QR-routed; both inner detectors reject them, so they go to ZF for its
-  /// exception.
+  /// One packed Householder QR across the batch
+  /// (TreeProblem::prepare_batch); select reads slot i's conditioning off
+  /// R's diagonal, counts the routing decision, and hands the sphere
+  /// decoder the already-computed factorization (prepare_adopted). A slot
+  /// that fails the rank test, a non-finite channel included, routes to
+  /// the sphere decoder, whose install throws its domain_error. ZF-routed
+  /// slots run ZF's own prepare() (a batch of one) at select -- routing,
+  /// not filtering, is what shares the batched factorization. Degenerate
+  /// shapes cannot be QR-routed; both inner detectors reject them, so they
+  /// go to ZF for its exception.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
@@ -58,12 +59,10 @@ class HybridDetector final : public Detector {
   std::uint64_t calls_ = 0;
   std::uint64_t sphere_calls_ = 0;
 
-  // Batched-prepare state (prepare_batch override; see prepare/batch_qr.h).
-  prepare::BatchQr batch_qr_;
-  std::vector<prepare::QrSlot> slot_qr_;
+  // Batched-prepare state: the routing QR, and the batch ZF prepares from.
+  sphere::TreeProblem problem_;
   const linalg::CMatrix* batch_hs_ = nullptr;  ///< Caller-owned (contract).
   double batch_noise_var_ = 0.0;
-  bool batch_shape_bad_ = false;  ///< Degenerate shapes: ZF rejects at select.
 };
 
 }  // namespace geosphere

@@ -10,7 +10,8 @@
 namespace geosphere {
 
 KBestDetector::KBestDetector(const Constellation& c, unsigned k)
-    : Detector(c), k_(k), enumerator_({.geometric_pruning = false}) {
+    : Detector(c), k_(k), enumerator_({.geometric_pruning = false}),
+      problem_("KBestDetector", c.scale()) {
   if (k == 0) throw std::invalid_argument("KBestDetector: k must be >= 1");
   enumerator_.attach(c);
 }
@@ -19,39 +20,28 @@ std::string KBestDetector::name() const { return "KBest-" + std::to_string(k_); 
 
 void KBestDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                      double /*noise_var*/) {
-  if (count == 0) return;
-  const std::size_t nc = hs[0].cols();
-  batch_shape_bad_ = nc == 0 || hs[0].rows() < nc;
-  if (batch_shape_bad_) return;  // invalid_argument, at select.
-  batch_qr_.run(hs, count, slot_qr_);
+  problem_.prepare_batch(hs, count);
 }
 
-void KBestDetector::do_select_prepared(std::size_t i) {
-  if (batch_shape_bad_)
-    throw std::invalid_argument("TreeProblem: requires 1 <= n_c <= n_a");
-  const prepare::QrSlot& slot = slot_qr_[i];
-  if (!slot.rank_ok)
-    throw std::domain_error("TreeProblem: channel matrix is (numerically) rank deficient");
-  problem_.install_factorized(slot.qh, slot.r, constellation());
-}
+void KBestDetector::do_select_prepared(std::size_t i) { problem_.select(i); }
 
 void KBestDetector::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
-  problem_.rotate_batch(y_batch, yhat_t_batch_);
-  const std::size_t nc = problem_.r.cols();
+  problem_.rotate(y_batch);
+  const std::size_t nc = problem_.nc;
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
   out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    search(yhat_t_batch_.row_data(v), stats);
+    search(problem_.yhat_t.row_data(v), stats);
     for (std::size_t k = 0; k < nc; ++k) out.indices[v * nc + k] = surv_path_[k];
   }
   out.stats = stats;
 }
 
 void KBestDetector::search(const cf64* yhat, DetectionStats& stats) {
-  const std::size_t nc = problem_.r.cols();
+  const std::size_t nc = problem_.nc;
   const Constellation& cons = constellation();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const sphere::simd::Kernel& kern = sphere::simd::active_kernel();

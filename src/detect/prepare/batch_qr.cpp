@@ -123,7 +123,9 @@ void BatchQr::run(const linalg::CMatrix* hs, std::size_t count, std::vector<QrSl
 
     // Scatter into the slots: Q^H by conjugate transposition (pure data
     // movement and exact sign flips), R's upper triangle, and the shared
-    // rank test against the input's Frobenius norm.
+    // rank test against the input's Frobenius norm. A norm that is not
+    // finite fails the test outright: a NaN would pass every comparison
+    // below and hand the searches a NaN tree.
     for (std::size_t l = 0; l < L; ++l) {
       QrSlot& slot = out[base + l];
       slot.qh.assign_shape(n, m);
@@ -134,14 +136,11 @@ void BatchQr::run(const linalg::CMatrix* hs, std::size_t count, std::vector<QrSl
       for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = i; j < n; ++j)
           slot.r(i, j) = cf64{work_re_[(j * m + i) * L + l], work_im_[(j * m + i) * L + l]};
-      const double rank_tol =
-          1e-10 * std::sqrt(std::max(hs[base + l].frobenius_norm_sq(), 1e-300));
-      slot.rank_ok = true;
-      for (std::size_t i = 0; i < n; ++i)
-        if (slot.r(i, i).real() <= rank_tol) {
-          slot.rank_ok = false;
-          break;
-        }
+      const double fro_sq = hs[base + l].frobenius_norm_sq();
+      const double rank_tol = 1e-10 * std::sqrt(std::max(fro_sq, 1e-300));
+      slot.rank_ok = std::isfinite(fro_sq);
+      for (std::size_t i = 0; i < n && slot.rank_ok; ++i)
+        if (slot.r(i, i).real() <= rank_tol) slot.rank_ok = false;
     }
   }
 }

@@ -1,16 +1,18 @@
 // Packed Householder QR across a batch of equally shaped channel matrices:
 // the one factorization engine behind every tree-search detector's
 // prepare_batch() (sphere decoders, soft output, K-Best, FSD, the
-// real-valued decomposition and hybrid routing) -- and so behind their
-// one-shot prepare(), a batch of one.
+// real-valued decomposition and hybrid routing), all of which reach it
+// through their prepared channel, sphere::TreeProblem
+// (sphere/tree_problem.h) -- and so behind their one-shot prepare(), a
+// batch of one.
 //
 // Each slot is bit-identical to
 //
 //   auto [q, r] = linalg::householder_qr(hs[i]);
 //   qh = q.hermitian();
 //
-// followed by the tree searches' shared rank test on diag(R) -- the driver
-// packs the batch as SIMD lanes (matrices side by side, see
+// followed by the tree searches' shared rank test (QrSlot::rank_ok) -- the
+// driver packs the batch as SIMD lanes (matrices side by side, see
 // simd/kernel.h), runs the column-level reflector/normalization ops through
 // the active kernel tier, and keeps all once-per-column scalar work
 // (norms, phases, square roots, complex division) in per-lane std::complex
@@ -30,10 +32,12 @@ namespace geosphere::prepare {
 struct QrSlot {
   linalg::CMatrix qh;  ///< Q^H (n_c x n_a), exactly householder_qr's q.hermitian().
   linalg::CMatrix r;   ///< R (n_c x n_c), upper triangular, real non-negative diagonal.
-  /// The tree searches' one rank test: every diagonal entry of R must
-  /// exceed 1e-10 * sqrt(max(||H||_F^2, 1e-300)). False means the owning
-  /// detector throws its rank-deficiency domain_error when slot i is
-  /// selected.
+  /// The tree searches' one rank test: ||H||_F^2 must be finite and every
+  /// diagonal entry of R must exceed 1e-10 * sqrt(max(||H||_F^2, 1e-300)).
+  /// False means the owning detector throws its rank-deficiency
+  /// domain_error when slot i is selected (sphere/tree_problem.h), so a
+  /// NaN or infinite entry in H fails at select instead of searching a NaN
+  /// tree.
   bool rank_ok = true;
 };
 

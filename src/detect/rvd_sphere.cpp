@@ -7,19 +7,16 @@ namespace geosphere {
 
 void RvdSphereDecoder::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                         double /*noise_var*/) {
-  if (count == 0) return;
-  const std::size_t nc = hs[0].cols();
-  const std::size_t na = hs[0].rows();
-  batch_shape_bad_ = nc == 0 || na < nc;
-  if (batch_shape_bad_) return;  // invalid_argument, at select.
-
   // Every slot's real embedding (stored in complex matrices with zero
   // imaginary parts so the complex QR can be reused; R comes out real).
   // The packed driver then factorizes the embeddings and reads their
-  // Frobenius norms for the rank tolerance.
-  batch_hr_.resize(count);
+  // Frobenius norms for the rank tolerance; the embedding of a bad shape
+  // is a bad shape.
+  if (batch_hr_.size() < count) batch_hr_.resize(count);
   for (std::size_t s = 0; s < count; ++s) {
     const linalg::CMatrix& h = hs[s];
+    const std::size_t na = h.rows();
+    const std::size_t nc = h.cols();
     linalg::CMatrix& hr = batch_hr_[s];
     hr.assign_shape(2 * na, 2 * nc);
     for (std::size_t i = 0; i < na; ++i) {
@@ -32,46 +29,28 @@ void RvdSphereDecoder::do_prepare_batch(const linalg::CMatrix* hs, std::size_t c
       }
     }
   }
-  batch_qr_.run(batch_hr_.data(), count, slot_qr_);
-  batch_na_ = na;
-  batch_nc_ = nc;
+  problem_.prepare_batch(batch_hr_.data(), count);
 }
 
 void RvdSphereDecoder::do_select_prepared(std::size_t i) {
-  if (batch_shape_bad_)
-    throw std::invalid_argument("RvdSphereDecoder: requires 1 <= n_c <= n_a");
-  const prepare::QrSlot& slot = slot_qr_[i];
-  if (!slot.rank_ok) throw std::domain_error("RvdSphereDecoder: rank-deficient channel");
-  na_ = batch_na_;
-  nc_ = batch_nc_;
-  qh_ = slot.qh;
-  r_ = slot.r;
-  const std::size_t rn = 2 * nc_;
-  const double alpha = constellation().scale();
+  problem_.select(i);
+  const std::size_t rn = problem_.nc;
   if (level_enum_.size() != rn) {
     level_enum_.assign(rn, sphere::Zigzag1D{});
-    level_scale_.assign(rn, 0.0);
     partial_.assign(rn + 1, 0.0);
     centers_.assign(rn, 0.0);
     current_.assign(rn, 0);
     best_.assign(rn, 0);
   }
-  for (std::size_t l = 0; l < rn; ++l) {
-    const double rll = r_(l, l).real();
-    level_scale_[l] = rll * rll * alpha * alpha;
-  }
 }
 
 void RvdSphereDecoder::do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
-  if (y_batch.rows() != na_)
-    throw std::invalid_argument("RvdSphereDecoder: Y/H shape mismatch");
-
-  const std::size_t na = na_;
-  const std::size_t count = y_batch.cols();
-
   // Embed every column (real parts over imaginary parts), then rotate the
-  // whole embedded batch with one transposed mat-mat product (row v of
-  // (Q^H Yr)^T is bit-identical to the mat-vec Q^H yr_v, and contiguous).
+  // whole embedded batch at once: row v of (Q^H Yr)^T is bit-identical to
+  // the mat-vec Q^H yr_v, and contiguous. A batch without n_a rows embeds
+  // to one without 2 n_a rows, which the rotation rejects.
+  const std::size_t na = y_batch.rows();
+  const std::size_t count = y_batch.cols();
   yr_batch_.assign_shape(2 * na, count);
   for (std::size_t v = 0; v < count; ++v)
     for (std::size_t i = 0; i < na; ++i) {
@@ -79,21 +58,23 @@ void RvdSphereDecoder::do_solve_batch(const linalg::CMatrix& y_batch, BatchResul
       yr_batch_(i, v) = yv.real();
       yr_batch_(na + i, v) = yv.imag();
     }
-  multiply_transpose_into(qh_, yr_batch_, yhat_t_batch_);
+  problem_.rotate(yr_batch_);
 
+  const std::size_t nc = problem_.nc / 2;
   out.count = count;
-  out.streams = nc_;
-  out.indices.resize(count * nc_);
+  out.streams = nc;
+  out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    search(yhat_t_batch_.row_data(v), stats);
-    emit_indices(out.indices.data() + v * nc_);
+    search(problem_.yhat_t.row_data(v), problem_.root_centers[v].real(), stats);
+    emit_indices(out.indices.data() + v * nc);
   }
   out.stats = stats;
 }
 
-void RvdSphereDecoder::search(const cf64* yhat, DetectionStats& stats) {
-  const std::size_t rn = 2 * nc_;
+void RvdSphereDecoder::search(const cf64* yhat, double root_center, DetectionStats& stats) {
+  const std::size_t rn = problem_.nc;
+  const linalg::CMatrix& r = problem_.r;
   const Constellation& cons = constellation();
   const int levels = cons.pam_levels();
   const double alpha = cons.scale();
@@ -102,22 +83,23 @@ void RvdSphereDecoder::search(const cf64* yhat, DetectionStats& stats) {
   bool found = false;
   partial_[rn] = 0.0;
 
-  // Per-level center in PAM grid units given decisions above.
+  // Per-level center in PAM grid units given decisions above (the root's
+  // comes packed: no decisions above it).
   const auto center_at = [&](std::size_t l) {
     double c = yhat[l].real();
     for (std::size_t j = l + 1; j < rn; ++j)
-      c -= r_(l, j).real() * alpha *
+      c -= r(l, j).real() * alpha *
            static_cast<double>(cons.grid_of_level(current_[j]));
-    return c / (r_(l, l).real() * alpha);
+    return c / problem_.diag[l];
   };
 
   std::size_t level = rn - 1;
-  centers_[level] = center_at(level);
+  centers_[level] = root_center;
   level_enum_[level].reset(centers_[level], levels);
   ++stats.slicer_ops;
 
   for (;;) {
-    const double budget = (radius_sq - partial_[level + 1]) / level_scale_[level];
+    const double budget = (radius_sq - partial_[level + 1]) / problem_.scale[level];
     bool advanced = false;
     if (!level_enum_[level].done()) {
       const int lev = level_enum_[level].peek_level();
@@ -128,7 +110,7 @@ void RvdSphereDecoder::search(const cf64* yhat, DetectionStats& stats) {
         level_enum_[level].take();
         ++stats.visited_nodes;
         current_[level] = lev;
-        partial_[level] = partial_[level + 1] + level_scale_[level] * cost;
+        partial_[level] = partial_[level + 1] + problem_.scale[level] * cost;
         advanced = true;
         if (level == 0) {
           radius_sq = partial_[0];
@@ -157,8 +139,9 @@ void RvdSphereDecoder::emit_indices(unsigned* indices) const {
   // Recombine PAM components into QAM indices: level j < nc is the real
   // part (I level) of stream j, level nc + j the imaginary part.
   const Constellation& cons = constellation();
-  for (std::size_t k = 0; k < nc_; ++k)
-    indices[k] = cons.index_from_levels(best_[k], best_[nc_ + k]);
+  const std::size_t nc = problem_.nc / 2;
+  for (std::size_t k = 0; k < nc; ++k)
+    indices[k] = cons.index_from_levels(best_[k], best_[nc + k]);
 }
 
 }  // namespace geosphere

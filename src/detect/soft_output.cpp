@@ -13,7 +13,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
 SoftGeosphereDetector::SoftGeosphereDetector(const Constellation& c, double llr_clamp)
-    : Detector(c), llr_clamp_(llr_clamp),
+    : Detector(c), llr_clamp_(llr_clamp), problem_("SoftGeosphereDetector", c.scale()),
       enum_proto_({.geometric_pruning = true}) {
   if (llr_clamp <= 0.0)
     throw std::invalid_argument("SoftGeosphereDetector: llr_clamp must be positive");
@@ -35,7 +35,7 @@ SoftGeosphereDetector::SoftGeosphereDetector(const Constellation& c, double llr_
 SoftGeosphereDetector::Search SoftGeosphereDetector::search(
     const cf64* yhat, cf64 root_center, double radius_sq, std::ptrdiff_t mask_level,
     const std::vector<std::uint8_t>* mask, DetectionStats& stats_out) {
-  const std::size_t nc = scale_.size();
+  const std::size_t nc = problem_.nc;
   const Constellation& cons = constellation();
 
   DetectionStats stats;  // Search-local, added to the caller's once.
@@ -45,14 +45,15 @@ SoftGeosphereDetector::Search SoftGeosphereDetector::search(
   partial_[nc] = 0.0;
 
   const auto center_at = [&](std::size_t l) {
-    return sphere::tree_center(r_, yhat, l, current_.data(), cons, diag_[l]);
+    return sphere::tree_center(problem_.r, yhat, l, current_.data(), cons,
+                               problem_.diag[l]);
   };
 
   std::size_t level = nc - 1;
   level_enum_[level].reset(root_center, stats);
 
   for (;;) {
-    const double budget = (out.best_dist - partial_[level + 1]) / scale_[level];
+    const double budget = (out.best_dist - partial_[level + 1]) / problem_.scale[level];
     const auto child = level_enum_[level].next(budget, stats);
     if (!child) {
       ++level;
@@ -69,7 +70,7 @@ SoftGeosphereDetector::Search SoftGeosphereDetector::search(
 
     ++stats.visited_nodes;
     current_[level] = idx;
-    partial_[level] = partial_[level + 1] + scale_[level] * child->cost_grid;
+    partial_[level] = partial_[level + 1] + problem_.scale[level] * child->cost_grid;
     if (level == 0) {
       out.best_dist = partial_[0];
       std::copy(current_.begin(), current_.end(), best_.begin());
@@ -85,47 +86,16 @@ SoftGeosphereDetector::Search SoftGeosphereDetector::search(
 
 void SoftGeosphereDetector::do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                                              double noise_var) {
-  if (count == 0) return;
-  const std::size_t nc = hs[0].cols();
-  // Validation order: shape first, then the noise variance; both throw for
-  // every slot, deferred to select time.
-  batch_error_ = 0;
-  if (nc == 0 || hs[0].rows() < nc) {
-    batch_error_ = 1;
-    return;
-  }
-  if (noise_var <= 0.0) {
-    batch_error_ = 2;
-    return;
-  }
-  batch_qr_.run(hs, count, slot_qr_);
-  batch_noise_var_ = noise_var;
-  batch_na_ = hs[0].rows();
+  noise_var_ = noise_var;
+  problem_.prepare_batch(hs, count);
 }
 
 void SoftGeosphereDetector::do_select_prepared(std::size_t i) {
-  if (batch_error_ == 1)
-    throw std::invalid_argument("SoftGeosphereDetector: shape mismatch");
-  if (batch_error_ == 2)
+  problem_.check_shape();
+  if (noise_var_ <= 0.0)
     throw std::invalid_argument("SoftGeosphereDetector: needs positive noise variance");
-  const prepare::QrSlot& slot = slot_qr_[i];
-  if (!slot.rank_ok)
-    throw std::domain_error("SoftGeosphereDetector: rank-deficient channel");
-  na_ = batch_na_;
-  qh_ = slot.qh;
-  r_ = slot.r;
-  noise_var_ = batch_noise_var_;
-  const std::size_t nc = r_.cols();
-  const double alpha = constellation().scale();
-  scale_.assign(nc, 0.0);
-  diag_.assign(nc, 0.0);
-  for (std::size_t l = 0; l < nc; ++l) {
-    const double rll = r_(l, l).real();
-    scale_[l] = rll * rll * alpha * alpha;
-    // Same product the per-node center division used to form -- hoisted
-    // once per channel, bit-identical.
-    diag_[l] = rll * alpha;
-  }
+  problem_.select(i);
+  const std::size_t nc = problem_.nc;
   if (level_enum_.size() != nc) {
     level_enum_.assign(nc, enum_proto_);
     current_.assign(nc, 0);
@@ -134,22 +104,12 @@ void SoftGeosphereDetector::do_select_prepared(std::size_t i) {
   }
 }
 
-void SoftGeosphereDetector::rotate(const linalg::CMatrix& y_batch) {
-  if (y_batch.rows() != na_)
-    throw std::invalid_argument("SoftGeosphereDetector: shape mismatch");
-  // One SIMD-batched rotation and packed root centers for the whole batch:
-  // row v of (Q^H Y)^T is bit-identical to the mat-vec Q^H y_v (see
-  // simd/rotate.h), and every search of one vector shares its root center.
-  const std::size_t nc = scale_.size();
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
-                                    rot_scratch_);
-}
-
 void SoftGeosphereDetector::do_solve_batch(const linalg::CMatrix& y_batch,
                                            BatchResult& out) {
-  rotate(y_batch);
-  const std::size_t nc = scale_.size();
+  // Row v of (Q^H Y)^T is bit-identical to the mat-vec Q^H y_v (see
+  // simd/rotate.h), and every search of one vector shares its root center.
+  problem_.rotate(y_batch);
+  const std::size_t nc = problem_.nc;
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
@@ -157,7 +117,8 @@ void SoftGeosphereDetector::do_solve_batch(const linalg::CMatrix& y_batch,
   DetectionStats stats;
   // There is no column permutation here, so the paths copy straight out.
   for (std::size_t v = 0; v < count; ++v) {
-    if (!search(yhat_t_batch_.row_data(v), root_centers_[v], kInf, -1, nullptr, stats)
+    if (!search(problem_.yhat_t.row_data(v), problem_.root_centers[v], kInf, -1, nullptr,
+                stats)
              .found)
       throw std::runtime_error(
           "SoftGeosphereDetector: no solution found (unbounded search)");
@@ -169,8 +130,8 @@ void SoftGeosphereDetector::do_solve_batch(const linalg::CMatrix& y_batch,
 
 void SoftGeosphereDetector::do_solve_soft_batch(const linalg::CMatrix& y_batch,
                                                 SoftBatchResult& out) {
-  rotate(y_batch);
-  const std::size_t nc = scale_.size();
+  problem_.rotate(y_batch);
+  const std::size_t nc = problem_.nc;
   const unsigned bits = constellation().bits_per_symbol();
   const std::size_t count = y_batch.cols();
   out.count = count;
@@ -179,15 +140,15 @@ void SoftGeosphereDetector::do_solve_soft_batch(const linalg::CMatrix& y_batch,
   out.llrs.resize(count * nc * bits);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v)
-    solve_soft_row(yhat_t_batch_.row_data(v), root_centers_[v], out.indices.data() + v * nc,
-                   out.llrs.data() + v * nc * bits, stats);
+    solve_soft_row(problem_.yhat_t.row_data(v), problem_.root_centers[v],
+                   out.indices.data() + v * nc, out.llrs.data() + v * nc * bits, stats);
   out.stats = stats;
 }
 
 void SoftGeosphereDetector::solve_soft_row(const cf64* yhat, cf64 root_center,
                                            unsigned* indices, double* llrs,
                                            DetectionStats& stats) {
-  const std::size_t nc = scale_.size();
+  const std::size_t nc = problem_.nc;
   const Constellation& cons = constellation();
   const unsigned bits = cons.bits_per_symbol();
 

@@ -28,9 +28,8 @@
 #include "common/types.h"
 #include "constellation/constellation.h"
 #include "detect/detector.h"
-#include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
-#include "detect/sphere/simd/rotate.h"
+#include "detect/sphere/tree_problem.h"
 #include "linalg/matrix.h"
 
 namespace geosphere {
@@ -49,10 +48,10 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   double llr_clamp() const { return llr_clamp_; }
 
  protected:
-  /// Hard decisions only: one SIMD-batched Q^H Y rotation (vectors as
-  /// lanes, see simd/rotate.h) plus packed root-center divides, then one
-  /// unconstrained Geosphere search per column (same ML solution as the
-  /// hard Geosphere detector, no counter-hypothesis cost).
+  /// Hard decisions only: the shared SIMD-batched Q^H Y rotation and
+  /// packed root centers (TreeProblem::rotate), then one unconstrained
+  /// Geosphere search per column (same ML solution as the hard Geosphere
+  /// detector, no counter-hypothesis cost).
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
   /// Hard decisions plus max-log LLRs for every transmitted bit: the same
@@ -60,12 +59,10 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   /// searches against its rotated row.
   void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) override;
 
-  /// Validates inputs and QR-factorizes the channels shared by the
-  /// unconstrained and per-bit searches: packed Householder QR across the
-  /// batch (prepare/batch_qr.h); select copies slot i's factorization into
-  /// the active workspace. Requires noise_var > 0 (the LLR normalization
-  /// divides by it). Shape, noise and rank failures are recorded and
-  /// thrown at select time.
+  /// QR-factorizes the channels shared by the unconstrained and per-bit
+  /// searches (TreeProblem::prepare_batch); select installs slot i.
+  /// Requires noise_var > 0 (the LLR normalization divides by it). Shape,
+  /// noise and rank failures are thrown at select time, in that order.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
@@ -86,10 +83,6 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
                 std::ptrdiff_t mask_level, const std::vector<std::uint8_t>* mask,
                 DetectionStats& stats);
 
-  /// Rotates the batch (yhat_t_batch_) and packs its root centers, after
-  /// checking the row count -- the shared head of both batch solves.
-  void rotate(const linalg::CMatrix& y_batch);
-
   /// The soft solve of one rotated vector: the unconstrained search plus
   /// the per-bit counter-hypothesis searches, writing nc decisions to
   /// `indices` and nc * Q LLRs (stream-major) to `llrs`. Throws
@@ -99,21 +92,9 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
 
   double llr_clamp_;
 
-  // Prepared channel state, shared by every search until the next prepare.
-  std::size_t na_ = 0;
-  linalg::CMatrix r_;
-  linalg::CMatrix qh_;
+  // Prepared channel, shared by every search until the next prepare.
+  sphere::TreeProblem problem_;
   double noise_var_ = 0.0;
-  std::vector<double> scale_;
-  std::vector<double> diag_;  ///< Per level: r_ll * alpha (center denominator).
-
-  // Batched-prepare state (prepare_batch override; see prepare/batch_qr.h).
-  prepare::BatchQr batch_qr_;
-  std::vector<prepare::QrSlot> slot_qr_;
-  /// Deferred batch failure: 0 ok, 1 bad shape, 2 bad noise variance.
-  std::uint8_t batch_error_ = 0;
-  double batch_noise_var_ = 0.0;
-  std::size_t batch_na_ = 0;
 
   /// Counter-hypothesis symbol masks, fixed by the constellation:
   /// bit_masks_[b * 2 + want][idx] == 1 iff bit b of symbol idx is `want`.
@@ -126,11 +107,6 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
   std::vector<double> partial_;
   std::vector<unsigned> best_;  ///< Best path of the last search.
   std::vector<std::uint8_t> ml_bits_;
-
-  // Per-batch workspaces (shared SIMD rotation and root centers).
-  linalg::CMatrix yhat_t_batch_;  ///< (Q^H Y)^T -- one row per vector.
-  sphere::simd::RotateScratch rot_scratch_;
-  std::vector<cf64> root_centers_;  ///< Packed per-vector root centers.
 };
 
 }  // namespace geosphere

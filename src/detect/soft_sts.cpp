@@ -15,7 +15,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 SoftGeosphereStsDetector::SoftGeosphereStsDetector(const Constellation& c,
                                                    double llr_clamp)
-    : Detector(c), llr_clamp_(llr_clamp), enum_proto_({.geometric_pruning = true}) {
+    : Detector(c), llr_clamp_(llr_clamp), problem_("SoftGeosphereStsDetector", c.scale()),
+      enum_proto_({.geometric_pruning = true}) {
   if (llr_clamp <= 0.0)
     throw std::invalid_argument("SoftGeosphereStsDetector: llr_clamp must be positive");
   enum_proto_.attach(c);
@@ -34,49 +35,17 @@ SoftGeosphereStsDetector::SoftGeosphereStsDetector(const Constellation& c,
 
 void SoftGeosphereStsDetector::do_prepare_batch(const linalg::CMatrix* hs,
                                                 std::size_t count, double noise_var) {
-  if (count == 0) return;
-  const std::size_t nc = hs[0].cols();
-  // Validation order: shape first, then the noise variance; both throw for
-  // every slot, deferred to select time.
-  batch_error_ = 0;
-  if (nc == 0 || hs[0].rows() < nc) {
-    batch_error_ = 1;
-    return;
-  }
-  if (noise_var <= 0.0) {
-    batch_error_ = 2;
-    return;
-  }
-  batch_qr_.run(hs, count, slot_qr_);
-  batch_noise_var_ = noise_var;
-  batch_na_ = hs[0].rows();
+  noise_var_ = noise_var;
+  problem_.prepare_batch(hs, count);
 }
 
 void SoftGeosphereStsDetector::do_select_prepared(std::size_t i) {
-  if (batch_error_ == 1)
-    throw std::invalid_argument("SoftGeosphereStsDetector: shape mismatch");
-  if (batch_error_ == 2)
+  problem_.check_shape();
+  if (noise_var_ <= 0.0)
     throw std::invalid_argument(
         "SoftGeosphereStsDetector: needs positive noise variance");
-  const prepare::QrSlot& slot = slot_qr_[i];
-  if (!slot.rank_ok)
-    throw std::domain_error("SoftGeosphereStsDetector: rank-deficient channel");
-  na_ = batch_na_;
-  qh_ = slot.qh;
-  r_ = slot.r;
-  noise_var_ = batch_noise_var_;
-  const std::size_t nc = r_.cols();
-  const Constellation& cons = constellation();
-  const double alpha = cons.scale();
-  scale_.assign(nc, 0.0);
-  diag_.assign(nc, 0.0);
-  for (std::size_t l = 0; l < nc; ++l) {
-    const double rll = r_(l, l).real();
-    scale_[l] = rll * rll * alpha * alpha;
-    // Same product the per-node center division used to form -- hoisted
-    // once per channel, bit-identical.
-    diag_[l] = rll * alpha;
-  }
+  problem_.select(i);
+  const std::size_t nc = problem_.nc;
   if (level_enum_.size() != nc) {
     level_enum_.assign(nc, enum_proto_);
     current_.assign(nc, 0);
@@ -90,24 +59,12 @@ void SoftGeosphereStsDetector::do_select_prepared(std::size_t i) {
     row_max_.assign(nc, kInf);
     open_max_.assign(nc, kInf);
   }
-  lambda_bar_.assign(nc * cons.bits_per_symbol(), kInf);
-}
-
-void SoftGeosphereStsDetector::rotate(const linalg::CMatrix& y_batch) {
-  if (y_batch.rows() != na_)
-    throw std::invalid_argument("SoftGeosphereStsDetector: shape mismatch");
-  // One SIMD-batched transposed rotation for the whole batch (row v of
-  // (Q^H Y)^T is bit-identical to the mat-vec Q^H y_v; see simd/rotate.h)
-  // and packed root-center divides.
-  const std::size_t nc = scale_.size();
-  sphere::simd::rotate_transpose(qh_, y_batch, yhat_t_batch_, rot_scratch_);
-  sphere::simd::packed_root_centers(yhat_t_batch_, nc - 1, diag_[nc - 1], root_centers_,
-                                    rot_scratch_);
+  lambda_bar_.assign(nc * constellation().bits_per_symbol(), kInf);
 }
 
 SoftGeosphereStsDetector::Search SoftGeosphereStsDetector::search_ml(
     const cf64* yhat, cf64 root_center, DetectionStats& stats_out) {
-  const std::size_t nc = scale_.size();
+  const std::size_t nc = problem_.nc;
   const Constellation& cons = constellation();
   DetectionStats stats;  // Search-local, added to the caller's once.
   ++stats.tree_searches;
@@ -117,14 +74,15 @@ SoftGeosphereStsDetector::Search SoftGeosphereStsDetector::search_ml(
   partial_[nc] = 0.0;
 
   const auto center_at = [&](std::size_t l) {
-    return sphere::tree_center(r_, yhat, l, current_.data(), cons, diag_[l]);
+    return sphere::tree_center(problem_.r, yhat, l, current_.data(), cons,
+                               problem_.diag[l]);
   };
 
   std::size_t level = nc - 1;
   level_enum_[level].reset(root_center, stats);
 
   for (;;) {
-    const double budget = (out.best_dist - partial_[level + 1]) / scale_[level];
+    const double budget = (out.best_dist - partial_[level + 1]) / problem_.scale[level];
     const auto child = level_enum_[level].next(budget, stats);
     if (!child) {
       ++level;
@@ -133,7 +91,7 @@ SoftGeosphereStsDetector::Search SoftGeosphereStsDetector::search_ml(
     }
     ++stats.visited_nodes;
     current_[level] = cons.index_from_levels(child->li, child->lq);
-    partial_[level] = partial_[level + 1] + scale_[level] * child->cost_grid;
+    partial_[level] = partial_[level + 1] + problem_.scale[level] * child->cost_grid;
     if (level == 0) {
       out.best_dist = partial_[0];
       std::copy(current_.begin(), current_.end(), best_.begin());
@@ -177,7 +135,7 @@ inline void SoftGeosphereStsDetector::set_radius(std::size_t level, double decid
 }
 
 inline void SoftGeosphereStsDetector::leaf_update(DetectionStats& stats) {
-  const std::size_t nc = scale_.size();
+  const std::size_t nc = problem_.nc;
   const unsigned bits = constellation().bits_per_symbol();
   const double d = partial_[0];
 
@@ -243,7 +201,7 @@ inline void SoftGeosphereStsDetector::leaf_update(DetectionStats& stats) {
 
 void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
                                           DetectionStats& stats_out) {
-  const std::size_t nc = scale_.size();
+  const std::size_t nc = problem_.nc;
   const Constellation& cons = constellation();
   DetectionStats stats;  // Search-local, added to the caller's once.
   ++stats.tree_searches;
@@ -259,7 +217,8 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
   partial_[nc] = 0.0;
 
   const auto center_at = [&](std::size_t l) {
-    return sphere::tree_center(r_, yhat, l, current_.data(), cons, diag_[l]);
+    return sphere::tree_center(problem_.r, yhat, l, current_.data(), cons,
+                               problem_.diag[l]);
   };
 
   std::size_t level = nc - 1;
@@ -274,7 +233,8 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
         decided = std::max(decided, masked_row_max(j));
       set_radius(level, decided);
     }
-    const double budget = (radius_cache_[level] - partial_[level + 1]) / scale_[level];
+    const double budget =
+        (radius_cache_[level] - partial_[level + 1]) / problem_.scale[level];
     const auto child = level_enum_[level].next(budget, stats);
     if (!child) {
       ++level;
@@ -283,7 +243,7 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
     }
     ++stats.visited_nodes;
     current_[level] = cons.index_from_levels(child->li, child->lq);
-    partial_[level] = partial_[level + 1] + scale_[level] * child->cost_grid;
+    partial_[level] = partial_[level + 1] + problem_.scale[level] * child->cost_grid;
     if (level == 0) {
       leaf_update(stats);
     } else {
@@ -303,7 +263,7 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
 }
 
 void SoftGeosphereStsDetector::emit_llrs(double* llrs) const {
-  const std::size_t nc = scale_.size();
+  const std::size_t nc = problem_.nc;
   const unsigned bits = constellation().bits_per_symbol();
   // Identical formulas (and expression order) to the repeated-tree-search
   // reference: a counter-hypothesis counts as "found" only strictly inside
@@ -326,15 +286,15 @@ void SoftGeosphereStsDetector::emit_llrs(double* llrs) const {
 
 void SoftGeosphereStsDetector::do_solve_batch(const linalg::CMatrix& y_batch,
                                               BatchResult& out) {
-  rotate(y_batch);
-  const std::size_t nc = scale_.size();
+  problem_.rotate(y_batch);
+  const std::size_t nc = problem_.nc;
   const std::size_t count = y_batch.cols();
   out.count = count;
   out.streams = nc;
   out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    if (!search_ml(yhat_t_batch_.row_data(v), root_centers_[v], stats).found)
+    if (!search_ml(problem_.yhat_t.row_data(v), problem_.root_centers[v], stats).found)
       throw std::runtime_error(
           "SoftGeosphereStsDetector: no solution found (unbounded search)");
     std::copy(best_.begin(), best_.end(),
@@ -345,9 +305,9 @@ void SoftGeosphereStsDetector::do_solve_batch(const linalg::CMatrix& y_batch,
 
 void SoftGeosphereStsDetector::do_solve_soft_batch(const linalg::CMatrix& y_batch,
                                                    SoftBatchResult& out) {
-  rotate(y_batch);
+  problem_.rotate(y_batch);
   // One STS pass per column against warm workspaces.
-  const std::size_t nc = scale_.size();
+  const std::size_t nc = problem_.nc;
   const unsigned bits = constellation().bits_per_symbol();
   const std::size_t count = y_batch.cols();
   out.count = count;
@@ -356,7 +316,7 @@ void SoftGeosphereStsDetector::do_solve_soft_batch(const linalg::CMatrix& y_batc
   out.llrs.resize(count * nc * bits);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    sts_search(yhat_t_batch_.row_data(v), root_centers_[v], stats);
+    sts_search(problem_.yhat_t.row_data(v), problem_.root_centers[v], stats);
     std::copy(ml_best_.begin(), ml_best_.end(),
               out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
     emit_llrs(out.llrs.data() + (v * nc) * bits);

@@ -62,9 +62,8 @@
 #include "common/types.h"
 #include "constellation/constellation.h"
 #include "detect/detector.h"
-#include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
-#include "detect/sphere/simd/rotate.h"
+#include "detect/sphere/tree_problem.h"
 #include "linalg/matrix.h"
 
 namespace geosphere {
@@ -83,23 +82,22 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   double llr_clamp() const { return llr_clamp_; }
 
  protected:
-  /// Hard decisions only: one SIMD-batched Q^H Y rotation plus packed
-  /// root-center divides, then the plain unconstrained Geosphere search per
-  /// column (no counter-hypothesis table) -- same ML solution as the hard
-  /// detector, identical to the soft-geosphere hard batch path.
+  /// Hard decisions only: the shared SIMD-batched Q^H Y rotation and
+  /// packed root centers (TreeProblem::rotate), then the plain
+  /// unconstrained Geosphere search per column (no counter-hypothesis
+  /// table) -- same ML solution as the hard detector, identical to the
+  /// soft-geosphere hard batch path.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
   /// Hard decisions plus max-log LLRs: the same shared rotation and root
   /// centers, then ONE enumeration pass per column.
   void do_solve_soft_batch(const linalg::CMatrix& y_batch, SoftBatchResult& out) override;
 
-  /// Validates inputs and QR-factorizes the channels: packed Householder
-  /// QR across the batch (prepare/batch_qr.h); select copies slot i's
-  /// factorization into the active workspace (including the unconditional
-  /// counter-hypothesis table reset every prepare performs). Requires
-  /// noise_var > 0 (the LLR normalization and clamp radius divide by it).
-  /// Shape, noise and rank failures are recorded and thrown at select
-  /// time.
+  /// QR-factorizes the channels (TreeProblem::prepare_batch); select
+  /// installs slot i and performs the unconditional counter-hypothesis
+  /// table reset of every prepare. Requires noise_var > 0 (the LLR
+  /// normalization and clamp radius divide by it). Shape, noise and rank
+  /// failures are thrown at select time, in that order.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
@@ -111,10 +109,6 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
     double best_dist = 0.0;
     bool found = false;
   };
-
-  /// Rotates the batch (yhat_t_batch_) and packs its root centers, after
-  /// checking the row count -- the shared head of both batch solves.
-  void rotate(const linalg::CMatrix& y_batch);
 
   /// Plain unconstrained depth-first search (hard decisions; identical
   /// arithmetic sequence to the soft-geosphere / SphereDecoder search).
@@ -145,21 +139,9 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
 
   double llr_clamp_;
 
-  // Prepared channel state, shared by every search until the next prepare.
-  std::size_t na_ = 0;
-  linalg::CMatrix r_;
-  linalg::CMatrix qh_;
+  // Prepared channel, shared by every search until the next prepare.
+  sphere::TreeProblem problem_;
   double noise_var_ = 0.0;
-  std::vector<double> scale_;
-  std::vector<double> diag_;  ///< Per level: r_ll * alpha (center denominator).
-
-  // Batched-prepare state (prepare_batch override; see prepare/batch_qr.h).
-  prepare::BatchQr batch_qr_;
-  std::vector<prepare::QrSlot> slot_qr_;
-  /// Deferred batch failure: 0 ok, 1 bad shape, 2 bad noise variance.
-  std::uint8_t batch_error_ = 0;
-  double batch_noise_var_ = 0.0;
-  std::size_t batch_na_ = 0;
 
   /// bit_word_[idx]: the Q bits of constellation symbol idx packed LSB-
   /// first (bit b of Constellation::bits_from_index at 1u << b), so leaf
@@ -203,11 +185,6 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   std::vector<double> decided_max_;  ///< decided(l), valid with radius_epoch_[l].
   std::vector<double> row_max_;      ///< max_b lambda_bar_[j][b].
   std::vector<double> open_max_;     ///< max_{j <= l} row_max_[j].
-
-  // Per-batch workspaces (shared SIMD rotation and root centers).
-  linalg::CMatrix yhat_t_batch_;  ///< (Q^H Y)^T -- one row per vector.
-  sphere::simd::RotateScratch rot_scratch_;
-  std::vector<cf64> root_centers_;  ///< Packed per-vector root centers.
 };
 
 }  // namespace geosphere

@@ -6,10 +6,11 @@
 // node sequences; only the PED-computation counts differ (Section 5.3).
 //
 // prepare() performs the per-channel work once (column ordering,
-// Householder QR, per-level scale factors, workspace sizing); solve_batch()
-// rotates the received vectors into the triangular basis together and runs
-// one tree search per vector -- so an OFDM frame pays the factorization
-// once per subcarrier, not once per received vector.
+// Householder QR, per-level scale factors, workspace sizing) through the
+// shared prepared channel (tree_problem.h); solve_batch() rotates the
+// received vectors into the triangular basis together and runs one tree
+// search per vector -- so an OFDM frame pays the factorization once per
+// subcarrier, not once per received vector.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +22,7 @@
 #include "detect/detector.h"
 #include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
-#include "detect/sphere/preprocess.h"
-#include "detect/sphere/simd/rotate.h"
+#include "detect/sphere/tree_problem.h"
 
 namespace geosphere::sphere {
 
@@ -41,79 +41,65 @@ class SphereDecoder final : public Detector {
  public:
   SphereDecoder(const Constellation& c, Enumerator prototype, std::string name,
                 SphereConfig config = {})
-      : Detector(c), prototype_(prototype), name_(std::move(name)), config_(config) {
+      : Detector(c), prototype_(prototype), name_(std::move(name)), config_(config),
+        problem_("SphereDecoder", c.scale()) {
     prototype_.attach(c);
   }
 
   std::string name() const override { return name_; }
   const SphereConfig& config() const { return config_; }
 
-  /// Adopts `slot`, a packed-QR factorization of `h` (prepare/batch_qr.h),
-  /// instead of refactorizing -- the hybrid detector shares its routing QR
-  /// this way. Checks h's shape and throws on !slot.rank_ok exactly as
-  /// prepare(h, noise_var) would, and installs the same bits (the detector's
-  /// unsorted config makes the factorization permutation-free).
-  void prepare_adopted(const linalg::CMatrix& h, const prepare::QrSlot& slot);
+  /// Adopts `slot`, a packed-QR factorization (prepare/batch_qr.h), instead
+  /// of refactorizing -- the hybrid detector shares its routing QR this
+  /// way. Throws exactly as prepare() would for the slot's channel and
+  /// installs the same bits; the factorization carries no column order, so
+  /// the detection order is the identity whatever the configuration.
+  void prepare_adopted(const prepare::QrSlot& slot);
 
  protected:
-  /// One SIMD-batched Q^H Y rotation for the whole batch (vectors as lanes,
-  /// see simd/rotate.h) plus packed root-center divides, then one search
-  /// per row. Every tier's rotation row and root center is bit-identical
-  /// to the scalar per-vector arithmetic, so a vector's result does not
-  /// depend on the tier, its column or the batch size.
+  /// The shared SIMD-batched Q^H Y rotation and packed root centers
+  /// (TreeProblem::rotate), then one search per row. Every tier's rotation
+  /// row and root center is bit-identical to the scalar per-vector
+  /// arithmetic, so a vector's result does not depend on the tier, its
+  /// column or the batch size.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
-  /// Packed Householder QR across the batch (prepare/batch_qr.h), with
-  /// per-slot column orderings first when sorted QR is configured; select
-  /// copies slot i's factorization into the active workspace. Shape and
-  /// rank failures are recorded per batch/slot and thrown at select time.
+  /// Packed Householder QR across the batch (TreeProblem::prepare_batch),
+  /// with per-slot column orders and permuted copies first when sorted QR
+  /// is configured; select installs slot i (TreeProblem::select), which
+  /// throws the batch's shape error or the slot's rank error.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
 
  private:
   /// Depth-first search against the prepared channel, reading the rotated
-  /// received vector from `yhat` (length nc_) and its packed root-level
+  /// received vector from `yhat` (length n_c) and its packed root-level
   /// center; leaves the winning path in best_ and accumulates counters into
   /// `stats`. Returns false if the search reaches no leaf.
   bool search(const cf64* yhat, DetectionStats& stats, cf64 root_center);
 
-  /// Installs the per-level state derived from the already-set na_/nc_/r_
-  /// (workspace sizing, level scales and center denominators) -- the tail
-  /// of both do_select_prepared and prepare_adopted.
-  void finish_install();
+  /// The tail of every install: the detection order (`order`, or the
+  /// identity when null) and the search workspace for the installed
+  /// channel's level count.
+  void finish_install(const std::vector<std::size_t>* order);
 
   Enumerator prototype_;
   std::string name_;
   SphereConfig config_;
+  TreeProblem problem_;  ///< The prepared channel.
+  std::vector<std::size_t> perm_;  ///< Detection-order column permutation.
 
-  // Prepared channel state (owned; valid until the next prepare()).
-  std::size_t na_ = 0;                ///< Receive antennas of the prepared H.
-  std::size_t nc_ = 0;                ///< Streams of the prepared H.
-  std::vector<std::size_t> perm_;     ///< Detection-order column permutation.
-  linalg::CMatrix r_;                 ///< Upper-triangular QR factor.
-  linalg::CMatrix qh_;                ///< Q^H, applied to each received vector.
-  linalg::CMatrix yhat_t_batch_;      ///< (Q^H Y)^T -- one row per vector.
-
-  // Per-level state, reused across searches to avoid allocation.
+  // Per-level search state, reused across searches to avoid allocation.
   std::vector<Enumerator> level_enum_;
-  std::vector<double> level_scale_;     ///< |r_ll|^2 * alpha^2.
-  std::vector<double> level_diag_;      ///< r_ll * alpha (center denominator).
   std::vector<double> partial_dist_;    ///< partial_dist_[l] = d(s^(l)); [nc] = 0.
   std::vector<unsigned> current_;       ///< Symbol index per level on the path.
   std::vector<unsigned> best_;
 
-  // Batched-prepare state (prepare_batch override; see prepare/batch_qr.h).
-  prepare::BatchQr batch_qr_;
-  std::vector<prepare::QrSlot> slot_qr_;
+  // Sorted QR only: per-slot detection orders and the permuted copies the
+  // QR factorizes, rewritten in place by every prepare_batch().
   std::vector<std::vector<std::size_t>> slot_perm_;
-  std::vector<linalg::CMatrix> batch_hp_;  ///< Permuted copies (sorted QR only).
-  bool batch_shape_bad_ = false;  ///< Deferred shape invalid_argument.
-  std::size_t batch_na_ = 0;
-  std::size_t batch_nc_ = 0;
-
-  // Batched-solve state: SIMD rotation scratch (see simd/rotate.h).
-  simd::RotateScratch rot_scratch_;
-  std::vector<cf64> root_centers_;  ///< Packed per-vector root centers.
+  std::vector<linalg::CMatrix> batch_hp_;
+  std::vector<double> energy_;  ///< column_norm_order scratch.
 };
 
 /// Geosphere: 2D zigzag enumeration + geometric pruning (the full system).

@@ -1,68 +1,76 @@
-// Shared QR-triangularized form of the detection problem (paper Eq. 3/4),
-// used by the tree-search detectors that do not need the full depth-first
-// machinery (K-best, fixed-complexity).
+// The prepared channel of every QR tree detector: the QR-triangularized
+// detection problem (paper Eq. 3/4: H = QR, yhat = Q^H y) that Geosphere,
+// ETH-SD, Shabany, K-best, FSD, the real-valued decomposition and the
+// soft-output Geosphere variants search. A detector holds one TreeProblem
+// and drives it through the phases of the detection contract:
 //
-// The channel-only work is done by the packed QR driver
-// (prepare/batch_qr.h); install_factorized() takes one slot of it and
-// precomputes the per-level scales, and rotate_batch() rotates a batch of
-// received vectors into the triangular basis, one row per vector. The
-// problem holds channel state only: the searches read each rotated vector
-// in place from its row. Detectors keep one TreeProblem in their
-// workspace, installed once per channel estimate.
+//   prepare_batch(hs, count) -- records a bad shape, or runs the packed QR
+//                               (prepare/batch_qr.h) into its own slots;
+//   select(i)                -- throws the shape error or slot i's rank
+//                               error, naming the detector, or installs
+//                               slot i: Q^H, R, per-level scale and diag;
+//                               install(slot) does the same for a slot
+//                               factorized elsewhere (hybrid's routing QR);
+//   rotate(Y)                -- (Q^H Y)^T into yhat_t, one row per vector,
+//                               plus the packed root centers (simd/rotate.h).
+//
+// The searches read the public members in place. What differs stays in
+// each detector: sorted QR's orders, RVD's real embedding, the soft
+// detectors' noise check, hybrid's routing and the search workspaces. Once
+// warm, no phase allocates.
 #pragma once
 
-#include <stdexcept>
+#include <cstddef>
 #include <vector>
 
-#include "constellation/constellation.h"
-#include "detect/sphere/center.h"
+#include "common/types.h"
+#include "detect/prepare/batch_qr.h"
+#include "detect/sphere/simd/rotate.h"
 #include "linalg/matrix.h"
 
 namespace geosphere::sphere {
 
-struct TreeProblem {
-  linalg::CMatrix r;          ///< Upper triangular, real non-negative diagonal.
-  linalg::CMatrix qh;         ///< Q^H, applied to each received vector.
-  std::vector<double> scale;  ///< Per level: |r_ll|^2 * alpha^2.
-  std::vector<double> diag;   ///< Per level: r_ll * alpha (center denominator).
-  double alpha = 1.0;
+class TreeProblem {
+ public:
+  /// `who` (a string literal) names the detector in every error thrown
+  /// here; `alpha` is its constellation's scale().
+  TreeProblem(const char* who, double alpha) : who_(who), alpha_(alpha) {}
 
-  /// Installs a factorization of the channel (prepare/batch_qr.h slot:
-  /// qh_in = Q^H, r_in = R with real non-negative diagonal) and precomputes
-  /// the per-level scales; the caller has already handled the shape and
-  /// rank failures the batched driver reported.
-  void install_factorized(const linalg::CMatrix& qh_in, const linalg::CMatrix& r_in,
-                          const Constellation& cons) {
-    const std::size_t nc = r_in.cols();
-    alpha = cons.scale();
-    qh = qh_in;
-    scale.resize(nc);
-    diag.resize(nc);
-    for (std::size_t l = 0; l < nc; ++l) {
-      const double rll = r_in(l, l).real();
-      scale[l] = rll * rll * alpha * alpha;
-      diag[l] = rll * alpha;
-    }
-    r = r_in;
-  }
+  /// Factorizes hs[0..count), all of one shape, unless that shape breaks
+  /// 1 <= n_c <= n_a; every select() then throws std::invalid_argument.
+  void prepare_batch(const linalg::CMatrix* hs, std::size_t count);
+  bool shape_ok() const { return !shape_bad_; }
+  void check_shape() const;  ///< Throws the batch's shape error, if any.
+  /// Slot i of the last prepare_batch(), when shape_ok().
+  const prepare::QrSlot& slot(std::size_t i) const { return slots_[i]; }
 
-  /// Per-vector phase, batched: rotate every column of `y_batch` at once,
-  /// transposed -- row v of `yhat_t_batch` is bit-identical to the mat-vec
-  /// Q^H y_v (the multiply_transpose_into accumulation guarantee), and
-  /// contiguous.
-  void rotate_batch(const linalg::CMatrix& y_batch, linalg::CMatrix& yhat_t_batch) const {
-    if (y_batch.rows() != qh.cols())
-      throw std::invalid_argument("TreeProblem: Y/H shape mismatch");
-    multiply_transpose_into(qh, y_batch, yhat_t_batch);
-  }
+  /// check_shape(), then install(slot(i)).
+  void select(std::size_t i);
+  /// Throws std::invalid_argument unless 1 <= n_c <= n_a and
+  /// std::domain_error unless slot.rank_ok; else installs the slot.
+  void install(const prepare::QrSlot& slot);
 
-  /// Grid-units center of level `l` of the rotated vector `yhat` (one
-  /// rotate_batch() row) given the decisions `path[j]` for j > l (the
-  /// shared bit-exact kernel; see center.h).
-  cf64 center(const cf64* yhat, std::size_t l, const std::vector<unsigned>& path,
-              const Constellation& cons) const {
-    return tree_center(r, yhat, l, path.data(), cons, diag[l]);
-  }
+  /// Row v of yhat_t is bit-identical to the mat-vec Q^H y_v, and
+  /// root_centers[v] to the root-level tree_center of that row. Throws
+  /// std::invalid_argument unless `y_batch` has n_a rows.
+  void rotate(const linalg::CMatrix& y_batch);
+
+  std::size_t na = 0;              ///< Receive antennas: Q^H's columns.
+  std::size_t nc = 0;              ///< Tree levels: R's order.
+  linalg::CMatrix qh;              ///< Q^H.
+  linalg::CMatrix r;               ///< Upper triangular, real non-negative diagonal.
+  std::vector<double> scale;       ///< Per level: |r_ll|^2 * alpha^2.
+  std::vector<double> diag;        ///< Per level: r_ll * alpha (center denominator).
+  linalg::CMatrix yhat_t;          ///< (Q^H Y)^T of the last rotate().
+  std::vector<cf64> root_centers;  ///< Root-level center of each yhat_t row.
+
+ private:
+  const char* who_;
+  double alpha_;
+  bool shape_bad_ = false;
+  prepare::BatchQr batch_qr_;
+  std::vector<prepare::QrSlot> slots_;
+  simd::RotateScratch rot_scratch_;
 };
 
 }  // namespace geosphere::sphere

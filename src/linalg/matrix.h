@@ -226,9 +226,11 @@ class Matrix {
   /// out = (a * b)^T into a caller-owned matrix whose storage is reused.
   /// Row j of the result accumulates over k in increasing order, exactly
   /// like multiply_into(a, b.col(j)) -- so each row is bit-identical to the
-  /// per-vector product of column j. The batched tree searches use this
-  /// transposed layout: one contiguous row per received vector, read in
-  /// place with no per-vector copy. `out` must not alias `a` or `b`.
+  /// per-vector product of column j. This is the scalar reference of the
+  /// tree searches' transposed layout (one contiguous row per received
+  /// vector): they rotate with detect/sphere/simd/rotate.h, whose tests
+  /// compare it against this product bit for bit. `out` must not alias `a`
+  /// or `b`.
   friend void multiply_transpose_into(const Matrix& a, const Matrix& b, Matrix& out) {
     if (a.cols_ != b.rows_) throw std::invalid_argument("Matrix product: shape mismatch");
     out.rows_ = b.cols_;

@@ -50,14 +50,6 @@ link::LinkStats Engine::run_link(const link::LinkSimulator& sim, const DetectorS
   return total;
 }
 
-link::LinkStats Engine::run_link(const channel::ChannelSpec& chspec, std::size_t clients,
-                                 std::size_t antennas, const link::LinkScenario& scenario,
-                                 const DetectorSpec& spec, std::size_t frames,
-                                 std::uint64_t seed) {
-  const link::LinkSimulator sim(channel(chspec, clients, antennas), scenario);
-  return run_link(sim, spec, frames, seed);
-}
-
 link::FrameBatchRunner Engine::runner() {
   return [this](const link::LinkSimulator& sim, const DetectorSpec& spec,
                 std::size_t frames, std::uint64_t seed) {
@@ -72,26 +64,10 @@ link::RateChoice Engine::best_rate(const channel::ChannelModel& channel,
   return link::best_rate(channel, base, spec, frames, seed, candidate_qams, runner());
 }
 
-link::RateChoice Engine::best_rate(const channel::ChannelSpec& chspec,
-                                   std::size_t clients, std::size_t antennas,
-                                   link::LinkScenario base, const DetectorSpec& spec,
-                                   std::size_t frames, std::uint64_t seed,
-                                   const std::vector<unsigned>& candidate_qams) {
-  return best_rate(channel(chspec, clients, antennas), base, spec, frames, seed,
-                   candidate_qams);
-}
-
 double Engine::find_snr_for_fer(const channel::ChannelModel& channel,
                                 link::LinkScenario base, const DetectorSpec& spec,
                                 const link::SnrSearchConfig& config, std::uint64_t seed) {
   return link::find_snr_for_fer(channel, base, spec, config, seed, runner());
-}
-
-double Engine::find_snr_for_fer(const channel::ChannelSpec& chspec, std::size_t clients,
-                                std::size_t antennas, link::LinkScenario base,
-                                const DetectorSpec& spec,
-                                const link::SnrSearchConfig& config, std::uint64_t seed) {
-  return find_snr_for_fer(channel(chspec, clients, antennas), base, spec, config, seed);
 }
 
 std::vector<SweepCell> Engine::run_sweep(const channel::ChannelModel& channel,

@@ -98,14 +98,6 @@ class Engine {
   link::LinkStats run_link(const link::LinkSimulator& sim, const DetectorSpec& spec,
                            std::size_t frames, std::uint64_t seed);
 
-  /// Declarative run_link: builds the link from the cached channel named
-  /// by `chspec`. Bit-identical to the LinkSimulator overload on a model
-  /// constructed the same way.
-  link::LinkStats run_link(const channel::ChannelSpec& chspec, std::size_t clients,
-                           std::size_t antennas, const link::LinkScenario& scenario,
-                           const DetectorSpec& spec, std::size_t frames,
-                           std::uint64_t seed);
-
   /// A FrameBatchRunner that dispatches onto this engine, for the
   /// link-layer helpers (best_rate, find_snr_for_fer).
   link::FrameBatchRunner runner();
@@ -118,23 +110,10 @@ class Engine {
                              std::size_t frames, std::uint64_t seed,
                              const std::vector<unsigned>& candidate_qams = {4, 16, 64});
 
-  /// Declarative best_rate over the cached channel named by `chspec`.
-  link::RateChoice best_rate(const channel::ChannelSpec& chspec, std::size_t clients,
-                             std::size_t antennas, link::LinkScenario base,
-                             const DetectorSpec& spec, std::size_t frames,
-                             std::uint64_t seed,
-                             const std::vector<unsigned>& candidate_qams = {4, 16, 64});
-
   /// Thread-pooled SNR calibration (link::find_snr_for_fer semantics).
   double find_snr_for_fer(const channel::ChannelModel& channel, link::LinkScenario base,
                           const DetectorSpec& spec,
                           const link::SnrSearchConfig& config, std::uint64_t seed);
-
-  /// Declarative SNR calibration over the cached channel named by `chspec`.
-  double find_snr_for_fer(const channel::ChannelSpec& chspec, std::size_t clients,
-                          std::size_t antennas, link::LinkScenario base,
-                          const DetectorSpec& spec, const link::SnrSearchConfig& config,
-                          std::uint64_t seed);
 
   /// Executes a declarative sweep. Cells are ordered SNR-major, then
   /// detector, then code (the spec's orders), `snr_grid_db.size() *

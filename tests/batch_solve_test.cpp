@@ -17,7 +17,8 @@
 //  * the batched LinkSimulator reproduces the recorded pre-batching (PR 4
 //    per-vector) LinkStats bit-for-bit, for any thread count,
 //  * warm solves allocate nothing: once a detector has solved a batch,
-//    solving it again makes no global operator new call.
+//    solving it again makes no global operator new call; nor does
+//    preparing and selecting a frame's channels again.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -287,6 +288,35 @@ TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
   }
 }
 
+// Warm prepares allocate nothing: after one prepare_batch and select pass
+// over a frame's 48 channels, a second pass over the same channels makes
+// no global operator new call in prepare_batch or any select_prepared.
+// Every registry detector except mmse-sic, plus hybrid at both routing
+// extremes.
+TEST(BatchSolveRegistry, WarmPrepareAllocatesNothing) {
+  std::vector<std::string> specs;
+  for (const std::string& text : all_registry_specs())
+    if (text != "mmse-sic") specs.push_back(text);
+  specs.insert(specs.end(), {"hybrid:0", "hybrid:200"});
+  constexpr std::size_t kChannels = 48;
+  const Constellation& c = Constellation::qam(16);
+  Rng rng(4848);
+  const double n0 = 4.0 / db_to_lin(18.0);
+  std::vector<linalg::CMatrix> hs;
+  for (std::size_t s = 0; s < kChannels; ++s) hs.push_back(random_channel(rng, 4, 4));
+  for (const std::string& text : specs) {
+    const auto det = DetectorSpec::parse(text).create(c);
+    std::size_t allocs = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      const std::size_t before = g_allocations.load();
+      det->prepare_batch(hs, n0);
+      for (std::size_t s = 0; s < kChannels; ++s) det->select_prepared(s);
+      if (pass == 1) allocs = g_allocations.load() - before;
+    }
+    EXPECT_EQ(allocs, 0u) << text << ": warm prepare_batch + " << kChannels << " selects";
+  }
+}
+
 TEST(BatchSolve, SoftBatchMatchesLoopBitExactlyIncludingLlrs) {
   const DetectorSpec spec = DetectorSpec::parse("soft-geosphere");
   const Constellation& c = Constellation::qam(16);
@@ -443,13 +473,13 @@ TEST(BatchSolve, BatchedLinkIsThreadCountInvariant) {
   scenario.frame.payload_bytes = 80;
   scenario.snr_db = 15.0;
 
-  const auto chspec = channel::ChannelSpec::parse("kronecker:0.6");
+  const link::LinkSimulator sim(channel::ChannelSpec::parse("kronecker:0.6"), 2, 4, scenario);
   sim::Engine one(1);
   sim::Engine four(4);
   for (const char* name : {"geosphere", "soft-geosphere", "soft-geosphere-sts"}) {
     const DetectorSpec ds = DetectorSpec::parse(name);
-    const link::LinkStats a = one.run_link(chspec, 2, 4, scenario, ds, 8, /*seed=*/5);
-    const link::LinkStats b = four.run_link(chspec, 2, 4, scenario, ds, 8, /*seed=*/5);
+    const link::LinkStats a = one.run_link(sim, ds, 8, /*seed=*/5);
+    const link::LinkStats b = four.run_link(sim, ds, 8, /*seed=*/5);
     EXPECT_EQ(a.bit_errors, b.bit_errors) << name;
     EXPECT_EQ(a.client_frame_errors, b.client_frame_errors) << name;
     EXPECT_EQ(a.detection_calls, b.detection_calls) << name;

@@ -488,29 +488,20 @@ TEST(Engine, CrossChannelPairedSeeds) {
 }
 
 TEST(Engine, SpecBasedHelpersMatchExplicitModel) {
+  // The spec-based routes to a channel -- the engine's channel cache and
+  // the owning LinkSimulator constructor -- run the same link as a model
+  // constructed by hand.
   const channel::ChannelSpec chspec = channel::ChannelSpec::parse("kronecker:0.7");
   const channel::KroneckerChannel model(4, 2, 0.7, 0.7);
   link::LinkScenario base = small_scenario(16, 18.0);
   const DetectorSpec zf = DetectorSpec::parse("zf");
 
   Engine engine(2);
-  const link::LinkStats a = engine.run_link(chspec, 2, 4, base, zf, 8, 5);
+  const link::LinkSimulator cached(engine.channel(chspec, 2, 4), base);
+  const link::LinkStats a = engine.run_link(cached, zf, 8, 5);
   const link::LinkStats b = engine.run_link(link::LinkSimulator(model, base), zf, 8, 5);
   expect_identical(a, b);
 
-  const link::RateChoice ra = engine.best_rate(chspec, 2, 4, base, zf, 6, 9, {4, 16});
-  const link::RateChoice rb = engine.best_rate(model, base, zf, 6, 9, {4, 16});
-  EXPECT_EQ(ra.qam_order, rb.qam_order);
-  EXPECT_DOUBLE_EQ(ra.throughput_mbps, rb.throughput_mbps);
-  expect_identical(ra.stats, rb.stats);
-
-  link::SnrSearchConfig search;
-  search.probe_frames = 6;
-  search.iterations = 4;
-  EXPECT_DOUBLE_EQ(engine.find_snr_for_fer(chspec, 2, 4, base, zf, search, 3),
-                   engine.find_snr_for_fer(model, base, zf, search, 3));
-
-  // The owning LinkSimulator constructor routes through the same spec.
   const link::LinkSimulator owning(chspec, 2, 4, base);
   EXPECT_EQ(owning.channel().num_tx(), 2u);
   EXPECT_EQ(owning.channel().num_rx(), 4u);

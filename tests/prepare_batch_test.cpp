@@ -430,8 +430,9 @@ TEST(PrepareDrivers, BatchQrMatchesHouseholderQrAndRankTestOnEveryTier) {
       const auto [q, r] = linalg::householder_qr(hs[s]);
       EXPECT_TRUE(same_bits(slots[s].qh, q.hermitian())) << who << "/slot" << s;
       EXPECT_TRUE(same_bits(slots[s].r, r)) << who << "/slot" << s;
-      const double rank_tol = 1e-10 * std::sqrt(std::max(hs[s].frobenius_norm_sq(), 1e-300));
-      bool rank_ok = true;
+      const double fro_sq = hs[s].frobenius_norm_sq();
+      const double rank_tol = 1e-10 * std::sqrt(std::max(fro_sq, 1e-300));
+      bool rank_ok = std::isfinite(fro_sq);
       for (std::size_t l = 0; l < r.cols(); ++l)
         if (r(l, l).real() <= rank_tol) rank_ok = false;
       EXPECT_EQ(slots[s].rank_ok, rank_ok) << who << "/slot" << s;

@@ -1,6 +1,6 @@
 // Stress and adversarial-input sweeps: poorly conditioned channels,
-// degenerate enumeration geometries, overflowing tree searches, and
-// cross-constellation consistency.
+// degenerate enumeration geometries, overflowing tree searches, non-finite
+// channels, and cross-constellation consistency.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -214,6 +214,48 @@ TEST(Stress, UnboundedSearchWithoutALeafThrows) {
           soft->solve_soft_batch(y_batch, out);
           return out.indices;
         });
+      }
+    }
+  }
+}
+
+// ---- Non-finite channels ------------------------------------------------------
+
+TEST(Stress, NonFiniteChannelThrowsAtSelect) {
+  // One NaN entry, then one +inf entry, in a 4x4 channel. Unchecked, a NaN
+  // poisons R and every partial distance, so a depth-first search can no
+  // longer prune and visits the whole tree. The packed QR's rank test
+  // fails a channel whose ||H||_F^2 is not finite, so every QR tree
+  // detector throws its domain_error when that channel is selected: as
+  // slot 1 of a batch, whose healthy neighbours stay selectable, and from
+  // a one-shot prepare(). Hybrid routes such a channel to its sphere
+  // decoder whatever its threshold.
+  const Constellation& c = Constellation::qam(16);
+  Rng rng(9);
+  const double n0 = db_to_lin(-20.0);
+  const std::set<std::string> no_tree = {"zf", "mmse", "mmse-sic", "ml"};
+  std::vector<std::string> specs = {"hybrid:0", "hybrid:200"};
+  for (const DetectorInfo& info : detector_registry())
+    if (no_tree.count(info.name) == 0)
+      specs.push_back(info.param_required ? info.name + ":8" : info.name);
+
+  for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
+    const TierGuard tier(kernel->name);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      std::vector<linalg::CMatrix> hs;
+      for (int s = 0; s < 3; ++s) hs.push_back(random_channel(rng, 4, 4));
+      hs[1](2, 1) = cf64{bad, 0.0};
+      for (const std::string& text : specs) {
+        const std::string who = text + " tier=" + kernel->name + " entry=" + std::to_string(bad);
+        const auto det = DetectorSpec::parse(text).create(c);
+        det->prepare_batch(hs, n0);
+        EXPECT_THROW(det->select_prepared(1), std::domain_error) << who << " batched";
+        EXPECT_FALSE(det->prepared()) << who;
+        EXPECT_NO_THROW(det->select_prepared(0)) << who;
+        EXPECT_NO_THROW(det->select_prepared(2)) << who;
+        EXPECT_THROW(det->prepare(hs[1], n0), std::domain_error) << who << " one-shot";
+        EXPECT_FALSE(det->prepared()) << who;
       }
     }
   }

@@ -1,4 +1,6 @@
-// Recorded counters and outputs of the enumerator-based tree searches.
+// Recorded counters and outputs of the tree searches: the enumerator-based
+// ones and the real-valued decomposition (rvd), whose 1D zigzag search
+// reads the same shared prepared channel and SIMD rotation.
 //
 // The sweep golden prints PED/sc to one decimal, the STS parity tests
 // compare two detectors that share one enumerator, and the serve golden's
@@ -14,9 +16,10 @@
 // geometric-pruning cuts.
 //
 // The values were recorded with the library before the enumerator and the
-// STS radius were made incremental; an intended change to a search's
-// counters re-records them from the failure messages, which print each
-// cell's row in source form.
+// STS radius were made incremental, and the rvd rows before its rotation
+// and center divisor moved to the shared prepared channel; an intended
+// change to a search's counters re-records them from the failure
+// messages, which print each cell's row in source form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -151,6 +154,7 @@ const Recorded kRecorded[] = {
     {"eth-sd", 16, false, {2291,490,0,0,453,0,0,0,12,36,0}, 0x87e81e77055773ccull},
     {"shabany", 16, false, {1341,490,0,0,453,1182,0,0,12,36,0}, 0x87e81e77055773ccull},
     {"fsd", 16, false, {2304,2304,0,0,1764,4608,0,0,12,0,0}, 0xb3126deabb7f028aull},
+    {"rvd", 16, false, {1749,904,0,0,868,0,0,0,12,0,0}, 0x87e81e77055773ccull},
     {"kbest:8", 16, false, {9552,7200,0,0,900,16752,0,0,12,0,0}, 0x8691d38aea668129ull},
     {"hybrid:10", 16, false, {662,316,493,119,384,786,0,0,12,12,0}, 0x417fa4c9a0fde309ull},
     {"soft-geosphere", 16, false, {1000,490,815,268,453,1179,0,0,12,36,0}, 0x87e81e77055773ccull},
@@ -165,6 +169,7 @@ const Recorded kRecorded[] = {
     {"eth-sd", 64, false, {2652,308,0,0,293,0,0,0,12,36,0}, 0xb062ac1e28309f16ull},
     {"shabany", 64, false, {893,308,0,0,293,700,0,0,12,36,0}, 0xb062ac1e28309f16ull},
     {"fsd", 64, false, {9216,9216,0,0,6948,18432,0,0,12,0,0}, 0xfe928fd1e548d18dull},
+    {"rvd", 64, false, {1167,593,0,0,574,0,0,0,12,0,0}, 0xb062ac1e28309f16ull},
     {"kbest:8", 64, false, {9915,7200,0,0,900,17115,0,0,12,0,0}, 0xb062ac1e28309f16ull},
     {"hybrid:10", 64, false, {269,132,232,88,221,311,0,0,12,12,0}, 0xee9efd7f00a6967eull},
     {"soft-geosphere", 64, false, {581,308,559,271,293,699,0,0,12,36,0}, 0xb062ac1e28309f16ull},
@@ -179,6 +184,7 @@ const Recorded kRecorded[] = {
     {"eth-sd", 256, false, {563195,33195,0,0,33125,0,0,0,12,36,0}, 0x67e918640fcb27bbull},
     {"shabany", 256, false, {78282,33195,0,0,33125,97888,0,0,12,36,0}, 0x67e918640fcb27bbull},
     {"fsd", 256, false, {36864,36864,0,0,27684,73728,0,0,12,0,0}, 0x85a3957fa8bbf62eull},
+    {"rvd", 256, false, {15012,7558,0,0,7459,0,0,0,12,0,0}, 0x67e918640fcb27bbull},
     {"kbest:8", 256, false, {9895,7200,0,0,900,17095,0,0,12,0,0}, 0xda20fd1d5f4ee00cull},
     {"hybrid:10", 256, false, {71098,33071,39499,1406,33089,97554,0,0,12,15,0}, 0x66bb860a0d71a499ull},
     {"soft-geosphere", 256, false, {71311,33195,39735,1549,33125,97821,0,0,12,36,0}, 0x67e918640fcb27bbull},
