@@ -25,10 +25,22 @@ class ChannelModel {
   virtual std::size_t num_rx() const = 0;  ///< AP antennas n_a.
   virtual std::size_t num_tx() const = 0;  ///< Client antennas n_c.
 
-  /// Draw an independent link realization across `nsc` subcarriers.
-  /// Entries are normalized so that the ensemble-average per-entry power
-  /// is 1 (the SNR convention of DESIGN.md relies on this).
-  virtual Link draw_link(Rng& rng, std::size_t nsc) const = 0;
+  /// Draw an independent link realization across `nsc` subcarriers into
+  /// `link`: afterwards it holds exactly nsc matrices of num_rx() x
+  /// num_tx(), whatever it held before, written into its existing storage
+  /// (drawn into a warm link of the same shape, the rayleigh,
+  /// freq-selective and trace models allocate nothing). Entries are
+  /// normalized so that the ensemble-average per-entry power is 1 (the
+  /// SNR convention of DESIGN.md relies on this). The one draw every model
+  /// implements.
+  virtual void draw_link_into(Rng& rng, std::size_t nsc, Link& link) const = 0;
+
+  /// Allocating form of draw_link_into(): the same draws into a new link.
+  Link draw_link(Rng& rng, std::size_t nsc) const {
+    Link link;
+    draw_link_into(rng, nsc, link);
+    return link;
+  }
 
   /// Convenience: a single flat-fading matrix.
   linalg::CMatrix draw_flat(Rng& rng) const {

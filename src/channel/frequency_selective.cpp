@@ -7,6 +7,18 @@
 
 namespace geosphere::channel {
 
+namespace {
+
+/// e^{-j 2 pi bin l / N}: the factor TapSet::response applies to tap l. The
+/// twiddle table holds exactly these values.
+cf64 twiddle(std::size_t bin, std::size_t l, std::size_t fft_size) {
+  const double phase = -2.0 * kPi * static_cast<double>(bin) * static_cast<double>(l) /
+                       static_cast<double>(fft_size);
+  return {std::cos(phase), std::sin(phase)};
+}
+
+}  // namespace
+
 FrequencySelectiveChannel::FrequencySelectiveChannel(std::size_t na, std::size_t nc,
                                                      std::size_t taps, double decay,
                                                      std::size_t fft_size)
@@ -23,15 +35,17 @@ FrequencySelectiveChannel::FrequencySelectiveChannel(std::size_t na, std::size_t
     total += tap_powers_[l];
   }
   for (auto& p : tap_powers_) p /= total;  // Unit total power per entry.
+  twiddles_.resize(fft_size * taps);
+  for (std::size_t f = 0; f < fft_size; ++f)
+    for (std::size_t l = 0; l < taps; ++l)
+      twiddles_[f * taps + l] = twiddle(f, l, fft_size);
 }
 
 linalg::CMatrix TapSet::response(std::size_t bin, std::size_t fft_size) const {
   if (taps.empty()) return {};
   linalg::CMatrix h(taps.front().rows(), taps.front().cols());
   for (std::size_t l = 0; l < taps.size(); ++l) {
-    const double phase = -2.0 * kPi * static_cast<double>(bin) *
-                         static_cast<double>(l) / static_cast<double>(fft_size);
-    const cf64 rot{std::cos(phase), std::sin(phase)};
+    const cf64 rot = twiddle(bin, l, fft_size);
     for (std::size_t i = 0; i < h.rows(); ++i)
       for (std::size_t j = 0; j < h.cols(); ++j) h(i, j) += rot * taps[l](i, j);
   }
@@ -61,13 +75,21 @@ TapSet FrequencySelectiveChannel::draw_taps(Rng& rng) const {
   return set;
 }
 
-Link FrequencySelectiveChannel::draw_link(Rng& rng, std::size_t nsc) const {
-  const TapSet set = draw_taps(rng);
-  Link link;
-  link.subcarriers.reserve(nsc);
-  for (std::size_t f = 0; f < nsc; ++f)
-    link.subcarriers.push_back(set.response(f, fft_size_));
-  return link;
+void FrequencySelectiveChannel::draw_link_into(Rng& rng, std::size_t nsc, Link& link) const {
+  if (nsc > fft_size_)
+    throw std::invalid_argument("FrequencySelectiveChannel: more subcarriers than FFT bins");
+  link.subcarriers.resize(nsc);
+  for (linalg::CMatrix& h : link.subcarriers) h.assign_shape(na_, nc_);
+  // draw_taps' draw order; each coefficient goes straight into every
+  // subcarrier's sum (see the header for why this is response()'s sum).
+  const std::size_t taps = tap_powers_.size();
+  for (std::size_t l = 0; l < taps; ++l)
+    for (std::size_t i = 0; i < na_; ++i)
+      for (std::size_t j = 0; j < nc_; ++j) {
+        const cf64 g = rng.cgaussian(tap_powers_[l]);
+        for (std::size_t f = 0; f < nsc; ++f)
+          link.subcarriers[f](i, j) += twiddles_[f * taps + l] * g;
+      }
 }
 
 }  // namespace geosphere::channel

@@ -2,6 +2,15 @@
 // exponential power-delay profile and i.i.d. Rayleigh tap matrices. The
 // per-subcarrier response is the DFT of the taps, exactly what an OFDM
 // receiver estimates per subcarrier.
+//
+// DFT equivalence: on the same Rng, draw_link(rng, nsc) equals, bit for
+// bit, TapSet::response(f, fft_size) of draw_taps(rng) for every f < nsc,
+// and leaves the Rng at the same position
+// (FrequencySelective.DrawLinkIsTheDftOfDrawTaps). The draw does not build
+// the taps: the channel computes its fft_size x taps twiddles once, with
+// response()'s phase expression, and each drawn tap coefficient g is
+// accumulated as twiddle(f, l) * g into every subcarrier f, tap by tap
+// from zero -- response()'s per-element sum in its order.
 #pragma once
 
 #include "channel/channel_model.h"
@@ -34,7 +43,9 @@ class FrequencySelectiveChannel final : public ChannelModel {
   std::size_t num_rx() const override { return na_; }
   std::size_t num_tx() const override { return nc_; }
 
-  Link draw_link(Rng& rng, std::size_t nsc) const override;
+  /// Throws std::invalid_argument for nsc > fft_size: a subcarrier index
+  /// of fft_size or more names no FFT bin.
+  void draw_link_into(Rng& rng, std::size_t nsc, Link& link) const override;
 
   /// Draw the underlying impulse response itself (for sample-level
   /// simulation); draw_link() is equivalent to DFT-ing these taps.
@@ -47,6 +58,8 @@ class FrequencySelectiveChannel final : public ChannelModel {
   std::size_t nc_;
   std::size_t fft_size_;
   std::vector<double> tap_powers_;
+  /// twiddles_[f * taps + l]: response()'s factor for tap l at bin f.
+  std::vector<cf64> twiddles_;
 };
 
 }  // namespace geosphere::channel

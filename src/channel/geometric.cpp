@@ -16,14 +16,15 @@ GeometricChannel::GeometricChannel(GeometricConfig config) : config_(config) {
     throw std::invalid_argument("GeometricChannel: Ricean K must be non-negative");
 }
 
-Link GeometricChannel::draw_link(Rng& rng, std::size_t nsc) const {
+void GeometricChannel::draw_link_into(Rng& rng, std::size_t nsc, Link& link) const {
   const std::size_t na = config_.ap_antennas;
   const std::size_t nc = config_.clients;
   const int paths = config_.paths_per_client;
   const double deg2rad = kPi / 180.0;
 
-  Link link;
-  link.subcarriers.assign(nsc, linalg::CMatrix(na, nc));
+  // Every entry is written below.
+  link.subcarriers.resize(nsc);
+  for (linalg::CMatrix& h : link.subcarriers) h.resize_shape(na, nc);
 
   // Power split between the LOS ray (at the cluster mean, zero delay) and
   // the diffuse rays; total per-entry average power stays 1.
@@ -74,7 +75,6 @@ Link GeometricChannel::draw_link(Rng& rng, std::size_t nsc) const {
       }
     }
   }
-  return link;
 }
 
 }  // namespace geosphere::channel

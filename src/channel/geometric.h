@@ -30,7 +30,7 @@ class GeometricChannel final : public ChannelModel {
   std::size_t num_rx() const override { return config_.ap_antennas; }
   std::size_t num_tx() const override { return config_.clients; }
 
-  Link draw_link(Rng& rng, std::size_t nsc) const override;
+  void draw_link_into(Rng& rng, std::size_t nsc, Link& link) const override;
 
   const GeometricConfig& config() const { return config_; }
 

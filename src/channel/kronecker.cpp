@@ -40,14 +40,11 @@ KroneckerChannel::KroneckerChannel(std::size_t na, std::size_t nc, double rho_rx
       sqrt_rx_(exponential_correlation_sqrt(na, rho_rx)),
       sqrt_tx_(exponential_correlation_sqrt(nc, rho_tx)) {}
 
-Link KroneckerChannel::draw_link(Rng& rng, std::size_t nsc) const {
+void KroneckerChannel::draw_link_into(Rng& rng, std::size_t nsc, Link& link) const {
   linalg::CMatrix hw(na_, nc_);
   for (std::size_t i = 0; i < na_; ++i)
     for (std::size_t j = 0; j < nc_; ++j) hw(i, j) = rng.cgaussian(1.0);
-  const linalg::CMatrix h = sqrt_rx_ * hw * sqrt_tx_;
-  Link link;
-  link.subcarriers.assign(nsc, h);
-  return link;
+  link.subcarriers.assign(nsc, sqrt_rx_ * hw * sqrt_tx_);  // Copy-assigns kept matrices.
 }
 
 }  // namespace geosphere::channel

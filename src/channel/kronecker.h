@@ -16,7 +16,7 @@ class KroneckerChannel final : public ChannelModel {
   std::size_t num_rx() const override { return na_; }
   std::size_t num_tx() const override { return nc_; }
 
-  Link draw_link(Rng& rng, std::size_t nsc) const override;
+  void draw_link_into(Rng& rng, std::size_t nsc, Link& link) const override;
 
  private:
   std::size_t na_;

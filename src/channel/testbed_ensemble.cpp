@@ -37,15 +37,14 @@ TestbedEnsemble::TestbedEnsemble(TestbedConfig config)
       rich_los_(std::make_unique<GeometricChannel>(scenario(
           config, config.rich_paths, config.rich_angular_spread_deg, config.rich_ricean_k))) {}
 
-Link TestbedEnsemble::draw_link(Rng& rng, std::size_t nsc) const {
+void TestbedEnsemble::draw_link_into(Rng& rng, std::size_t nsc, Link& link) const {
   const double u = rng.uniform();
-  Link link;
   if (u < config_.poor_scenario_fraction)
-    link = poor_->draw_link(rng, nsc);
+    poor_->draw_link_into(rng, nsc, link);
   else if (rng.uniform() < config_.rich_los_fraction)
-    link = rich_los_->draw_link(rng, nsc);
+    rich_los_->draw_link_into(rng, nsc, link);
   else
-    link = rich_nlos_->draw_link(rng, nsc);
+    rich_nlos_->draw_link_into(rng, nsc, link);
 
   if (config_.shadowing_std_db > 0.0) {
     // Per-client log-normal gain with unit mean power: for X ~ N(-m, s^2)
@@ -59,7 +58,6 @@ Link TestbedEnsemble::draw_link(Rng& rng, std::size_t nsc) const {
         for (std::size_t i = 0; i < h.rows(); ++i) h(i, k) *= amp;
     }
   }
-  return link;
 }
 
 }  // namespace geosphere::channel

@@ -51,7 +51,7 @@ class TestbedEnsemble final : public ChannelModel {
   std::size_t num_rx() const override { return config_.ap_antennas; }
   std::size_t num_tx() const override { return config_.clients; }
 
-  Link draw_link(Rng& rng, std::size_t nsc) const override;
+  void draw_link_into(Rng& rng, std::size_t nsc, Link& link) const override;
 
   const TestbedConfig& config() const { return config_; }
 

@@ -116,16 +116,13 @@ TraceChannelModel::TraceChannelModel(std::vector<Link> links) : links_(std::move
   nc_ = links_.front().subcarriers.front().cols();
 }
 
-Link TraceChannelModel::draw_link(Rng& rng, std::size_t nsc) const {
+void TraceChannelModel::draw_link_into(Rng& rng, std::size_t nsc, Link& link) const {
   const Link& src = links_[static_cast<std::size_t>(
       rng.uniform_int(static_cast<int>(links_.size())))];
   if (nsc > src.num_subcarriers())
     throw std::invalid_argument("TraceChannelModel: trace has too few subcarriers");
-  if (nsc == src.num_subcarriers()) return src;
-  Link out;
-  out.subcarriers.assign(src.subcarriers.begin(),
-                         src.subcarriers.begin() + static_cast<std::ptrdiff_t>(nsc));
-  return out;
+  link.subcarriers.assign(src.subcarriers.begin(),
+                          src.subcarriers.begin() + static_cast<std::ptrdiff_t>(nsc));
 }
 
 std::vector<Link> record_trace(const ChannelModel& model, std::size_t count,

@@ -21,7 +21,7 @@ void save_trace(const std::string& path, const std::vector<Link>& links);
 /// or over-long file, or a non-finite channel entry.
 std::vector<Link> load_trace(const std::string& path);
 
-/// Replays a fixed set of links as a ChannelModel: draw_link() picks one
+/// Replays a fixed set of links as a ChannelModel: each draw picks one
 /// uniformly (seeded by the caller's Rng, so experiments stay reproducible).
 class TraceChannelModel final : public ChannelModel {
  public:
@@ -32,7 +32,7 @@ class TraceChannelModel final : public ChannelModel {
   std::size_t num_links() const { return links_.size(); }
 
   /// Requires nsc <= the trace's stored subcarrier count.
-  Link draw_link(Rng& rng, std::size_t nsc) const override;
+  void draw_link_into(Rng& rng, std::size_t nsc, Link& link) const override;
 
  private:
   std::vector<Link> links_;

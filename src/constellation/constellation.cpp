@@ -1,6 +1,5 @@
 #include "constellation/constellation.h"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -52,19 +51,6 @@ const Constellation& Constellation::qam(unsigned order) {
   auto it = cache.find(order);
   if (it == cache.end()) it = cache.emplace(order, Constellation(order)).first;
   return it->second;
-}
-
-int Constellation::slice_level(double grid_coord) const {
-  // Levels live at odd integers 2l - (L-1); invert and round.
-  const double raw = (grid_coord + static_cast<double>(pam_levels_ - 1)) / 2.0;
-  const long rounded = std::lround(raw);
-  return static_cast<int>(std::clamp<long>(rounded, 0, pam_levels_ - 1));
-}
-
-unsigned Constellation::slice(cf64 y) const {
-  const int li = slice_level(y.real() / scale_);
-  const int lq = slice_level(y.imag() / scale_);
-  return index_from_levels(li, lq);
 }
 
 void Constellation::bits_from_index(unsigned index, std::uint8_t* out) const {

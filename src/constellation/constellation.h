@@ -15,6 +15,26 @@
 
 namespace geosphere {
 
+/// Nearest PAM level index in [0, levels) to a continuous grid coordinate,
+/// where level l sits at g(l) = 2l - (levels - 1): the one rounding rule of
+/// the slicer (Constellation::slice_level) and of the sphere searches'
+/// zigzag start (sphere::Zigzag1D::reset).
+///
+/// Contract: with raw = (grid_coord + levels - 1) / 2, the result is
+/// clamp(lround(raw), 0, levels - 1) for every finite |raw| < 2^63, halves
+/// rounding away from zero; for NaN, +/-inf and |raw| >= 2^63 it is 0
+/// (where glibc's lround returns LONG_MIN). It is computed without a libm
+/// call: for 0.5 <= raw < levels - 0.5, raw + 0.5 rounds to a double whose
+/// truncation is lround(raw) (below 0.5 the sum can round up to 1.0, so
+/// that range is excluded first).
+inline int nearest_pam_level(double grid_coord, int levels) {
+  const double raw = (grid_coord + static_cast<double>(levels - 1)) / 2.0;
+  const double top = static_cast<double>(levels) - 0.5;
+  if (!(raw >= 0.5)) return 0;  // Also NaN and -inf.
+  if (raw < top) return static_cast<int>(raw + 0.5);
+  return raw < 0x1p63 ? levels - 1 : 0;  // +inf and >= 2^63: 0.
+}
+
 class Constellation {
  public:
   /// Supported orders: 4, 16, 64, 256 (square QAM). Throws
@@ -49,12 +69,16 @@ class Constellation {
   int grid_of_level(int l) const { return 2 * l - (pam_levels_ - 1); }
 
   /// Nearest PAM level index to a continuous grid-units coordinate
-  /// (clamped to the constellation boundary).
-  int slice_level(double grid_coord) const;
+  /// (clamped to the constellation boundary; nearest_pam_level's contract).
+  int slice_level(double grid_coord) const {
+    return nearest_pam_level(grid_coord, pam_levels_);
+  }
 
   /// Nearest constellation point (index) to a received sample in normalized
   /// units. This is the "slicing" operation of the paper.
-  unsigned slice(cf64 y) const;
+  unsigned slice(cf64 y) const {
+    return index_from_levels(slice_level(y.real() / scale_), slice_level(y.imag() / scale_));
+  }
 
   // --- Bit mapping ----------------------------------------------------------
   // Per-axis Gray coding: the first Q/2 bits select the I level, the last

@@ -35,9 +35,13 @@ class MmseSicDetector final : public Detector {
   /// one packed regularized-Gram inversion (prepare/batch_linear.h) per
   /// cancellation stage across all slots. A slot with a singular stage is
   /// flagged, and linalg::inverse's domain_error is thrown when it is
-  /// selected.
+  /// selected. Every per-slot cascade, gathered sub-channel and Gram slot
+  /// keeps its storage across batches, so a warm prepare of the same shape
+  /// allocates nothing.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
+  /// Selects by index: records slot i, whose cascade the solve then reads
+  /// in place (no copy of its stages).
   void do_select_prepared(std::size_t i) override;
 
  private:
@@ -51,10 +55,19 @@ class MmseSicDetector final : public Detector {
     CVector column;      ///< h's `target` column, for cancellation.
   };
 
-  std::vector<Stage> stages_;
   prepare::BatchLinear batch_linear_;
-  std::vector<std::vector<Stage>> slot_stages_;  ///< Per-slot cascades.
-  std::vector<std::uint8_t> slot_singular_;      ///< Deferred domain_error flags.
+  /// Per-slot cascades, nc stages each. Never shrinks, so slots beyond the
+  /// current batch keep their storage for the next one.
+  std::vector<std::vector<Stage>> slot_stages_;
+  std::vector<std::uint8_t> slot_singular_;  ///< Deferred domain_error flags.
+  std::size_t selected_ = 0;                 ///< Slot the solve reads.
+  // Prepare scratch: slot s's detection order at order_[s * nc ...], the
+  // column energies of the slot being ordered, the stage-k sub-channels
+  // and their Gram inversions.
+  std::vector<std::size_t> order_;
+  std::vector<double> energy_;
+  std::vector<linalg::CMatrix> hsubs_;
+  std::vector<prepare::GramInvSlot> gram_slots_;
   linalg::CMatrix residual_;  ///< Per-batch scratch (one column per vector).
   linalg::CMatrix matched_;   ///< Per-batch scratch (H_sub^H residuals).
 };

@@ -92,7 +92,7 @@ void SoftGeosphereDetector::do_prepare_batch(const linalg::CMatrix* hs, std::siz
 
 void SoftGeosphereDetector::do_select_prepared(std::size_t i) {
   problem_.check_shape();
-  if (noise_var_ <= 0.0)
+  if (!(noise_var_ > 0.0))  // NaN fails too.
     throw std::invalid_argument("SoftGeosphereDetector: needs positive noise variance");
   problem_.select(i);
   const std::size_t nc = problem_.nc;

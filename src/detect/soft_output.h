@@ -61,8 +61,9 @@ class SoftGeosphereDetector final : public Detector, public SoftDetector {
 
   /// QR-factorizes the channels shared by the unconstrained and per-bit
   /// searches (TreeProblem::prepare_batch); select installs slot i.
-  /// Requires noise_var > 0 (the LLR normalization divides by it). Shape,
-  /// noise and rank failures are thrown at select time, in that order.
+  /// Requires noise_var > 0, NaN excluded (the LLR normalization divides
+  /// by it). Shape, noise and rank failures are thrown at select time, in
+  /// that order.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;

@@ -41,7 +41,7 @@ void SoftGeosphereStsDetector::do_prepare_batch(const linalg::CMatrix* hs,
 
 void SoftGeosphereStsDetector::do_select_prepared(std::size_t i) {
   problem_.check_shape();
-  if (noise_var_ <= 0.0)
+  if (!(noise_var_ > 0.0))  // NaN fails too.
     throw std::invalid_argument(
         "SoftGeosphereStsDetector: needs positive noise variance");
   problem_.select(i);

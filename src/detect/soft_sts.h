@@ -95,9 +95,9 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
 
   /// QR-factorizes the channels (TreeProblem::prepare_batch); select
   /// installs slot i and performs the unconditional counter-hypothesis
-  /// table reset of every prepare. Requires noise_var > 0 (the LLR
-  /// normalization and clamp radius divide by it). Shape, noise and rank
-  /// failures are thrown at select time, in that order.
+  /// table reset of every prepare. Requires noise_var > 0, NaN excluded
+  /// (the LLR normalization and clamp radius divide by it). Shape, noise
+  /// and rank failures are thrown at select time, in that order.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;

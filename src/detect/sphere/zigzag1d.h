@@ -8,32 +8,21 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "constellation/constellation.h"
+
 namespace geosphere::sphere {
 
 class Zigzag1D {
  public:
   /// Prepare enumeration of levels [0, levels) whose grid coordinates are
   /// g(l) = 2l - (levels-1), around continuous center `center` (grid units).
-  ///
-  /// Start-level contract: with raw = (center + levels - 1) / 2, the start
-  /// is clamp(lround(raw), 0, levels - 1) for every finite |raw| < 2^63,
-  /// halves rounding away from zero; for NaN, +/-inf and |raw| >= 2^63 it
-  /// is 0 (where glibc's lround returns LONG_MIN). It is computed without a
-  /// libm call: for 0.5 <= raw < levels - 0.5, raw + 0.5 rounds to a double
-  /// whose truncation is lround(raw) (below 0.5 the sum can round up to 1.0,
-  /// so that range is excluded first).
+  /// The start level is nearest_pam_level(center, levels), the slicer's
+  /// rounding rule (constellation/constellation.h states its contract).
   void reset(double center, int levels) {
     assert(levels >= 1);
     levels_ = levels;
     center_ = center;
-    const double raw = (center + static_cast<double>(levels - 1)) / 2.0;
-    const double top = static_cast<double>(levels) - 0.5;
-    if (!(raw >= 0.5))  // Also NaN and -inf.
-      start_ = 0;
-    else if (raw < top)
-      start_ = static_cast<int>(raw + 0.5);
-    else
-      start_ = raw < 0x1p63 ? levels - 1 : 0;  // +inf and >= 2^63: 0.
+    start_ = nearest_pam_level(center, levels);
     below_ = start_ - 1;
     above_ = start_ + 1;
     pending_start_ = true;

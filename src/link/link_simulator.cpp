@@ -101,7 +101,7 @@ void LinkSimulator::simulate_frame(Detector& detector, DecisionMode mode, Rng& r
   // Identical draw order in both modes (link, jitter, payloads, noise), so
   // hard and soft runs of the same seed are paired on identical channels.
   DrawnFrame frame;
-  frame.link = channel_->draw_link(rng, scenario_.frame.data_subcarriers);
+  channel_->draw_link_into(rng, scenario_.frame.data_subcarriers, frame.link);
   const double snr_db =
       scenario_.snr_db + (scenario_.snr_jitter_db > 0.0
                               ? rng.uniform(-scenario_.snr_jitter_db, scenario_.snr_jitter_db)

@@ -36,8 +36,9 @@ namespace {
 
 /// One cell's frame in flight through a TTI: built by the schedule phase,
 /// received (detected and decoded) by one worker, folded into the cell's
-/// counters by the calling thread. Kept across TTIs: draw_streams redraws
-/// the payloads, symbols and noise into `frame`'s existing storage.
+/// counters by the calling thread. Kept across TTIs: the channel draws the
+/// link, and draw_streams the payloads, symbols and noise, into `frame`'s
+/// existing storage.
 struct FrameJob {
   const phy::FrameCodec* codec = nullptr;  ///< nullptr: the cell is idle this TTI.
   link::DrawnFrame frame;
@@ -117,8 +118,8 @@ ServeResult Server::run(std::uint64_t ttis, std::uint64_t seed) {
       // matches LinkSimulator::simulate_frame without its SNR jitter: the
       // link, then draw_streams' payloads and symbol-major noise.
       Rng rng(Rng::derive_seed(seed, c, tti, 0));
-      job.frame.link = sch.channel(sched.users.size())
-                           .draw_link(rng, job.codec->config().data_subcarriers);
+      sch.channel(sched.users.size())
+          .draw_link_into(rng, job.codec->config().data_subcarriers, job.frame.link);
       job.frame.n0 = channel::noise_variance_for_snr_db(sched.snr_db);
       link::draw_streams(*job.codec, rng, job.frame);
     });

@@ -18,7 +18,7 @@
 //    per-vector) LinkStats bit-for-bit, for any thread count,
 //  * warm solves allocate nothing: once a detector has solved a batch,
 //    solving it again makes no global operator new call; nor does
-//    preparing and selecting a frame's channels again.
+//    preparing, selecting and solving a frame's channels again.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -288,32 +288,37 @@ TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
   }
 }
 
-// Warm prepares allocate nothing: after one prepare_batch and select pass
-// over a frame's 48 channels, a second pass over the same channels makes
-// no global operator new call in prepare_batch or any select_prepared.
-// Every registry detector except mmse-sic, plus hybrid at both routing
-// extremes.
+// Warm frames allocate nothing: after one prepare_batch, select and solve
+// pass over a frame's 48 channels, a second pass over the same channels and
+// received vectors makes no global operator new call in prepare_batch, any
+// select_prepared or any solve_batch. Every registry detector, plus hybrid
+// at both routing extremes.
 TEST(BatchSolveRegistry, WarmPrepareAllocatesNothing) {
-  std::vector<std::string> specs;
-  for (const std::string& text : all_registry_specs())
-    if (text != "mmse-sic") specs.push_back(text);
+  std::vector<std::string> specs = all_registry_specs();
   specs.insert(specs.end(), {"hybrid:0", "hybrid:200"});
-  constexpr std::size_t kChannels = 48;
+  constexpr std::size_t kChannels = 48, kVectors = 2;
   const Constellation& c = Constellation::qam(16);
   Rng rng(4848);
   const double n0 = 4.0 / db_to_lin(18.0);
   std::vector<linalg::CMatrix> hs;
   for (std::size_t s = 0; s < kChannels; ++s) hs.push_back(random_channel(rng, 4, 4));
+  std::vector<linalg::CMatrix> ys;
+  for (const linalg::CMatrix& h : hs) ys.push_back(make_batch(rng, h, c, kVectors, n0));
   for (const std::string& text : specs) {
     const auto det = DetectorSpec::parse(text).create(c);
+    BatchResult out;
     std::size_t allocs = 0;
     for (int pass = 0; pass < 2; ++pass) {
       const std::size_t before = g_allocations.load();
       det->prepare_batch(hs, n0);
-      for (std::size_t s = 0; s < kChannels; ++s) det->select_prepared(s);
+      for (std::size_t s = 0; s < kChannels; ++s) {
+        det->select_prepared(s);
+        det->solve_batch(ys[s], out);
+      }
       if (pass == 1) allocs = g_allocations.load() - before;
     }
-    EXPECT_EQ(allocs, 0u) << text << ": warm prepare_batch + " << kChannels << " selects";
+    EXPECT_EQ(allocs, 0u) << text << ": warm prepare_batch + " << kChannels
+                          << " selects and solves";
   }
 }
 

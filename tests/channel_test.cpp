@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "channel/frequency_selective.h"
 #include "channel/geometric.h"
@@ -9,6 +15,7 @@
 #include "channel/noise.h"
 #include "channel/rayleigh.h"
 #include "channel/testbed_ensemble.h"
+#include "channel/trace.h"
 #include "common/stats.h"
 
 namespace geosphere::channel {
@@ -28,6 +35,20 @@ double mean_kappa_sq_db(const ChannelModel& model, Rng& rng, int links) {
   RunningStats k;
   for (int l = 0; l < links; ++l) k.add(kappa_sq_db(model.draw_flat(rng)));
   return k.mean();
+}
+
+/// Same shape and the same bits in every entry (memcmp: -0.0 and NaN
+/// payloads count).
+bool same_bits(const linalg::CMatrix& a, const linalg::CMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(cf64)) == 0;
+}
+
+/// Expects two generators to stand at the same position: the same next
+/// engine word and the same next normal (which reads a pending saved one).
+void expect_same_position(Rng& a, Rng& b, const std::string& where) {
+  EXPECT_EQ(a.gaussian(), b.gaussian()) << where;
+  EXPECT_EQ(a.engine()(), b.engine()()) << where;
 }
 
 TEST(Rayleigh, UnitEntryPowerAndShape) {
@@ -154,6 +175,115 @@ TEST(FrequencySelective, RejectsBadParams) {
   EXPECT_THROW(FrequencySelectiveChannel(2, 2, 0), std::invalid_argument);
   EXPECT_THROW(FrequencySelectiveChannel(2, 2, 4, 1.5), std::invalid_argument);
   EXPECT_THROW(FrequencySelectiveChannel(2, 2, 100, 0.5, 64), std::invalid_argument);
+}
+
+// The header's DFT equivalence: a link draw is, bit for bit, the DFT of the
+// taps drawn from the same generator state, and both draws consume the
+// same words. A subcarrier index of fft_size or more names no FFT bin.
+TEST(FrequencySelective, DrawLinkIsTheDftOfDrawTaps) {
+  for (std::size_t taps : {1u, 4u, 8u})
+    for (std::size_t nsc : {1u, 48u, 64u}) {
+      const FrequencySelectiveChannel model(4, 3, taps);
+      const std::string where = std::to_string(taps) + " taps, " + std::to_string(nsc) + " sc";
+      Rng a(100 + taps * nsc);
+      Rng b(100 + taps * nsc);
+      const Link link = model.draw_link(a, nsc);
+      const TapSet set = model.draw_taps(b);
+      ASSERT_EQ(link.num_subcarriers(), nsc) << where;
+      for (std::size_t f = 0; f < nsc; ++f)
+        EXPECT_TRUE(same_bits(link.subcarriers[f], set.response(f, 64)))
+            << where << ", subcarrier " << f;
+      expect_same_position(a, b, where);
+    }
+  const FrequencySelectiveChannel model(2, 2, 4, 0.5, 16);
+  Rng rng(1);
+  EXPECT_EQ(model.draw_link(rng, 16).num_subcarriers(), 16u);
+  EXPECT_THROW(model.draw_link(rng, 17), std::invalid_argument);
+  EXPECT_THROW(FrequencySelectiveChannel(2, 2, 4).draw_link(rng, 65), std::invalid_argument);
+}
+
+/// FNV-1a over the memcpy'd bytes of every entry of every subcarrier.
+std::uint64_t link_bits_hash(const Link& link) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const linalg::CMatrix& m : link.subcarriers)
+    for (const cf64& x : m.data()) {
+      unsigned char bytes[sizeof(cf64)];
+      std::memcpy(bytes, &x, sizeof bytes);
+      for (const unsigned char byte : bytes) {
+        h ^= byte;
+        h *= 1099511628211ull;
+      }
+    }
+  return h;
+}
+
+// Pins freq-selective:8 draws across commits (the sweep and serve goldens
+// run other channels): 48 subcarriers of 4x4 and 4x2 (antennas x clients)
+// links at three seeds, and the generator's next word afterwards. Recorded
+// before the draw moved onto the precomputed twiddle table, when each draw
+// built its TapSet and called TapSet::response per subcarrier.
+TEST(FrequencySelective, DrawLinkMatchesRecordedBits) {
+  struct Row {
+    std::size_t na, nc;
+    std::uint64_t seed, hash, next_word;
+  };
+  const Row golden[] = {
+      {4, 4, 1, 0x6a0c6e0c6a543a2full, 0xab3c7491546a9c90ull},
+      {4, 4, 7, 0x48d36a0be630a277ull, 0x3708dd664701dc2aull},
+      {4, 4, 2024, 0x1fd5780741eede69ull, 0x201f66a9871205adull},
+      {4, 2, 1, 0x17f7a6e356cc8ba0ull, 0x06005d3fdeab0ceeull},
+      {4, 2, 7, 0x5208756c33fe2010ull, 0xddec1646877fff9bull},
+      {4, 2, 2024, 0x96b2907f516df0b6ull, 0x0050c28eed4c0d40ull}};
+  for (const Row& row : golden) {
+    const FrequencySelectiveChannel model(row.na, row.nc, 8);
+    Rng rng(row.seed);
+    const Link link = model.draw_link(rng, 48);
+    const std::string where = std::to_string(row.na) + "x" + std::to_string(row.nc) +
+                              ", seed " + std::to_string(row.seed);
+    EXPECT_EQ(link_bits_hash(link), row.hash) << where;
+    EXPECT_EQ(rng.engine()(), row.next_word) << where;
+  }
+}
+
+// draw_link_into overwrites whatever the link held: drawn into a link of
+// another shape whose entries are NaN, every model gives the bits and the
+// generator position of a fresh draw_link -- at no subcarriers too.
+TEST(ChannelModels, DrawIntoReusedLinkMatchesFreshDraw) {
+  GeometricConfig geo;
+  geo.ap_antennas = 4;
+  geo.clients = 3;
+  TestbedConfig bed;
+  bed.ap_antennas = 4;
+  bed.clients = 3;
+  Rng trace_rng(5);
+  std::vector<std::unique_ptr<ChannelModel>> models;
+  models.push_back(std::make_unique<RayleighChannel>(4, 3));
+  models.push_back(std::make_unique<KroneckerChannel>(4, 3, 0.6, 0.3));
+  models.push_back(std::make_unique<GeometricChannel>(geo));
+  models.push_back(std::make_unique<TestbedEnsemble>(bed));
+  models.push_back(std::make_unique<FrequencySelectiveChannel>(4, 3, 8));
+  models.push_back(std::make_unique<TraceChannelModel>(
+      record_trace(RayleighChannel(4, 3), 5, 64, trace_rng)));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t m = 0; m < models.size(); ++m)
+    for (std::size_t nsc : {48u, 1u, 0u, 64u}) {
+      const std::string where = "model " + std::to_string(m) + ", " + std::to_string(nsc) + " sc";
+      Link reused;
+      reused.subcarriers.assign(50, linalg::CMatrix(2, 5, cf64{nan, nan}));
+      Rng a(m * 100 + nsc);
+      Rng b(m * 100 + nsc);
+      models[m]->draw_link_into(a, nsc, reused);
+      const Link fresh = models[m]->draw_link(b, nsc);
+      ASSERT_EQ(reused.num_subcarriers(), nsc) << where;
+      ASSERT_EQ(fresh.num_subcarriers(), nsc) << where;
+      for (std::size_t f = 0; f < nsc; ++f) {
+        EXPECT_EQ(reused.subcarriers[f].rows(), 4u) << where;
+        EXPECT_EQ(reused.subcarriers[f].cols(), 3u) << where;
+        EXPECT_TRUE(same_bits(reused.subcarriers[f], fresh.subcarriers[f]))
+            << where << ", subcarrier " << f;
+      }
+      expect_same_position(a, b, where);
+    }
 }
 
 TEST(TestbedEnsemble, MixtureProducesBothKinds) {

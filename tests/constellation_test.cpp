@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -120,6 +124,59 @@ TEST(Constellation, SliceClampsOutsidePoints) {
   const unsigned idx2 = c.slice(cf64{-100.0, 100.0});
   EXPECT_EQ(c.level_i(idx2), 0);
   EXPECT_EQ(c.level_q(idx2), c.pam_levels() - 1);
+}
+
+/// The libm reference of the slicer's rounding: clamp(lround(raw), 0, L-1),
+/// where lround's out-of-range result (LONG_MIN on glibc, for NaN, +/-inf
+/// and |raw| >= 2^63) maps to level 0 -- spelled out, as zigzag_test does,
+/// instead of relying on lround's unspecified value there.
+int lround_clamp_level(double grid_coord, int levels) {
+  const double raw = (grid_coord + static_cast<double>(levels - 1)) / 2.0;
+  if (!(std::abs(raw) < 0x1p63)) return 0;
+  return static_cast<int>(std::clamp<long>(std::lround(raw), 0, levels - 1));
+}
+
+TEST(Constellation, SliceLevelMatchesLroundClamp) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(63);
+  for (unsigned order : {4u, 16u, 64u, 256u}) {
+    const Constellation& c = Constellation::qam(order);
+    const int levels = c.pam_levels();
+    // Raw values (raw = (g + L - 1) / 2) at every rounding edge: the
+    // half-integers around and inside the grid, their nextafter neighbours,
+    // the top clamp edge L - 0.5 with one ulp either side, the largest
+    // double below 0.5, and the conversion edge 2^63.
+    std::vector<double> raws;
+    for (int k = -4; k <= levels + 3; ++k) {
+      const double half = k + 0.5;
+      raws.insert(raws.end(),
+                  {half, std::nextafter(half, -inf), std::nextafter(half, inf), double(k)});
+    }
+    const double top = levels - 0.5;
+    raws.insert(raws.end(), {std::nextafter(top, -inf), top, std::nextafter(top, inf),
+                             0.49999999999999994, std::nextafter(0x1p63, 0.0), 0x1p63,
+                             std::nextafter(0x1p63, inf), -0x1p63,
+                             std::nextafter(-0x1p63, -inf)});
+    std::vector<double> coords;
+    for (double raw : raws) coords.push_back(2.0 * raw - static_cast<double>(levels - 1));
+    coords.insert(coords.end(),
+                  {0.0, -0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN()});
+    // 10^5 random values: half near the grid, half arbitrary bit patterns
+    // (every magnitude, some infinities and NaNs).
+    for (int i = 0; i < 100000; ++i) {
+      if (i % 2 == 0) {
+        coords.push_back(rng.uniform(-2.0 * levels, 2.0 * levels));
+      } else {
+        const std::uint64_t bits = rng.engine()();
+        double x = 0.0;
+        std::memcpy(&x, &bits, sizeof x);
+        coords.push_back(x);
+      }
+    }
+    for (double g : coords)
+      ASSERT_EQ(c.slice_level(g), lround_clamp_level(g, levels))
+          << order << "-QAM, grid coordinate " << g;
+  }
 }
 
 TEST(Constellation, QamCacheReturnsSameInstance) {

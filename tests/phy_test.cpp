@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -14,8 +15,11 @@
 #include "coding/puncture.h"
 #include "coding/scrambler.h"
 #include "coding/viterbi.h"
+#include "channel/frequency_selective.h"
+#include "channel/noise.h"
 #include "channel/rayleigh.h"
 #include "common/rng.h"
+#include "detect/spec.h"
 #include "link/coded_pipeline.h"
 #include "link/frame_receiver.h"
 #include "phy/fft.h"
@@ -569,6 +573,41 @@ TEST(LinkDraw, WarmDrawStreamsAllocatesNothing) {
                             frame.noise.size() * sizeof(cf64)),
                 0)
           << label;
+    }
+  }
+}
+
+TEST(LinkDraw, WarmFreqSelectiveFrameAllocatesNothing) {
+  // A served frame of the serve-short cells, end to end: the link drawn
+  // into the frame, draw_streams, then the receiver's detection and
+  // decoding. From the second frame on, every buffer is warm.
+  struct Cell {
+    const char* detector;
+    unsigned qam;
+    double snr_db;
+  };
+  const Cell cells[] = {{"mmse-sic", 16, 18.0}, {"zf", 64, 26.0}};
+  const channel::FrequencySelectiveChannel chan(4, 4, 8);
+  for (const Cell& cell : cells) {
+    FrameConfig cfg;
+    cfg.qam_order = cell.qam;
+    cfg.payload_bytes = 100;
+    const FrameCodec codec(cfg);
+    const auto det = DetectorSpec::parse(cell.detector).create(Constellation::qam(cell.qam));
+    link::DrawnFrame frame;
+    link::FrameReceiver receiver;
+    DetectionStats stats;
+    for (std::uint64_t f = 0; f < 3; ++f) {
+      Rng rng(Rng::derive_seed(1, f));
+      const std::size_t before = g_allocations.load();
+      chan.draw_link_into(rng, cfg.data_subcarriers, frame.link);
+      frame.n0 = channel::noise_variance_for_snr_db(cell.snr_db);
+      link::draw_streams(codec, rng, frame);
+      receiver.receive(*det, DecisionMode::kHard, codec, frame, stats);
+      const std::size_t allocs = g_allocations.load() - before;
+      if (f > 0) {
+        EXPECT_EQ(allocs, 0u) << cell.detector << ", frame " << f + 1;
+      }
     }
   }
 }

@@ -378,6 +378,39 @@ TEST(Server, CountersMatchRecordedGolden) {
   }
 }
 
+TEST(Server, LinearFreqSelectiveCellsMatchRecordedGolden) {
+  // Pins the linear detectors on frequency-selective links across commits:
+  // perfbench's serve-short cells (mmse-sic at 16-QAM, zf at 64-QAM, 100 B
+  // frames on freq-selective:8) plus an mmse cell with rate adaptation.
+  // The same spec, TTIs and seed as CI's "Linear freq-selective serve
+  // golden" step (tests/golden/serve_linear_freq_selective.golden). Rows
+  // recorded before slicing, the channel draw and mmse-sic's prepare were
+  // rewritten without libm and allocator calls.
+  const ServeSpec spec = ServeSpec::parse(
+      "users=16,antennas=4,load=0.5,channel=freq-selective:8,detector=mmse-sic,snr=18,"
+      "qams=16,payload=100;"
+      "users=16,antennas=4,load=0.5,channel=freq-selective:8,detector=zf,snr=26,"
+      "qams=64,payload=100;"
+      "users=12,antennas=4,load=0.5,channel=freq-selective:8,detector=mmse,snr=14,"
+      "qams=4|16,payload=100");
+  const std::vector<std::vector<std::uint64_t>> golden = {
+      {30, 268, 30, 119, 119, 0, 0, 95200, 95200, 149, 0x72bd8eeb5c4d8067ull, 0, 0, 0, 0,
+       51408, 0, 1440, 30, 1440, 0, 0, 12960, 0},
+      {30, 238, 30, 108, 106, 2, 33, 86400, 84800, 132, 0x286d9ae2225d1f0bull, 0, 0, 0, 0,
+       31104, 0, 1440, 30, 1440, 0, 0, 8640, 0},
+      {30, 176, 30, 99, 86, 13, 357, 79200, 68800, 90, 0x023bb8235470c214ull, 0, 0, 0, 0,
+       50448, 0, 1440, 30, 1440, 0, 0, 14880, 35}};
+  for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
+    const AllLayersOnTier tier(kernel->name);
+    Server server(spec, 1);
+    const ServeResult r = server.run(/*ttis=*/30, /*seed=*/1);
+    ASSERT_EQ(r.cells.size(), golden.size());
+    for (std::size_t c = 0; c < golden.size(); ++c)
+      expect_counters(r.cells[c].counters, golden[c],
+                      std::string(kernel->name) + " cell " + std::to_string(c));
+  }
+}
+
 TEST(Server, RejectsEmptySpec) {
   EXPECT_THROW(Server(ServeSpec{}, 1), std::invalid_argument);
 }

@@ -4,10 +4,14 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "channel/rayleigh.h"
 #include "coding/convolutional.h"
 #include "detect/ml_exhaustive.h"
+#include "detect/soft_sts.h"
 #include "coding/viterbi.h"
 #include "common/db.h"
 #include "common/rng.h"
@@ -169,6 +173,32 @@ TEST(SoftOutput, RejectsBadInputs) {
   EXPECT_THROW(soft.detect(CVector(3), h, 0.1), std::invalid_argument);
   EXPECT_THROW(soft.detect_soft(CVector(2), h, 0.0), std::invalid_argument);
   EXPECT_THROW(soft.detect_soft(CVector(3), h, 0.1), std::invalid_argument);
+}
+
+// Both soft detectors divide their LLRs by the noise variance, so each
+// rejects one that is not positive -- NaN included, which `<= 0` let
+// through (soft-geosphere then returned all-NaN LLRs) -- with
+// std::invalid_argument at select, batched or one-shot.
+TEST(SoftOutput, NonPositiveOrNanNoiseVarianceThrowsAtSelect) {
+  const Constellation& c = Constellation::qam(16);
+  Rng rng(24);
+  std::vector<linalg::CMatrix> hs;
+  for (int s = 0; s < 3; ++s) hs.push_back(random_channel(rng, 4, 4));
+  std::vector<std::unique_ptr<Detector>> detectors;
+  detectors.push_back(std::make_unique<SoftGeosphereDetector>(c));
+  detectors.push_back(std::make_unique<SoftGeosphereStsDetector>(c));
+  for (const auto& det : detectors)
+    for (double n0 : {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0, -1.0}) {
+      const std::string where = det->name() + ", noise_var " + std::to_string(n0);
+      det->prepare_batch(hs, n0);
+      for (std::size_t s = 0; s < hs.size(); ++s)
+        EXPECT_THROW(det->select_prepared(s), std::invalid_argument) << where;
+      EXPECT_THROW(det->prepare(hs[0], n0), std::invalid_argument) << where;
+      EXPECT_FALSE(det->prepared()) << where;
+      // A valid variance still prepares afterwards.
+      det->prepare(hs[0], 0.1);
+      EXPECT_TRUE(det->prepared()) << where;
+    }
 }
 
 TEST(SoftOutput, LlrToConfidenceMapping) {
