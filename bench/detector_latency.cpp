@@ -536,17 +536,12 @@ int main(int argc, char** argv) {
     const char* spec;
     std::vector<unsigned> qams;
   };
-  // ml is excluded (16M hypotheses per solve at 64-QAM 4x4). fsd runs the
-  // full grid including 256-QAM: the root level fully expands to 256 paths
-  // per vector (~15x the 16-QAM solve cost), which is exactly the
-  // fixed-complexity trade the detector makes and worth tracking.
+  // ml is excluded (16M hypotheses per solve at 64-QAM 4x4).
   const std::vector<Case> cases = {
       {"zf", {16, 64, 256}},        {"mmse", {16, 64, 256}},
       {"mmse-sic", {16, 64, 256}},  {"geosphere", {16, 64, 256}},
       {"geosphere-2dzz", {16, 64, 256}}, {"geosphere-sqrd", {16, 64, 256}},
       {"eth-sd", {16, 64, 256}},    {"shabany", {16, 64, 256}},
-      {"rvd", {16, 64, 256}},       {"fsd", {16, 64, 256}},
-      {"kbest:8", {16, 64, 256}},   {"hybrid", {16, 64, 256}},
       {"soft-geosphere", {16, 64, 256}},
       {"soft-geosphere-sts", {16, 64, 256}},
   };

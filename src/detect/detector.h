@@ -206,7 +206,7 @@ class Detector {
   /// leaves prepared() false.
   void prepare(const linalg::CMatrix& h, double noise_var) {
     prepare_batch(&h, 1, noise_var);
-    invalidate_batch();
+    batch_size_ = 0;
     do_select_prepared(0);
     prepared_ = true;
   }
@@ -265,8 +265,6 @@ class Detector {
     for (std::size_t k = 0; k < out.indices.size(); ++k)
       out.symbols[k] = constellation_->point(out.indices[k]);
     out.stats = one_out_.stats;
-    // Hybrid's inner solve_batch() stamps its own batch_calls.
-    out.stats.batch_calls = 0;
   }
 
   /// Allocating convenience form of solve().
@@ -288,8 +286,6 @@ class Detector {
   void solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
     require_prepared();
     do_solve_batch(y_batch, out);
-    // Exactly one batched invocation regardless of internal routing (e.g.
-    // hybrid delegates to an inner detector that already stamped its own).
     out.stats.batch_calls = 1;
   }
 
@@ -338,25 +334,10 @@ class Detector {
   /// slot i's recorded failure.
   virtual void do_select_prepared(std::size_t i) = 0;
 
-  /// Drops any valid batch (prepare() and run_as_prepare() call this).
-  void invalidate_batch() { batch_size_ = 0; }
-
-  /// prepare()'s flag-and-batch discipline around an externally supplied
-  /// installer -- for entry points that install a factorization computed
-  /// elsewhere (e.g. SphereDecoder::prepare_adopted receiving hybrid's
-  /// shared QR) and must behave exactly like prepare().
-  template <typename F>
-  void run_as_prepare(F&& install) {
-    prepared_ = false;
-    invalidate_batch();
-    install();
-    prepared_ = true;
-  }
-
   /// Detection of every column of `y_batch` against the prepared
   /// workspace: the detector's only solve routine, which solve() also runs
   /// on a one-column batch. Fills out.count, out.streams, out.indices and
-  /// out.stats (the exact sum over the columns); throws
+  /// out.stats (the exact sum over the columns, batch_calls 0); throws
   /// std::invalid_argument for a row count other than n_a.
   virtual void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) = 0;
 

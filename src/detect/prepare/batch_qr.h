@@ -1,8 +1,7 @@
 // Packed Householder QR across a batch of equally shaped channel matrices:
 // the one factorization engine behind every tree-search detector's
-// prepare_batch() (sphere decoders, soft output, K-Best, FSD, the
-// real-valued decomposition and hybrid routing), all of which reach it
-// through their prepared channel, sphere::TreeProblem
+// prepare_batch() (the sphere decoders and both soft-output detectors),
+// all of which reach it through their prepared channel, sphere::TreeProblem
 // (sphere/tree_problem.h) -- and so behind their one-shot prepare(), a
 // batch of one.
 //

@@ -3,13 +3,9 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "detect/fsd.h"
-#include "detect/hybrid.h"
-#include "detect/kbest.h"
 #include "detect/ml_exhaustive.h"
 #include "detect/mmse.h"
 #include "detect/mmse_sic.h"
-#include "detect/rvd_sphere.h"
 #include "detect/soft_output.h"
 #include "detect/soft_sts.h"
 #include "detect/sphere/sphere_decoder.h"
@@ -59,49 +55,10 @@ std::vector<DetectorInfo> build_registry() {
                       [](const Constellation& c) { return sphere::make_eth_sd(c); }));
   out.push_back(plain("shabany", "Shabany-style neighbour-expansion sphere decoder",
                       [](const Constellation& c) { return sphere::make_shabany_sd(c); }));
-  out.push_back(plain("rvd", "real-valued-decomposition sphere decoder",
-                      [](const Constellation& c) {
-                        return std::make_unique<RvdSphereDecoder>(c);
-                      }));
-  out.push_back(plain("fsd", "fixed-complexity sphere decoder", [](const Constellation& c) {
-    return std::make_unique<FsdDetector>(c);
-  }));
   out.push_back(plain("ml", "exhaustive maximum-likelihood search (oracle)",
                       [](const Constellation& c) {
                         return std::make_unique<MlExhaustiveDetector>(c);
                       }));
-
-  out.push_back(DetectorInfo{
-      .name = "hybrid",
-      .summary = "ZF below / Geosphere above a kappa^2 threshold (Maurer et al.)",
-      .decision = DecisionMode::kHard,
-      .soft_capable = false,
-      .takes_param = true,
-      .param_required = false,
-      .param_name = "KAPPA_SQ_DB",
-      .min_param = 0,
-      .max_param = 200,
-      .default_param = 10,
-      .make = [](const Constellation& c, unsigned threshold_db) {
-        return std::make_unique<HybridDetector>(c, static_cast<double>(threshold_db));
-      },
-  });
-
-  out.push_back(DetectorInfo{
-      .name = "kbest",
-      .summary = "K-best breadth-first decoder (near-ML)",
-      .decision = DecisionMode::kHard,
-      .soft_capable = false,
-      .takes_param = true,
-      .param_required = true,
-      .param_name = "K",
-      .min_param = 1,
-      .max_param = 4096,
-      .default_param = 0,
-      .make = [](const Constellation& c, unsigned k) {
-        return std::make_unique<KBestDetector>(c, k);
-      },
-  });
 
   out.push_back(DetectorInfo{
       .name = "soft-geosphere",
@@ -109,7 +66,6 @@ std::vector<DetectorInfo> build_registry() {
       .decision = DecisionMode::kSoft,
       .soft_capable = true,
       .takes_param = true,
-      .param_required = false,
       .param_name = "CLAMP",
       .min_param = 1,
       .max_param = 1000,
@@ -125,7 +81,6 @@ std::vector<DetectorInfo> build_registry() {
       .decision = DecisionMode::kSoft,
       .soft_capable = true,
       .takes_param = true,
-      .param_required = false,
       .param_name = "CLAMP",
       .min_param = 1,
       .max_param = 1000,
@@ -137,10 +92,9 @@ std::vector<DetectorInfo> build_registry() {
   return out;
 }
 
-/// "kbest:K" for required params, "name[:PARAM]" spelled plain otherwise.
+/// "name[:PARAM]" for detectors that take a parameter, "name" otherwise.
 std::string canonical_form(const DetectorInfo& info) {
   if (!info.takes_param) return info.name;
-  if (info.param_required) return info.name + ":" + info.param_name;
   return info.name + "[:" + info.param_name + "]";
 }
 
@@ -168,8 +122,7 @@ const std::vector<DetectorInfo>& detector_registry() {
 const std::vector<std::string>& detector_names() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> out;
-    for (const auto& info : detector_registry())
-      if (!info.param_required) out.push_back(info.name);
+    for (const auto& info : detector_registry()) out.push_back(info.name);
     return out;
   }();
   return names;
@@ -191,15 +144,11 @@ DetectorSpec DetectorSpec::parse(const std::string& text) {
 
   if (!info->takes_param && has_param_text)
     fail(text, "\"" + base + "\" takes no parameter");
-  if (info->param_required && !has_param_text)
-    fail(text, "\"" + base + "\" needs " + canonical_form(*info) + " with " +
-                   info->param_name + " in [" + std::to_string(info->min_param) + ", " +
-                   std::to_string(info->max_param) + "]");
 
   unsigned param = info->default_param;
   if (has_param_text) {
-    // Strict parse: all digits, bounded -- "kbest:8x" and overflowing
-    // values must not silently configure a different detector.
+    // Strict parse: all digits, bounded -- "soft-geosphere:30x" and
+    // overflowing values must not silently configure a different detector.
     const bool all_digits = !param_text.empty() &&
                             param_text.find_first_not_of("0123456789") ==
                                 std::string::npos;

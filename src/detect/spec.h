@@ -9,7 +9,6 @@
 //
 // Grammar: "name" or "name:PARAM" (decimal integer). Examples:
 //   "geosphere"           hard ML detection
-//   "kbest:8"             K-best with K = 8
 //   "soft-geosphere"      max-log LLR output (decision mode: soft)
 //   "soft-geosphere:50"   same, with the LLR clamp raised to 50
 #pragma once
@@ -26,16 +25,15 @@ namespace geosphere {
 /// One registry entry: everything the CLI needs to document a detector and
 /// everything DetectorSpec needs to validate and create one.
 struct DetectorInfo {
-  std::string name;               ///< Registry name, e.g. "kbest".
+  std::string name;               ///< Registry name, e.g. "geosphere".
   std::string summary;            ///< One-line description for --list-detectors.
   DecisionMode decision = DecisionMode::kHard;  ///< Mode the detector runs in.
   bool soft_capable = false;      ///< Can serve DecisionMode::kSoft.
-  bool takes_param = false;       ///< Accepts a ":PARAM" suffix.
-  bool param_required = false;    ///< ":PARAM" is mandatory (e.g. kbest:K).
-  std::string param_name;         ///< e.g. "K"; for messages and listings.
+  bool takes_param = false;       ///< Accepts an optional ":PARAM" suffix.
+  std::string param_name;         ///< e.g. "CLAMP"; for messages and listings.
   unsigned min_param = 0;         ///< Inclusive bounds on PARAM.
   unsigned max_param = 0;
-  unsigned default_param = 0;     ///< Used when an optional PARAM is omitted.
+  unsigned default_param = 0;     ///< Used when PARAM is omitted.
   /// Creates one detector instance (one per thread; Detector instances are
   /// not thread-safe). `param` is the validated PARAM or default_param.
   std::function<std::unique_ptr<Detector>(const Constellation&, unsigned param)> make;
@@ -44,24 +42,24 @@ struct DetectorInfo {
 /// The fixed detector registry, in a stable display order.
 const std::vector<DetectorInfo>& detector_registry();
 
-/// The plain (unparameterized-form) registry names, in registry order.
-/// Parameterized detectors appear under their canonical form ("kbest:K").
+/// The registry names, in registry order. Each parses as it is: a detector
+/// that takes a parameter then runs with its default.
 const std::vector<std::string>& detector_names();
 
 class DetectorSpec {
  public:
   /// Parses "name" or "name:PARAM". Throws std::invalid_argument with a
   /// message naming the valid forms on any malformed input: unknown name,
-  /// missing/forbidden parameter, non-numeric or trailing-garbage PARAM,
-  /// or PARAM outside the registry entry's bounds.
+  /// forbidden parameter, non-numeric or trailing-garbage PARAM, or PARAM
+  /// outside the registry entry's bounds.
   static DetectorSpec parse(const std::string& text);
 
-  /// The registry name, e.g. "kbest".
+  /// The registry name, e.g. "soft-geosphere".
   const std::string& base() const { return info_->name; }
 
-  /// The canonical text form, e.g. "kbest:8" or "geosphere". Identifies
-  /// the detector *instance* configuration (decision mode excluded: the
-  /// same instance serves both modes when soft_capable).
+  /// The canonical text form, e.g. "soft-geosphere:30" or "geosphere".
+  /// Identifies the detector *instance* configuration (decision mode
+  /// excluded: the same instance serves both modes when soft_capable).
   const std::string& text() const { return text_; }
 
   unsigned param() const { return param_; }

@@ -1,5 +1,5 @@
 // The per-level center computation shared by every QR-triangularized tree
-// search (SphereDecoder, TreeProblem-based detectors, soft-geosphere).
+// search (SphereDecoder and both soft-output Geosphere detectors).
 //
 // Bit-identity contract: per product this computes the exact naive
 // complex-multiply formula (ar*br - ai*bi, ar*bi + ai*br) with one
@@ -10,12 +10,10 @@
 // rests on every caller using this one implementation.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 
 #include "common/types.h"
 #include "constellation/constellation.h"
-#include "detect/sphere/simd/kernel.h"
 #include "linalg/matrix.h"
 
 namespace geosphere::sphere {
@@ -38,49 +36,6 @@ inline cf64 tree_center(const linalg::CMatrix& r, const cf64* yhat, std::size_t 
     cim -= t_im;
   }
   return cf64(cre, cim) / diag_l;
-}
-
-/// Lane-grouped tree_center: centers of `m` candidate paths of the SAME
-/// received vector, all at level `l` (K-best survivors, FSD paths). Lane a
-/// reads its path through `path_at(a, j)`; the structure-of-arrays j terms
-/// run packed across lanes -- one broadcast r(l, j) times m gathered
-/// symbols per term -- chunked by simd::kMaxLanes.
-///
-/// Per lane this performs exactly the tree_center sequence (same ops, same
-/// order, one rounding each; the final division is the componentwise
-/// quotient std::complex's operator/(complex, double) performs), so
-/// out[a] == tree_center(r, yhat, l, path_a, cons, diag_l) bit-for-bit on
-/// every kernel tier.
-template <class PathAt>
-inline void tree_center_lanes(const linalg::CMatrix& r, const cf64* yhat, std::size_t l,
-                              const Constellation& cons, double diag_l,
-                              const simd::Kernel& kern, std::size_t m, PathAt&& path_at,
-                              cf64* out) {
-  const cf64* rrow = r.row_data(l);
-  const std::size_t nc = r.cols();
-  double are[simd::kMaxLanes], aim[simd::kMaxLanes];
-  double sre[simd::kMaxLanes], sim[simd::kMaxLanes];
-  double den[simd::kMaxLanes], cre[simd::kMaxLanes], cim[simd::kMaxLanes];
-  for (std::size_t base = 0; base < m; base += simd::kMaxLanes) {
-    const std::size_t n = std::min(simd::kMaxLanes, m - base);
-    for (std::size_t a = 0; a < n; ++a) {
-      are[a] = yhat[l].real();
-      aim[a] = yhat[l].imag();
-      den[a] = diag_l;
-    }
-    for (std::size_t j = l + 1; j < nc; ++j) {
-      const cf64 rij = rrow[j];
-      for (std::size_t a = 0; a < n; ++a) {
-        const cf64 s = cons.point(path_at(base + a, j));
-        sre[a] = s.real();
-        sim[a] = s.imag();
-      }
-      kern.center_accum(rij.real(), rij.imag(), sre, sim, are, aim, n);
-    }
-    kern.quotients(are, den, cre, n);
-    kern.quotients(aim, den, cim, n);
-    for (std::size_t a = 0; a < n; ++a) out[base + a] = cf64(cre[a], cim[a]);
-  }
 }
 
 }  // namespace geosphere::sphere

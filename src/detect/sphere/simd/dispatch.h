@@ -1,6 +1,5 @@
 // Runtime kernel dispatch for the tree-search layer: which SIMD tier runs
-// the batched rotation, the packed root centers and the level-major center
-// groups in this process. Selection (override > GEOSPHERE_KERNEL > cpuid)
+// the batched rotation and the packed root centers in this process. Selection (override > GEOSPHERE_KERNEL > cpuid)
 // is shared with the other kernel layers; see common/kernel_dispatch.h.
 #pragma once
 

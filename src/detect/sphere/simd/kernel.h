@@ -1,10 +1,9 @@
 // SIMD kernel table for the batched tree-search solve.
 //
 // A Kernel is a set of elementwise operations over packed lane arrays: the
-// arithmetic of the batched Q^H Y rotation (one received vector per lane),
-// the packed root-center divides, and the level-major center groups of the
-// K-Best and FSD searches (one surviving path per lane), expressed so that
-// one instruction covers `width` lanes at a time.
+// arithmetic of the batched Q^H Y rotation and the packed root-center
+// divides (one received vector per lane), expressed so that one instruction
+// covers `width` lanes at a time.
 //
 // Bit-identity contract: every operation is specified as an exact IEEE-754
 // sequence -- one rounding per arithmetic op, no FMA contraction, operands
@@ -24,28 +23,15 @@
 
 namespace geosphere::sphere::simd {
 
-/// Upper bound on lanes per grouped center call: tree_center_lanes (K-best
-/// survivors, FSD paths) chunks longer lane lists by this.
-inline constexpr std::size_t kMaxLanes = 8;
-
 struct Kernel {
   /// Tier name: "scalar" or "avx2" (also the GEOSPHERE_KERNEL spellings).
   const char* name;
   /// Lanes one vector register covers (1 or 4 doubles).
   std::size_t width;
 
-  /// out[i] = num[i] / den[i] -- sphere budgets ((radius - pd) / scale) and
-  /// center normalization (component / (r_ll * alpha)).
+  /// out[i] = num[i] / den[i] -- the packed root centers' normalization
+  /// (component / (r_ll * alpha)).
   void (*quotients)(const double* num, const double* den, double* out, std::size_t n);
-
-  /// Center accumulation step, one broadcast r(l, j) times per-lane symbol:
-  ///   t_re = r_re*s_re[i] - r_im*s_im[i]
-  ///   t_im = r_re*s_im[i] + r_im*s_re[i]
-  ///   acc_re[i] -= t_re;  acc_im[i] -= t_im
-  /// i.e. the exact naive complex multiply-subtract of center.h, across n
-  /// lanes.
-  void (*center_accum)(double r_re, double r_im, const double* s_re, const double* s_im,
-                       double* acc_re, double* acc_im, std::size_t n);
 
   /// Complex multiply-accumulate on INTERLEAVED complex arrays (`b` and
   /// `acc` hold n complex values as [re0, im0, re1, im1, ...]), one
@@ -58,9 +44,8 @@ struct Kernel {
   /// rotation (rotate.h) read std::complex rows in place, no deinterleave
   /// pass; the AVX2 tier computes the subtraction as an exact sign-flip-
   /// then-add (IEEE x - y == x + (-y), bit for bit), packing two complex
-  /// values per register. Each received vector is a lane;
-  /// n is the batch size, not bounded by kMaxLanes (the ops loop over any
-  /// n).
+  /// values per register. Each received vector is a lane; n is the batch
+  /// size (the ops loop over any n).
   void (*cmul_accum)(double a_re, double a_im, const double* b, double* acc,
                      std::size_t n);
 };

@@ -30,27 +30,6 @@ void quotients_avx2(const double* num, const double* den, double* out, std::size
   for (; i < n; ++i) out[i] = num[i] / den[i];
 }
 
-void center_accum_avx2(double r_re, double r_im, const double* s_re, const double* s_im,
-                       double* acc_re, double* acc_im, std::size_t n) {
-  const __m256d rre = _mm256_set1_pd(r_re);
-  const __m256d rim = _mm256_set1_pd(r_im);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sre = _mm256_loadu_pd(s_re + i);
-    const __m256d sim = _mm256_loadu_pd(s_im + i);
-    const __m256d t_re = _mm256_sub_pd(_mm256_mul_pd(rre, sre), _mm256_mul_pd(rim, sim));
-    const __m256d t_im = _mm256_add_pd(_mm256_mul_pd(rre, sim), _mm256_mul_pd(rim, sre));
-    _mm256_storeu_pd(acc_re + i, _mm256_sub_pd(_mm256_loadu_pd(acc_re + i), t_re));
-    _mm256_storeu_pd(acc_im + i, _mm256_sub_pd(_mm256_loadu_pd(acc_im + i), t_im));
-  }
-  for (; i < n; ++i) {
-    const double t_re = r_re * s_re[i] - r_im * s_im[i];
-    const double t_im = r_re * s_im[i] + r_im * s_re[i];
-    acc_re[i] -= t_re;
-    acc_im[i] -= t_im;
-  }
-}
-
 void cmul_accum_avx2(double a_re, double a_im, const double* b, double* acc,
                      std::size_t n) {
   const __m256d are = _mm256_set1_pd(a_re);
@@ -77,7 +56,7 @@ void cmul_accum_avx2(double a_re, double a_im, const double* b, double* acc,
 }  // namespace
 
 const Kernel* avx2_kernel_or_null() {
-  static constexpr Kernel k{"avx2", 4, quotients_avx2, center_accum_avx2, cmul_accum_avx2};
+  static constexpr Kernel k{"avx2", 4, quotients_avx2, cmul_accum_avx2};
   return &k;
 }
 

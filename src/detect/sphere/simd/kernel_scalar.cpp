@@ -11,16 +11,6 @@ void quotients_scalar(const double* num, const double* den, double* out, std::si
   for (std::size_t i = 0; i < n; ++i) out[i] = num[i] / den[i];
 }
 
-void center_accum_scalar(double r_re, double r_im, const double* s_re, const double* s_im,
-                         double* acc_re, double* acc_im, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t_re = r_re * s_re[i] - r_im * s_im[i];
-    const double t_im = r_re * s_im[i] + r_im * s_re[i];
-    acc_re[i] -= t_re;
-    acc_im[i] -= t_im;
-  }
-}
-
 void cmul_accum_scalar(double a_re, double a_im, const double* b, double* acc,
                        std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -34,8 +24,7 @@ void cmul_accum_scalar(double a_re, double a_im, const double* b, double* acc,
 }  // namespace
 
 const Kernel& scalar_kernel() {
-  static constexpr Kernel k{"scalar", 1, quotients_scalar, center_accum_scalar,
-                            cmul_accum_scalar};
+  static constexpr Kernel k{"scalar", 1, quotients_scalar, cmul_accum_scalar};
   return k;
 }
 

@@ -1,6 +1,7 @@
 #include "detect/sphere/sphere_decoder.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -37,31 +38,6 @@ void column_norm_order(const linalg::CMatrix& h, std::vector<std::size_t>& perm,
 }  // namespace
 
 template <class Enumerator>
-void SphereDecoder<Enumerator>::finish_install(const std::vector<std::size_t>* order) {
-  const std::size_t nc = problem_.nc;
-  if (order != nullptr) {
-    perm_ = *order;
-  } else {
-    perm_.resize(nc);
-    std::iota(perm_.begin(), perm_.end(), std::size_t{0});
-  }
-  if (level_enum_.size() != nc) {
-    level_enum_.assign(nc, prototype_);
-    partial_dist_.assign(nc + 1, 0.0);
-    current_.assign(nc, 0);
-    best_.assign(nc, 0);
-  }
-}
-
-template <class Enumerator>
-void SphereDecoder<Enumerator>::prepare_adopted(const prepare::QrSlot& slot) {
-  run_as_prepare([&] {
-    problem_.install(slot);
-    finish_install(nullptr);
-  });
-}
-
-template <class Enumerator>
 void SphereDecoder<Enumerator>::do_prepare_batch(const linalg::CMatrix* hs,
                                                  std::size_t count, double /*noise_var*/) {
   if (!config_.sorted_qr) {
@@ -88,7 +64,19 @@ void SphereDecoder<Enumerator>::do_prepare_batch(const linalg::CMatrix* hs,
 template <class Enumerator>
 void SphereDecoder<Enumerator>::do_select_prepared(std::size_t i) {
   problem_.select(i);
-  finish_install(config_.sorted_qr ? &slot_perm_[i] : nullptr);
+  const std::size_t nc = problem_.nc;
+  if (config_.sorted_qr) {
+    perm_ = slot_perm_[i];
+  } else {
+    perm_.resize(nc);
+    std::iota(perm_.begin(), perm_.end(), std::size_t{0});
+  }
+  if (level_enum_.size() != nc) {
+    level_enum_.assign(nc, prototype_);
+    partial_dist_.assign(nc + 1, 0.0);
+    current_.assign(nc, 0);
+    best_.assign(nc, 0);
+  }
 }
 
 template <class Enumerator>
@@ -99,7 +87,7 @@ bool SphereDecoder<Enumerator>::search(const cf64* yhat, DetectionStats& stats_o
   DetectionStats stats;  // Search-local, added to the caller's once.
   ++stats.tree_searches;
 
-  double radius_sq = config_.initial_radius_sq;
+  double radius_sq = std::numeric_limits<double>::infinity();
   bool found = false;
   partial_dist_[nc] = 0.0;
 
@@ -156,8 +144,7 @@ void SphereDecoder<Enumerator>::do_solve_batch(const linalg::CMatrix& y_batch,
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
     if (!search(problem_.yhat_t.row_data(v), stats, problem_.root_centers[v]))
-      throw std::runtime_error(
-          "SphereDecoder: no solution inside the configured initial radius");
+      throw std::runtime_error(name_ + ": no solution found (unbounded search)");
     // Undo the detection-order permutation.
     unsigned* dst = out.indices.data() + v * nc;
     for (std::size_t j = 0; j < nc; ++j) dst[perm_[j]] = best_[j];
@@ -170,13 +157,9 @@ template class SphereDecoder<HessEnumerator>;
 template class SphereDecoder<ShabanyEnumerator>;
 
 std::unique_ptr<Detector> make_geosphere(const Constellation& c, SphereConfig config) {
-  return make_geosphere_typed(c, config);
-}
-
-std::unique_ptr<SphereDecoder<GeoEnumerator>> make_geosphere_typed(const Constellation& c,
-                                                                   SphereConfig config) {
   return std::make_unique<SphereDecoder<GeoEnumerator>>(
-      c, GeoEnumerator({.geometric_pruning = true}), "Geosphere", config);
+      c, GeoEnumerator({.geometric_pruning = true}),
+      config.sorted_qr ? "Geosphere-SQRD" : "Geosphere", config);
 }
 
 std::unique_ptr<Detector> make_geosphere_zigzag_only(const Constellation& c,

@@ -14,13 +14,11 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "detect/detector.h"
-#include "detect/prepare/batch_qr.h"
 #include "detect/sphere/enumerators.h"
 #include "detect/sphere/tree_problem.h"
 
@@ -30,10 +28,6 @@ struct SphereConfig {
   /// Order channel columns by energy before the QR decomposition
   /// (off by default: the paper's decoders process columns as-is).
   bool sorted_qr = false;
-  /// Initial squared sphere radius. The default (infinite) finds a
-  /// solution unless every branch cost overflows; a finite radius may prune
-  /// everything. Either way the solve throws std::runtime_error.
-  double initial_radius_sq = std::numeric_limits<double>::infinity();
 };
 
 template <class Enumerator>
@@ -42,49 +36,40 @@ class SphereDecoder final : public Detector {
   SphereDecoder(const Constellation& c, Enumerator prototype, std::string name,
                 SphereConfig config = {})
       : Detector(c), prototype_(prototype), name_(std::move(name)), config_(config),
-        problem_("SphereDecoder", c.scale()) {
+        problem_(name_.c_str(), c.scale()) {
     prototype_.attach(c);
   }
 
   std::string name() const override { return name_; }
   const SphereConfig& config() const { return config_; }
 
-  /// Adopts `slot`, a packed-QR factorization (prepare/batch_qr.h), instead
-  /// of refactorizing -- the hybrid detector shares its routing QR this
-  /// way. Throws exactly as prepare() would for the slot's channel and
-  /// installs the same bits; the factorization carries no column order, so
-  /// the detection order is the identity whatever the configuration.
-  void prepare_adopted(const prepare::QrSlot& slot);
-
  protected:
   /// The shared SIMD-batched Q^H Y rotation and packed root centers
   /// (TreeProblem::rotate), then one search per row. Every tier's rotation
   /// row and root center is bit-identical to the scalar per-vector
   /// arithmetic, so a vector's result does not depend on the tier, its
-  /// column or the batch size.
+  /// column or the batch size. A search that reaches no leaf throws
+  /// std::runtime_error naming this instance.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed Householder QR across the batch (TreeProblem::prepare_batch),
   /// with per-slot column orders and permuted copies first when sorted QR
   /// is configured; select installs slot i (TreeProblem::select), which
-  /// throws the batch's shape error or the slot's rank error.
+  /// throws the batch's shape error or the slot's rank error, naming this
+  /// instance.
   void do_prepare_batch(const linalg::CMatrix* hs, std::size_t count,
                         double noise_var) override;
   void do_select_prepared(std::size_t i) override;
 
  private:
-  /// Depth-first search against the prepared channel, reading the rotated
-  /// received vector from `yhat` (length n_c) and its packed root-level
-  /// center; leaves the winning path in best_ and accumulates counters into
-  /// `stats`. Returns false if the search reaches no leaf.
+  /// Depth-first search against the prepared channel, from an unbounded
+  /// radius, reading the rotated received vector from `yhat` (length n_c)
+  /// and its packed root-level center; leaves the winning path in best_ and
+  /// accumulates counters into `stats`. Returns false if the search
+  /// reaches no leaf.
   bool search(const cf64* yhat, DetectionStats& stats, cf64 root_center);
 
-  /// The tail of every install: the detection order (`order`, or the
-  /// identity when null) and the search workspace for the installed
-  /// channel's level count.
-  void finish_install(const std::vector<std::size_t>* order);
-
   Enumerator prototype_;
-  std::string name_;
+  const std::string name_;  ///< Declared before problem_, which keeps its c_str().
   SphereConfig config_;
   TreeProblem problem_;  ///< The prepared channel.
   std::vector<std::size_t> perm_;  ///< Detection-order column permutation.
@@ -103,13 +88,8 @@ class SphereDecoder final : public Detector {
 };
 
 /// Geosphere: 2D zigzag enumeration + geometric pruning (the full system).
+/// Named "Geosphere", or "Geosphere-SQRD" with sorted QR.
 std::unique_ptr<Detector> make_geosphere(const Constellation& c, SphereConfig config = {});
-
-/// Geosphere as its concrete decoder type, for callers that hand it
-/// externally computed factorizations (prepare_adopted -- the hybrid
-/// detector's shared routing QR).
-std::unique_ptr<SphereDecoder<GeoEnumerator>> make_geosphere_typed(const Constellation& c,
-                                                                   SphereConfig config = {});
 
 /// Geosphere without geometric pruning ("2D zigzag only" variant of the
 /// paper's Section 5.3.2 breakdown).

@@ -21,12 +21,7 @@ void TreeProblem::check_shape() const {
 
 void TreeProblem::select(std::size_t i) {
   check_shape();
-  install(slots_[i]);
-}
-
-void TreeProblem::install(const prepare::QrSlot& slot) {
-  if (slot.r.cols() == 0 || slot.qh.cols() < slot.r.cols())
-    throw std::invalid_argument(std::string(who_) + ": requires 1 <= n_c <= n_a");
+  const prepare::QrSlot& slot = slots_[i];
   if (!slot.rank_ok)
     throw std::domain_error(std::string(who_) +
                             ": channel matrix is (numerically) rank deficient");

@@ -1,23 +1,20 @@
 // The prepared channel of every QR tree detector: the QR-triangularized
 // detection problem (paper Eq. 3/4: H = QR, yhat = Q^H y) that Geosphere,
-// ETH-SD, Shabany, K-best, FSD, the real-valued decomposition and the
-// soft-output Geosphere variants search. A detector holds one TreeProblem
-// and drives it through the phases of the detection contract:
+// ETH-SD, Shabany and the soft-output Geosphere variants search. A detector
+// holds one TreeProblem and drives it through the phases of the detection
+// contract:
 //
 //   prepare_batch(hs, count) -- records a bad shape, or runs the packed QR
 //                               (prepare/batch_qr.h) into its own slots;
 //   select(i)                -- throws the shape error or slot i's rank
 //                               error, naming the detector, or installs
 //                               slot i: Q^H, R, per-level scale and diag;
-//                               install(slot) does the same for a slot
-//                               factorized elsewhere (hybrid's routing QR);
 //   rotate(Y)                -- (Q^H Y)^T into yhat_t, one row per vector,
 //                               plus the packed root centers (simd/rotate.h).
 //
 // The searches read the public members in place. What differs stays in
-// each detector: sorted QR's orders, RVD's real embedding, the soft
-// detectors' noise check, hybrid's routing and the search workspaces. Once
-// warm, no phase allocates.
+// each detector: sorted QR's orders, the soft detectors' noise check and
+// the search workspaces. Once warm, no phase allocates.
 #pragma once
 
 #include <cstddef>
@@ -32,23 +29,19 @@ namespace geosphere::sphere {
 
 class TreeProblem {
  public:
-  /// `who` (a string literal) names the detector in every error thrown
-  /// here; `alpha` is its constellation's scale().
+  /// `who` names the detector in every error thrown here and must outlive
+  /// this object (a string literal, or the owning detector's name);
+  /// `alpha` is its constellation's scale().
   TreeProblem(const char* who, double alpha) : who_(who), alpha_(alpha) {}
 
   /// Factorizes hs[0..count), all of one shape, unless that shape breaks
   /// 1 <= n_c <= n_a; every select() then throws std::invalid_argument.
   void prepare_batch(const linalg::CMatrix* hs, std::size_t count);
-  bool shape_ok() const { return !shape_bad_; }
   void check_shape() const;  ///< Throws the batch's shape error, if any.
-  /// Slot i of the last prepare_batch(), when shape_ok().
-  const prepare::QrSlot& slot(std::size_t i) const { return slots_[i]; }
 
-  /// check_shape(), then install(slot(i)).
+  /// check_shape(), then throws std::domain_error unless slot i passed the
+  /// rank test; else installs slot i.
   void select(std::size_t i);
-  /// Throws std::invalid_argument unless 1 <= n_c <= n_a and
-  /// std::domain_error unless slot.rank_ok; else installs the slot.
-  void install(const prepare::QrSlot& slot);
 
   /// Row v of yhat_t is bit-identical to the mat-vec Q^H y_v, and
   /// root_centers[v] to the root-level tree_center of that row. Throws

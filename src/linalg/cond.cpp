@@ -33,19 +33,4 @@ double condition_number_sq_db(const CMatrix& a) {
   return lin_to_db(k * k);
 }
 
-double qr_diag_condition_sq_db(const CMatrix& r) {
-  const std::size_t n = std::min(r.rows(), r.cols());
-  if (n == 0) return std::numeric_limits<double>::infinity();
-  double rmin = std::numeric_limits<double>::infinity();
-  double rmax = 0.0;
-  for (std::size_t l = 0; l < n; ++l) {
-    const double d = r(l, l).real();
-    rmin = std::min(rmin, d);
-    rmax = std::max(rmax, d);
-  }
-  if (rmin <= 0.0) return std::numeric_limits<double>::infinity();
-  const double ratio = rmax / rmin;
-  return lin_to_db(ratio * ratio);
-}
-
 }  // namespace geosphere::linalg

@@ -18,12 +18,4 @@ double condition_number(const CMatrix& a);
 /// upper bound on zero-forcing noise amplification.
 double condition_number_sq_db(const CMatrix& a);
 
-/// Cheap kappa^2 estimate in dB from an already-computed QR factor:
-/// (max_l r_ll / min_l r_ll)^2 over R's real non-negative diagonal. A
-/// standard conditioning proxy (it lower-bounds the true kappa^2) that
-/// costs one pass over the diagonal -- callers that QR-factorize anyway
-/// (the hybrid detector's routing) get conditioning for free. Returns
-/// +inf for empty or singular-diagonal factors.
-double qr_diag_condition_sq_db(const CMatrix& r);
-
 }  // namespace geosphere::linalg

@@ -69,15 +69,6 @@ using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
 using geosphere::testing::transmit;
 
-/// Every registry detector in a creatable spec form (required parameters
-/// get a representative value).
-std::vector<std::string> all_registry_specs() {
-  std::vector<std::string> out;
-  for (const DetectorInfo& info : detector_registry())
-    out.push_back(info.param_required ? info.name + ":8" : info.name);
-  return out;
-}
-
 void expect_same_stats(const DetectionStats& a, const DetectionStats& b,
                        const std::string& who) {
   EXPECT_EQ(a.ped_computations, b.ped_computations) << who;
@@ -235,23 +226,20 @@ TEST_P(BatchSolveRegistry, WrongRowCountThrowsInvalidArgument) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, BatchSolveRegistry,
-                         ::testing::ValuesIn(all_registry_specs()),
+                         ::testing::ValuesIn(detector_names()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name)
-                             if (ch == ':' || ch == '-') ch = '_';
+                             if (ch == '-') ch = '_';
                            return name;
                          });
 
 // Warm solves allocate nothing: after one pass over a prepared batch, a
 // second pass over the same channels and received vectors makes no global
 // operator new call in solve_batch or, where the detector has one,
-// solve_soft_batch. Every registry detector, plus hybrid at both routing
-// extremes (hybrid:0 sends every channel to Geosphere, hybrid:200 every
-// channel to ZF). Prepare and select are not counted.
+// solve_soft_batch. Every registry detector; prepare and select are not
+// counted.
 TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
-  std::vector<std::string> specs = all_registry_specs();  // kbest:8 included.
-  specs.insert(specs.end(), {"hybrid:0", "hybrid:200"});
   constexpr std::size_t kChannels = 4, kVectors = 5;
   for (unsigned qam : {16u, 64u}) {
     const Constellation& c = Constellation::qam(qam);
@@ -263,7 +251,7 @@ TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
       hs.push_back(random_channel(rng, 4, 3));
       ys.push_back(make_batch(rng, hs.back(), c, kVectors, n0));
     }
-    for (const std::string& text : specs) {
+    for (const std::string& text : detector_names()) {
       const auto det = DetectorSpec::parse(text).create(c);
       SoftDetector* soft = det->soft();
       det->prepare_batch(hs, n0);
@@ -291,11 +279,8 @@ TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
 // Warm frames allocate nothing: after one prepare_batch, select and solve
 // pass over a frame's 48 channels, a second pass over the same channels and
 // received vectors makes no global operator new call in prepare_batch, any
-// select_prepared or any solve_batch. Every registry detector, plus hybrid
-// at both routing extremes.
+// select_prepared or any solve_batch. Every registry detector.
 TEST(BatchSolveRegistry, WarmPrepareAllocatesNothing) {
-  std::vector<std::string> specs = all_registry_specs();
-  specs.insert(specs.end(), {"hybrid:0", "hybrid:200"});
   constexpr std::size_t kChannels = 48, kVectors = 2;
   const Constellation& c = Constellation::qam(16);
   Rng rng(4848);
@@ -304,7 +289,7 @@ TEST(BatchSolveRegistry, WarmPrepareAllocatesNothing) {
   for (std::size_t s = 0; s < kChannels; ++s) hs.push_back(random_channel(rng, 4, 4));
   std::vector<linalg::CMatrix> ys;
   for (const linalg::CMatrix& h : hs) ys.push_back(make_batch(rng, h, c, kVectors, n0));
-  for (const std::string& text : specs) {
+  for (const std::string& text : detector_names()) {
     const auto det = DetectorSpec::parse(text).create(c);
     BatchResult out;
     std::size_t allocs = 0;

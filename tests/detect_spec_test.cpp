@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "detect/soft_output.h"
 
@@ -41,28 +42,18 @@ TEST(DetectorSpec, ParsesPlainNames) {
   EXPECT_NE(geo.create(Constellation::qam(16)), nullptr);
 }
 
-TEST(DetectorSpec, ParsesKbestParameter) {
-  const DetectorSpec kb = DetectorSpec::parse("kbest:8");
-  EXPECT_EQ(kb.base(), "kbest");
-  EXPECT_EQ(kb.text(), "kbest:8");
-  EXPECT_EQ(kb.param(), 8u);
-  const auto det = kb.create(Constellation::qam(16));
-  ASSERT_NE(det, nullptr);
-  EXPECT_NE(det->name().find("8"), std::string::npos);
-}
-
 TEST(DetectorSpec, RejectsMalformedParameters) {
-  // The satellite's hardening checklist: zero, non-numeric, trailing
-  // garbage, missing, forbidden and out-of-range parameters.
-  EXPECT_TRUE(parse_fails_mentioning("kbest:0", "[1, 4096]"));
-  EXPECT_TRUE(parse_fails_mentioning("kbest:8x", "[1, 4096]"));
-  EXPECT_TRUE(parse_fails_mentioning("kbest:x8", "[1, 4096]"));
-  EXPECT_TRUE(parse_fails_mentioning("kbest:", "[1, 4096]"));
-  EXPECT_TRUE(parse_fails_mentioning("kbest:-1", "[1, 4096]"));
-  EXPECT_TRUE(parse_fails_mentioning("kbest:4097", "[1, 4096]"));
-  EXPECT_TRUE(parse_fails_mentioning("kbest:99999999999999999999", "[1, 4096]"));
-  EXPECT_TRUE(parse_fails_mentioning("kbest:8:8", "[1, 4096]"));
-  EXPECT_TRUE(parse_fails_mentioning("kbest", "kbest:K"));
+  // Zero, non-numeric, trailing-garbage, empty, negative, out-of-range,
+  // overflowing and doubled parameters, and forbidden ones.
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:0", "[1, 1000]"));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:8x", "[1, 1000]"));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:x8", "[1, 1000]"));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:", "[1, 1000]"));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:-1", "[1, 1000]"));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:1001", "[1, 1000]"));
+  EXPECT_TRUE(
+      parse_fails_mentioning("soft-geosphere-sts:99999999999999999999", "[1, 1000]"));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:8:8", "[1, 1000]"));
   EXPECT_TRUE(parse_fails_mentioning("zf:4", "takes no parameter"));
   EXPECT_TRUE(parse_fails_mentioning("does-not-exist", "unknown detector"));
   EXPECT_TRUE(parse_fails_mentioning("", "unknown detector"));
@@ -118,18 +109,17 @@ TEST(DetectorSpec, WithDecisionValidatesCapability) {
 }
 
 TEST(DetectorSpec, RegistryListsEveryDetectorOnce) {
-  const auto& registry = detector_registry();
-  EXPECT_GE(registry.size(), 12u);
-  for (std::size_t i = 0; i < registry.size(); ++i)
-    for (std::size_t j = i + 1; j < registry.size(); ++j)
-      EXPECT_NE(registry[i].name, registry[j].name);
-  // Every non-required-param entry also appears in detector_names().
-  const auto& names = detector_names();
-  for (const auto& info : registry) {
-    const bool listed =
-        std::find(names.begin(), names.end(), info.name) != names.end();
-    EXPECT_EQ(listed, !info.param_required) << info.name;
-  }
+  // detector_names() is the registry's names in registry order, and every
+  // one of them parses as it is.
+  const std::vector<std::string> expected = {
+      "zf",     "mmse",    "mmse-sic", "geosphere",      "geosphere-2dzz",    "geosphere-sqrd",
+      "eth-sd", "shabany", "ml",       "soft-geosphere", "soft-geosphere-sts"};
+  EXPECT_EQ(detector_names(), expected);
+  EXPECT_EQ(detector_registry().size(), expected.size());
+  for (const std::string& name : expected) EXPECT_EQ(DetectorSpec::parse(name).base(), name);
+  EXPECT_TRUE(parse_fails_mentioning(
+      "nope", "(valid forms: zf mmse mmse-sic geosphere geosphere-2dzz geosphere-sqrd "
+              "eth-sd shabany ml soft-geosphere[:CLAMP] soft-geosphere-sts[:CLAMP])"));
 }
 
 }  // namespace

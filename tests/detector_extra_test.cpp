@@ -1,20 +1,11 @@
-// Cross-detector properties beyond the core suites: the RVD formulation,
-// the condition-threshold hybrid on realistic ensembles, K-best accuracy
-// scaling, ordering preprocessing, and the AWGN theory references.
+// Properties beyond the core suites: sorted-QR ordering preprocessing and
+// the AWGN theory references.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "channel/metrics.h"
-#include "channel/testbed_ensemble.h"
 #include "common/db.h"
 #include "common/rng.h"
-#include "detect/hybrid.h"
-#include "detect/kbest.h"
-#include "detect/ml_exhaustive.h"
-#include "linalg/cond.h"
-#include "linalg/qr.h"
-#include "detect/rvd_sphere.h"
 #include "detect/sphere/sphere_decoder.h"
 #include "link/theory.h"
 #include "test_util.h"
@@ -22,152 +13,9 @@
 namespace geosphere {
 namespace {
 
-using geosphere::testing::hypothesis_distance_sq;
 using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
 using geosphere::testing::transmit;
-
-// ---- RVD sphere decoder -----------------------------------------------------
-
-class RvdMlEquivalence : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(RvdMlEquivalence, MatchesExhaustiveMl) {
-  const unsigned order = GetParam();
-  const Constellation& c = Constellation::qam(order);
-  RvdSphereDecoder rvd(c);
-  MlExhaustiveDetector ml(c);
-  Rng rng(order + 5);
-  const double n0 = db_to_lin(-10.0);
-  for (int trial = 0; trial < 25; ++trial) {
-    const std::size_t nc = order >= 64 ? 2 : 3;
-    const auto h = random_channel(rng, nc + 1, nc);
-    const auto sent = random_indices(rng, c, nc);
-    const auto y = transmit(rng, h, c, sent, n0);
-    const auto r = rvd.detect(y, h, n0);
-    ml.detect(y, h, n0);
-    EXPECT_NEAR(hypothesis_distance_sq(y, h, c, r.indices), ml.last_distance_sq(),
-                1e-9 * (1.0 + ml.last_distance_sq()))
-        << "order=" << order << " trial=" << trial;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Orders, RvdMlEquivalence, ::testing::Values(4u, 16u, 64u, 256u));
-
-TEST(Rvd, AgreesWithGeosphereDecisions) {
-  const Constellation& c = Constellation::qam(64);
-  RvdSphereDecoder rvd(c);
-  const auto geo = sphere::make_geosphere(c);
-  Rng rng(11);
-  const double n0 = db_to_lin(-18.0);
-  for (int trial = 0; trial < 30; ++trial) {
-    const auto h = random_channel(rng, 4, 4);
-    const auto sent = random_indices(rng, c, 4);
-    const auto y = transmit(rng, h, c, sent, n0);
-    EXPECT_EQ(rvd.detect(y, h, n0).indices, geo->detect(y, h, n0).indices);
-  }
-}
-
-TEST(Rvd, NoiselessRecovery) {
-  const Constellation& c = Constellation::qam(256);
-  RvdSphereDecoder rvd(c);
-  Rng rng(12);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto h = random_channel(rng, 4, 3);
-    const auto sent = random_indices(rng, c, 3);
-    const auto y = transmit(rng, h, c, sent, 0.0);
-    EXPECT_EQ(rvd.detect(y, h, 0.0).indices, sent);
-  }
-}
-
-TEST(Rvd, RejectsBadShapes) {
-  const Constellation& c = Constellation::qam(4);
-  RvdSphereDecoder rvd(c);
-  Rng rng(13);
-  const auto wide = random_channel(rng, 2, 3);
-  EXPECT_THROW(rvd.detect(CVector(2), wide, 0.1), std::invalid_argument);
-}
-
-TEST(Rvd, TreeIsDeeperButBranchesThinner) {
-  // The structural difference: RVD visits at least as many nodes (2x the
-  // levels) but its per-node costs are single PAM distances.
-  const Constellation& c = Constellation::qam(64);
-  RvdSphereDecoder rvd(c);
-  const auto geo = sphere::make_geosphere(c);
-  Rng rng(14);
-  const double n0 = db_to_lin(-20.0);
-  std::uint64_t rvd_nodes = 0;
-  std::uint64_t geo_nodes = 0;
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto h = random_channel(rng, 4, 4);
-    const auto sent = random_indices(rng, c, 4);
-    const auto y = transmit(rng, h, c, sent, n0);
-    rvd_nodes += rvd.detect(y, h, n0).stats.visited_nodes;
-    geo_nodes += geo->detect(y, h, n0).stats.visited_nodes;
-  }
-  EXPECT_GT(rvd_nodes, geo_nodes);  // Deeper tree.
-}
-
-// ---- Hybrid on a realistic ensemble -----------------------------------------
-
-TEST(Hybrid, RoutesByMeasuredConditioning) {
-  channel::TestbedConfig tc;
-  tc.clients = 4;
-  tc.ap_antennas = 4;
-  channel::TestbedEnsemble ensemble(tc);
-  const Constellation& c = Constellation::qam(16);
-  HybridDetector hybrid(c, 15.0);  // Switch above kappa^2 = 15 dB.
-  Rng rng(15);
-  const double n0 = db_to_lin(-20.0);
-
-  std::size_t expected_sphere = 0;
-  const int trials = 100;
-  for (int trial = 0; trial < trials; ++trial) {
-    const auto h = ensemble.draw_flat(rng);
-    // The hybrid prices conditioning off the diagonal of the channel's QR
-    // factor (the factorization the sphere decoder then adopts), so the
-    // reference must read the same estimate rather than the SVD kappa.
-    const auto [q, r] = linalg::householder_qr(h);
-    if (linalg::qr_diag_condition_sq_db(r) > 15.0) ++expected_sphere;
-    const auto sent = random_indices(rng, c, 4);
-    const auto y = transmit(rng, h, c, sent, n0);
-    hybrid.detect(y, h, n0);
-  }
-  EXPECT_NEAR(hybrid.sphere_fraction(), static_cast<double>(expected_sphere) / trials,
-              1e-12);
-  // On the 4x4 ensemble most links are poorly conditioned.
-  EXPECT_GT(hybrid.sphere_fraction(), 0.5);
-  EXPECT_LT(hybrid.sphere_fraction(), 1.0);
-}
-
-// ---- K-best accuracy scaling -------------------------------------------------
-
-TEST(KBest, AccuracyImprovesWithK) {
-  const Constellation& c = Constellation::qam(16);
-  Rng rng(16);
-  const double n0 = db_to_lin(-14.0);
-  const auto geo = sphere::make_geosphere(c);
-
-  std::vector<unsigned> ks{1, 2, 4, 16};
-  std::vector<int> ml_misses;
-  for (const unsigned k : ks) {
-    KBestDetector kbest(c, k);
-    Rng trial_rng(17);
-    int misses = 0;
-    for (int trial = 0; trial < 120; ++trial) {
-      const auto h = random_channel(trial_rng, 4, 4);
-      const auto sent = random_indices(trial_rng, c, 4);
-      const auto y = transmit(trial_rng, h, c, sent, n0);
-      const double d_kbest = hypothesis_distance_sq(y, h, c, kbest.detect(y, h, n0).indices);
-      const double d_ml = hypothesis_distance_sq(y, h, c, geo->detect(y, h, n0).indices);
-      misses += d_kbest > d_ml * (1.0 + 1e-9);
-    }
-    ml_misses.push_back(misses);
-  }
-  // Monotone (weakly) improving toward ML.
-  for (std::size_t i = 1; i < ml_misses.size(); ++i)
-    EXPECT_LE(ml_misses[i], ml_misses[i - 1] + 2);
-  EXPECT_GT(ml_misses.front(), ml_misses.back());
-}
 
 // ---- Ordering preprocessing ---------------------------------------------------
 

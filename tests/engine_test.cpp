@@ -231,8 +231,6 @@ TEST(DetectorRegistry, EveryPlainNameCreatesADetector) {
       EXPECT_NE(detector->soft(), nullptr);
     }
   }
-  const auto kbest = DetectorSpec::parse("kbest:8").create(Constellation::qam(16));
-  ASSERT_NE(kbest, nullptr);
 }
 
 TEST(Engine, SoftRunLinkBitIdenticalAcrossThreadsAndMatchesSequential) {

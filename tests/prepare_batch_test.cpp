@@ -52,15 +52,6 @@ using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
 using geosphere::testing::transmit;
 
-/// Every registry detector in a creatable spec form (required parameters
-/// get a representative value).
-std::vector<std::string> all_registry_specs() {
-  std::vector<std::string> out;
-  for (const DetectorInfo& info : detector_registry())
-    out.push_back(info.param_required ? info.name + ":8" : info.name);
-  return out;
-}
-
 /// RAII kernel-tier override (restores env/auto selection on scope exit).
 class KernelOverride {
  public:
@@ -314,11 +305,11 @@ TEST_P(PrepareBatchRegistry, FailingSlotRethrowsAtSelectLeavingOthersSelectable)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, PrepareBatchRegistry,
-                         ::testing::ValuesIn(all_registry_specs()),
+                         ::testing::ValuesIn(detector_names()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name)
-                             if (ch == ':' || ch == '-') ch = '_';
+                             if (ch == '-') ch = '_';
                            return name;
                          });
 
@@ -362,8 +353,8 @@ bool same_bits(const linalg::CMatrix& a, const linalg::CMatrix& b) {
 enum class SlotKind { kHealthy, kDuplicatedColumn, kZeroColumn, kAllZero, kTinyColumn };
 constexpr int kSlotKinds = 5;
 
-/// A channel of `kind`. 8x8 is the real-valued embedding of a random 4x4,
-/// the shape RVD hands the QR driver.
+/// A channel of `kind`. 8x8 is the real-valued embedding of a random 4x4:
+/// a structured, real-entried channel at the drivers' largest order.
 linalg::CMatrix driver_channel(Rng& rng, std::size_t na, std::size_t nc, SlotKind kind) {
   linalg::CMatrix h;
   if (na == 8 && nc == 8) {

@@ -5,6 +5,9 @@
 //    change results,
 //  * re-preparing the same instance with a different channel (including a
 //    different stream count) leaks no state between channels,
+//  * two live instances of one spec, prepared with different channels and
+//    solved in interleaved order, answer exactly as fresh instances do (no
+//    state is shared between instances),
 //  * solving before preparing fails loudly, and
 //  * the link layer amortizes: preprocess_calls == frames * nsc while
 //    detection_calls == frames * nsc * ofdm_symbols.
@@ -29,15 +32,6 @@ namespace {
 using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
 using geosphere::testing::transmit;
-
-/// Every registry detector in a creatable spec form (required parameters
-/// get a representative value).
-std::vector<std::string> all_registry_specs() {
-  std::vector<std::string> out;
-  for (const DetectorInfo& info : detector_registry())
-    out.push_back(info.param_required ? info.name + ":8" : info.name);
-  return out;
-}
 
 void expect_same_stats_modulo_preprocess(const DetectionStats& a, const DetectionStats& b,
                                          const std::string& who) {
@@ -114,6 +108,54 @@ TEST_P(PrepareSolveRegistry, RepreparingReusesTheInstanceSafely) {
   expect_same_stats_modulo_preprocess(r2.stats, fresh2.stats, spec.text());
 }
 
+TEST_P(PrepareSolveRegistry, InstancesOfOneSpecShareNoState) {
+  // The engine runs one instance per thread, so no workspace, table or
+  // cache may be shared between instances: two live instances prepared
+  // with different channels (and stream counts) and solved in interleaved
+  // order must each answer exactly as a fresh instance does.
+  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const Constellation& c = Constellation::qam(16);
+  const double n0 = db_to_lin(-14.0);
+
+  Rng rng(707);
+  const auto ha = random_channel(rng, 4, 3);
+  const auto hb = random_channel(rng, 4, 2);
+  std::vector<CVector> ya, yb;
+  for (int v = 0; v < 3; ++v) {
+    ya.push_back(transmit(rng, ha, c, random_indices(rng, c, 3), n0));
+    yb.push_back(transmit(rng, hb, c, random_indices(rng, c, 2), n0));
+  }
+  // References first, each from its own fresh instance.
+  std::vector<DetectionResult> want_a, want_b;
+  for (int v = 0; v < 3; ++v) {
+    want_a.push_back(spec.create(c)->detect(ya[v], ha, n0));
+    want_b.push_back(spec.create(c)->detect(yb[v], hb, n0));
+  }
+
+  const auto a = spec.create(c);
+  const auto b = spec.create(c);
+  a->prepare(ha, n0);
+  b->prepare(hb, n0);
+  for (int v = 0; v < 3; ++v) {
+    const DetectionResult ra = a->solve(ya[v]);
+    const DetectionResult rb = b->solve(yb[v]);
+    EXPECT_EQ(ra.indices, want_a[v].indices) << spec.text();
+    EXPECT_EQ(rb.indices, want_b[v].indices) << spec.text();
+    expect_same_stats_modulo_preprocess(ra.stats, want_a[v].stats, spec.text());
+    expect_same_stats_modulo_preprocess(rb.stats, want_b[v].stats, spec.text());
+  }
+  if (a->soft() != nullptr) {
+    for (int v = 0; v < 3; ++v) {
+      const SoftDetectionResult ra = a->soft()->solve_soft(ya[v]);
+      const SoftDetectionResult rb = b->soft()->solve_soft(yb[v]);
+      EXPECT_EQ(ra.llrs, spec.create(c)->soft()->detect_soft(ya[v], ha, n0).llrs)
+          << spec.text();
+      EXPECT_EQ(rb.llrs, spec.create(c)->soft()->detect_soft(yb[v], hb, n0).llrs)
+          << spec.text();
+    }
+  }
+}
+
 TEST_P(PrepareSolveRegistry, SolveBeforePrepareThrows) {
   const DetectorSpec spec = DetectorSpec::parse(GetParam());
   const auto det = spec.create(Constellation::qam(16));
@@ -126,11 +168,11 @@ TEST_P(PrepareSolveRegistry, SolveBeforePrepareThrows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, PrepareSolveRegistry,
-                         ::testing::ValuesIn(all_registry_specs()),
+                         ::testing::ValuesIn(detector_names()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name)
-                             if (ch == ':' || ch == '-') ch = '_';
+                             if (ch == '-') ch = '_';
                            return name;
                          });
 
@@ -199,17 +241,6 @@ TEST(PrepareSolve, LinkAmortizesPreparationsPerSubcarrier) {
     EXPECT_EQ(stats.detection.preprocess_calls, frames * nsc) << name;
     EXPECT_EQ(stats.detection_calls, frames * nsc * syms) << name;
   }
-}
-
-TEST(PrepareSolve, HybridIsARegistryDetector) {
-  const DetectorSpec spec = DetectorSpec::parse("hybrid");
-  EXPECT_EQ(spec.text(), "hybrid:10");  // Optional threshold, default 10 dB.
-  EXPECT_EQ(spec.decision(), DecisionMode::kHard);
-  const auto det = spec.create(Constellation::qam(16));
-  ASSERT_NE(det, nullptr);
-  EXPECT_EQ(det->name(), "Hybrid-ZF/Geosphere");
-  EXPECT_THROW(DetectorSpec::parse("hybrid:201"), std::invalid_argument);
-  EXPECT_THROW(DetectorSpec::parse("hybrid:10dB"), std::invalid_argument);
 }
 
 TEST(PrepareSolve, MlIsARegistryDetectorAndMatchesGeosphere) {

@@ -45,13 +45,14 @@ TEST(CellSpec, DefaultsAndCanonicalText) {
 TEST(CellSpec, RoundTripsAndCanonicalizesSpellings) {
   // Equivalent spellings (trailing zeros, detector defaults filled in)
   // collapse onto one canonical text, and parse(text()) is a fixed point.
-  const CellSpec a = CellSpec::parse("load=0.50,detector=kbest:8,snr=22.0,users=0012");
+  const CellSpec a =
+      CellSpec::parse("load=0.50,detector=soft-geosphere-sts,snr=22.0,users=0012");
   const CellSpec b = CellSpec::parse(a.text());
   EXPECT_EQ(a.text(), b.text());
   EXPECT_EQ(a.users, 12u);
   EXPECT_NE(a.text().find("load=0.5,"), std::string::npos);
   EXPECT_NE(a.text().find("snr=22.0,"), std::string::npos);
-  EXPECT_NE(a.text().find("detector=kbest:8"), std::string::npos);
+  EXPECT_NE(a.text().find("detector=soft-geosphere-sts:30,"), std::string::npos);
 }
 
 TEST(CellSpec, CodeKeyCanonicalizesAndDefaultsApply) {

@@ -145,7 +145,7 @@ void fuzz_parser(const std::vector<std::string>& valid, std::uint64_t seed) {
 std::vector<std::string> detector_forms() {
   std::vector<std::string> out;
   for (const DetectorInfo& info : detector_registry()) {
-    if (!info.param_required) out.push_back(info.name);
+    out.push_back(info.name);
     if (info.takes_param)
       for (const unsigned p : {info.min_param, info.max_param})
         out.push_back(info.name + ":" + std::to_string(p));

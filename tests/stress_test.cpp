@@ -14,7 +14,6 @@
 #include "channel/rayleigh.h"
 #include "common/db.h"
 #include "common/rng.h"
-#include "detect/hybrid.h"
 #include "detect/ml_exhaustive.h"
 #include "detect/prepare/simd/dispatch.h"
 #include "detect/spec.h"
@@ -156,6 +155,32 @@ struct TierGuard {
   }
 };
 
+/// The five SphereDecoder forms. Every error they throw names the
+/// instance, so their five names must differ.
+const std::set<std::string> kSphereDecoders = {"geosphere", "geosphere-2dzz",
+                                               "geosphere-sqrd", "eth-sd", "shabany"};
+
+void expect_distinct_sphere_decoder_names(const Constellation& c) {
+  std::set<std::string> names;
+  for (const std::string& text : kSphereDecoders)
+    names.insert(DetectorSpec::parse(text).create(c)->name());
+  EXPECT_EQ(names.size(), kSphereDecoders.size());
+}
+
+/// Runs `run` and returns the what() of the E it throws; records a failure
+/// (and returns "") when it throws nothing or something else.
+template <class E, class F>
+std::string thrown_message(F&& run, const std::string& who) {
+  try {
+    run();
+  } catch (const E& e) {
+    return e.what();
+  } catch (...) {
+  }
+  ADD_FAILURE() << who << ": did not throw the expected exception type";
+  return "";
+}
+
 TEST(Stress, UnboundedSearchWithoutALeafThrows) {
   // A finite received vector far outside the constellation: its tree
   // centers exceed ~1e154 grid units, so every branch cost overflows to
@@ -174,14 +199,12 @@ TEST(Stress, UnboundedSearchWithoutALeafThrows) {
   y_batch.set_col(0, healthy);
   y_batch.set_col(1, hostile);
 
-  std::vector<std::string> specs = {"hybrid:0", "hybrid:200"};
-  for (const DetectorInfo& info : detector_registry())
-    specs.push_back(info.param_required ? info.name + ":8" : info.name);
   const std::set<std::string> no_tree = {"zf", "mmse", "mmse-sic", "ml"};
+  expect_distinct_sphere_decoder_names(c);
 
   for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
     const TierGuard tier(kernel->name);
-    for (const std::string& text : specs) {
+    for (const std::string& text : detector_names()) {
       for (const bool warm : {false, true}) {
         const auto det = DetectorSpec::parse(text).create(c);
         det->prepare(h, n0);
@@ -190,17 +213,17 @@ TEST(Stress, UnboundedSearchWithoutALeafThrows) {
           det->solve(healthy);
           if (soft != nullptr) soft->solve_soft(healthy);
         }
-        // Hybrid follows its route: hybrid:0 always takes the sphere
-        // decoder, hybrid:200 always ZF, the default threshold depends on H.
-        bool tree = no_tree.count(text) == 0;
-        if (const auto* hybrid = dynamic_cast<const HybridDetector*>(det.get()))
-          tree = hybrid->sphere_fraction() > 0.0;
+        const bool tree = no_tree.count(text) == 0;
         const std::string who =
             text + " tier=" + kernel->name + (warm ? " warm " : " fresh ");
         const auto expect = [&](const char* entry,
                                 const std::function<std::vector<unsigned>()>& run) {
           if (tree) {
-            EXPECT_THROW(run(), std::runtime_error) << who << entry;
+            const std::string what = thrown_message<std::runtime_error>(run, who + entry);
+            if (kSphereDecoders.count(text) != 0) {
+              EXPECT_NE(what.find(det->name() + ": "), std::string::npos)
+                  << who << entry << ": " << what;
+            }
             return;
           }
           for (const unsigned idx : run()) EXPECT_LT(idx, c.order()) << who << entry;
@@ -228,16 +251,15 @@ TEST(Stress, NonFiniteChannelThrowsAtSelect) {
   // fails a channel whose ||H||_F^2 is not finite, so every QR tree
   // detector throws its domain_error when that channel is selected: as
   // slot 1 of a batch, whose healthy neighbours stay selectable, and from
-  // a one-shot prepare(). Hybrid routes such a channel to its sphere
-  // decoder whatever its threshold.
+  // a one-shot prepare(). The SphereDecoder forms name themselves in it.
   const Constellation& c = Constellation::qam(16);
   Rng rng(9);
   const double n0 = db_to_lin(-20.0);
   const std::set<std::string> no_tree = {"zf", "mmse", "mmse-sic", "ml"};
-  std::vector<std::string> specs = {"hybrid:0", "hybrid:200"};
-  for (const DetectorInfo& info : detector_registry())
-    if (no_tree.count(info.name) == 0)
-      specs.push_back(info.param_required ? info.name + ":8" : info.name);
+  std::vector<std::string> specs;
+  for (const std::string& name : detector_names())
+    if (no_tree.count(name) == 0) specs.push_back(name);
+  expect_distinct_sphere_decoder_names(c);
 
   for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
     const TierGuard tier(kernel->name);
@@ -250,12 +272,18 @@ TEST(Stress, NonFiniteChannelThrowsAtSelect) {
         const std::string who = text + " tier=" + kernel->name + " entry=" + std::to_string(bad);
         const auto det = DetectorSpec::parse(text).create(c);
         det->prepare_batch(hs, n0);
-        EXPECT_THROW(det->select_prepared(1), std::domain_error) << who << " batched";
+        const std::string batched = thrown_message<std::domain_error>(
+            [&] { det->select_prepared(1); }, who + " batched");
         EXPECT_FALSE(det->prepared()) << who;
         EXPECT_NO_THROW(det->select_prepared(0)) << who;
         EXPECT_NO_THROW(det->select_prepared(2)) << who;
-        EXPECT_THROW(det->prepare(hs[1], n0), std::domain_error) << who << " one-shot";
+        const std::string one_shot = thrown_message<std::domain_error>(
+            [&] { det->prepare(hs[1], n0); }, who + " one-shot");
         EXPECT_FALSE(det->prepared()) << who;
+        if (kSphereDecoders.count(text) != 0) {
+          for (const std::string& what : {batched, one_shot})
+            EXPECT_NE(what.find(det->name() + ": "), std::string::npos) << who << ": " << what;
+        }
       }
     }
   }
@@ -332,7 +360,7 @@ TEST(Stress, AllDetectorsHandleSingleAntennaSingleStream) {
 
   for (const char* name :
        {"zf", "mmse", "mmse-sic", "geosphere", "geosphere-2dzz", "geosphere-sqrd",
-        "eth-sd", "shabany", "rvd", "fsd", "kbest:4", "soft-geosphere"}) {
+        "eth-sd", "shabany", "soft-geosphere"}) {
     const auto det = DetectorSpec::parse(name).create(c);
     EXPECT_EQ(det->detect(y, h, 1e-12).indices, sent) << det->name();
   }

@@ -8,7 +8,7 @@
 //   geosphere_cli list-rates
 //   geosphere_cli conditioning [--links N] [--subcarriers N]
 //   geosphere_cli throughput --clients N --antennas N --snr DB
-//                 [--detector zf|geosphere|soft-geosphere|kbest:K|...]
+//                 [--detector zf|geosphere|soft-geosphere|...]
 //                 [--channel indoor|rayleigh|kronecker:RHO|trace:FILE|...]
 //                 [--code none|1/2|2/3|3/4] [--viterbi double|quantized]
 //   geosphere_cli complexity --clients N --antennas N --qam M --snr DB
@@ -487,19 +487,14 @@ int cmd_list_detectors() {
   sim::TablePrinter table({"name", "form", "decision", "soft-capable", "description"});
   for (const auto& info : detector_registry()) {
     std::string form = info.name;
-    if (info.takes_param)
-      form += info.param_required ? ":" + info.param_name
-                                  : "[:" + info.param_name + "]";
     std::string bounds;
     if (info.takes_param) {
-      bounds = " (" + info.param_name + " in [" + std::to_string(info.min_param) +
-               ", " + std::to_string(info.max_param) + "]";
-      // Optional parameters resolve to a default; spell it out so users
-      // don't have to read spec.cpp to learn what bare "soft-geosphere"
-      // means.
-      if (!info.param_required)
-        bounds += ", default " + std::to_string(info.default_param);
-      bounds += ")";
+      form += "[:" + info.param_name + "]";
+      // Parameters resolve to a default; spell it out so users don't have
+      // to read spec.cpp to learn what bare "soft-geosphere" means.
+      bounds = " (" + info.param_name + " in [" + std::to_string(info.min_param) + ", " +
+               std::to_string(info.max_param) + "], default " +
+               std::to_string(info.default_param) + ")";
     }
     table.add_row({info.name, form, to_string(info.decision),
                    info.soft_capable ? "yes" : "no", info.summary + bounds});
@@ -548,7 +543,7 @@ void usage() {
        "              --frames N, --seed N\n"
        "detectors: " +
        detectors +
-       " kbest:K (list-detectors shows optional :PARAM forms and defaults)\n"
+       " (list-detectors shows optional :PARAM forms and defaults)\n"
        "channels:  " +
        channels + "\nrates:     " + rates +
        "\n--viterbi: the soft-decision decoder (default double); hard decisions\n"
