@@ -27,7 +27,9 @@
 // tree_searches per solve_soft, which is the soft-output strategy in one
 // number: 1 + streams*Q for the repeated-tree-search detector, exactly
 // 1.0 for soft-geosphere-sts. Hard-only rows print '-' and record 0 in
-// the JSON.
+// the JSON. The soft-geosphere rows time that repeated search, which is
+// soft-geosphere-sts's test reference (tests/reference/) rather than a
+// registry detector.
 //
 // Besides the human-readable table, the bench emits machine-readable
 // BENCH_detector_latency.json (--json=PATH to relocate) with a "host"
@@ -57,8 +59,8 @@
 #include "bench_util.h"
 #include "channel/noise.h"
 #include "common/rng.h"
-#include "detect/spec.h"
 #include "detect/sphere/simd/dispatch.h"
+#include "reference/test_detector_spec.h"
 
 namespace {
 
@@ -237,8 +239,8 @@ void keep(std::uint64_t v) {
   asm volatile("" : : "r"(g_sink) : "memory");
 }
 
-Measurement measure(const DetectorSpec& spec, unsigned order, const Workload& w,
-                    double budget_ms) {
+Measurement measure(const testing::TestDetectorSpec& spec, unsigned order,
+                    const Workload& w, double budget_ms) {
   const Constellation& c = Constellation::qam(order);
   Measurement m;
   m.detector = spec.text();
@@ -580,8 +582,8 @@ int main(int argc, char** argv) {
   for (const Case& c : cases) {
     if (!selected(c.spec)) continue;
     for (const unsigned qam : c.qams) {
-      const Measurement m =
-          measure(geosphere::DetectorSpec::parse(c.spec), qam, workload(qam), budget_ms);
+      const Measurement m = measure(geosphere::testing::TestDetectorSpec::parse(c.spec), qam,
+                                    workload(qam), budget_ms);
       // The frame-speedup ratio compares oneshot against prepare+solve, so
       // its noise band combines those components' spreads. Soft columns
       // print '-' for hard-only detectors.

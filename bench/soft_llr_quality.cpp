@@ -1,8 +1,8 @@
 // Soft-output parity and quality bench: soft-geosphere (repeated tree
-// search) vs soft-geosphere-sts (single tree search) over a PAIRED coded
-// MU-MIMO Monte-Carlo -- both detectors see the exact same channels,
-// payloads and noise at every grid point, so any output difference is the
-// detectors', not the workload's.
+// search, the test reference under tests/reference/) vs soft-geosphere-sts
+// (single tree search) over a PAIRED coded MU-MIMO Monte-Carlo -- both
+// detectors see the exact same channels, payloads and noise at every grid
+// point, so any output difference is the detectors', not the workload's.
 //
 // Per (QAM, SNR) point it reports, for each detector:
 //  * coded BER after soft Viterbi decoding of the detector's LLRs -- the
@@ -35,8 +35,8 @@
 #include "coding/convolutional.h"
 #include "coding/viterbi.h"
 #include "common/rng.h"
-#include "detect/spec.h"
 #include "detect/sphere/simd/dispatch.h"
+#include "reference/test_detector_spec.h"
 
 namespace {
 
@@ -89,7 +89,7 @@ double ns_per_soft(const DetectorRun& r) { return per_vector(static_cast<std::ui
 
 /// Runs `spec` over the point's frames: prepare once per frame, one timed
 /// solve_soft per received vector, soft-Viterbi decode per stream.
-DetectorRun run_detector(const DetectorSpec& spec, const Constellation& c,
+DetectorRun run_detector(const testing::TestDetectorSpec& spec, const Constellation& c,
                          const std::vector<Frame>& frames, double n0) {
   const coding::ViterbiDecoder dec;
   const unsigned q = c.bits_per_symbol();
@@ -160,8 +160,9 @@ PointRecord run_point(unsigned order, double snr_db, std::size_t nframes,
   rec.snr_db = snr_db;
   rec.frames = nframes;
   rec.info_bits = nframes * kClients * kInfoBits;
-  rec.repeated = run_detector(DetectorSpec::parse("soft-geosphere"), c, frames, n0);
-  rec.sts = run_detector(DetectorSpec::parse("soft-geosphere-sts"), c, frames, n0);
+  rec.repeated =
+      run_detector(testing::TestDetectorSpec::parse("soft-geosphere"), c, frames, n0);
+  rec.sts = run_detector(testing::TestDetectorSpec::parse("soft-geosphere-sts"), c, frames, n0);
   for (std::size_t i = 0; i < rec.repeated.llrs.size(); ++i)
     rec.max_abs_llr_diff =
         std::max(rec.max_abs_llr_diff, std::fabs(rec.sts.llrs[i] - rec.repeated.llrs[i]));

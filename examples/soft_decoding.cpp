@@ -12,7 +12,6 @@
 #include "coding/viterbi.h"
 #include "common/db.h"
 #include "common/rng.h"
-#include "detect/soft_output.h"
 #include "detect/spec.h"
 #include "sim/table.h"
 #include "test_util_shim.h"
@@ -23,8 +22,8 @@ int main(int argc, char** argv) {
   const int frames = argc > 1 ? std::atoi(argv[1]) : 40;
   const Constellation& c = Constellation::qam(16);
   // The registry's soft detector, exactly as the CLI's --detector
-  // soft-geosphere creates it; soft() exposes the LLR interface.
-  const auto detector = DetectorSpec::parse("soft-geosphere:30").create(c);
+  // soft-geosphere-sts creates it; soft() exposes the LLR interface.
+  const auto detector = DetectorSpec::parse("soft-geosphere-sts:30").create(c);
   SoftDetector& soft = *detector->soft();
   coding::ConvolutionalEncoder enc;
   coding::ViterbiDecoder dec;

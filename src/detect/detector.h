@@ -44,15 +44,23 @@
 // a thin prepare+solve convenience for one-shot callers (tests, examples,
 // single-vector experiments).
 //
-// Precondition: H, y and noise_var are finite. The QR tree detectors check
-// H: their packed QR's rank test fails a channel whose ||H||_F^2 is not
-// finite, so selecting it throws std::domain_error (sphere/tree_problem.h).
-// Unchecked, a NaN in H poisons R and every partial distance and the
-// depth-first searches can no longer prune: one 4x4 16-QAM vector against
-// a channel with a single NaN entry would visit the whole tree (69,904
-// PEDs). The linear and exhaustive detectors, y and noise_var stay
-// unchecked; inputs from outside the program are checked where they enter
-// (the trace loader rejects non-finite entries, for example).
+// Precondition: H, y and noise_var are finite. Checked:
+//  * y, for every detector: each solve entry point (solve, solve_batch,
+//    solve_soft, solve_soft_batch) throws std::domain_error naming the
+//    detector when a received vector holds a NaN or an infinity, before
+//    the detector reads it. Unchecked, one NaN let every tree search visit
+//    the whole tree (about 70,000 PEDs for a 4x4 16-QAM batch of three)
+//    and return a decision that depended on its enumerator, and the linear
+//    detectors returned level 0.
+//  * H, on the QR tree detectors: their packed QR's rank test fails a
+//    channel whose ||H||_F^2 is not finite, so selecting it throws
+//    std::domain_error (sphere/tree_problem.h). A NaN in H would poison R
+//    and every partial distance, and a search could no longer prune.
+//  * noise_var, on the soft detectors: select throws
+//    std::invalid_argument unless it is positive (NaN fails too).
+// The linear and exhaustive detectors leave H and noise_var unchecked;
+// inputs from outside the program are checked where they enter (the trace
+// loader rejects non-finite entries, for example).
 //
 // No-leaf rule: finite inputs can still overflow. When every branch cost
 // of an unbounded tree search overflows to +inf (tree centers beyond about
@@ -184,7 +192,15 @@ struct SoftBatchResult {
   DetectionStats stats;  ///< Sum over the batch, plus batch_calls = 1.
 };
 
+class Detector;
 class SoftDetector;
+
+namespace detail {
+/// Throws std::domain_error naming `detector` unless every entry of
+/// `y_batch` is finite: the received-vector precondition above, checked
+/// once per solve call.
+inline void require_finite(const linalg::CMatrix& y_batch, const Detector& detector);
+}  // namespace detail
 
 /// A MIMO detector configured for one constellation. Implementations own
 /// preallocated workspaces (including the prepared-channel state) and are
@@ -252,13 +268,15 @@ class Detector {
   /// (whose buffers are reused across calls). A batch of one: `y` is
   /// copied into a one-column Y and run through do_solve_batch(), so the
   /// result is bit-identical to column v of any solve_batch() holding `y`.
-  /// Throws std::logic_error if prepare() has not been called. The result's
-  /// preprocess_calls and batch_calls are 0: preparations are accounted by
-  /// whoever calls prepare(), and this is not a batched invocation.
+  /// Throws std::logic_error if prepare() has not been called, and
+  /// std::domain_error if `y` is not finite. The result's preprocess_calls
+  /// and batch_calls are 0: preparations are accounted by whoever calls
+  /// prepare(), and this is not a batched invocation.
   void solve(const CVector& y, DetectionResult& out) {
     require_prepared();
     one_y_.resize_shape(y.size(), 1);
     one_y_.set_col(0, y);
+    detail::require_finite(one_y_, *this);
     do_solve_batch(one_y_, one_out_);
     out.indices = one_out_.indices;
     out.symbols.resize(out.indices.size());
@@ -281,10 +299,12 @@ class Detector {
   /// solve() on each column in order -- same decisions, same summed
   /// counters; only stats.batch_calls (always 1 per invocation) records
   /// the dispatch. `out`'s buffers are reused across calls. Throws
-  /// std::logic_error if prepare() has not been called, and
+  /// std::logic_error if prepare() has not been called,
+  /// std::domain_error if an entry of y_batch is not finite, and
   /// std::invalid_argument if y_batch does not have n_a rows.
   void solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) {
     require_prepared();
+    detail::require_finite(y_batch, *this);
     do_solve_batch(y_batch, out);
     out.stats.batch_calls = 1;
   }
@@ -355,6 +375,15 @@ class Detector {
   BatchResult one_out_;
 };
 
+inline void detail::require_finite(const linalg::CMatrix& y_batch, const Detector& detector) {
+  // Branch-free over the batch: one test per call, not per entry.
+  bool finite = true;
+  for (const cf64& v : y_batch.data())
+    finite &= std::isfinite(v.real()) & std::isfinite(v.imag());
+  if (!finite)
+    throw std::domain_error(detector.name() + ": a received vector is not finite");
+}
+
 /// Sub-interface for detectors that can produce max-log LLRs. Obtained
 /// through Detector::soft(); never owned separately from its Detector, and
 /// solving runs against the channel prepared on that Detector.
@@ -366,13 +395,15 @@ class SoftDetector {
   /// channel, hard decisions plus one LLR per transmitted bit. `out`'s
   /// buffers are reused across calls. A batch of one through
   /// do_solve_soft_batch(), like Detector::solve(); batch_calls is 0.
-  /// Throws std::logic_error if the owning Detector has not been prepared.
+  /// Throws std::logic_error if the owning Detector has not been prepared,
+  /// and std::domain_error if `y` is not finite.
   void solve_soft(const CVector& y, SoftDetectionResult& out) {
     if (!owner().prepared())
       throw std::logic_error("SoftDetector: solve_soft() called before prepare() (" +
                              owner().name() + ")");
     one_y_.resize_shape(y.size(), 1);
     one_y_.set_col(0, y);
+    detail::require_finite(one_y_, owner());
     do_solve_soft_batch(one_y_, one_out_);
     out.indices = one_out_.indices;
     out.llrs = one_out_.llrs;
@@ -395,6 +426,7 @@ class SoftDetector {
     if (!owner().prepared())
       throw std::logic_error("SoftDetector: solve_soft_batch() called before prepare() (" +
                              owner().name() + ")");
+    detail::require_finite(y_batch, owner());
     do_solve_soft_batch(y_batch, out);
     out.stats.batch_calls = 1;
   }

@@ -46,11 +46,8 @@ void SoftGeosphereStsDetector::do_select_prepared(std::size_t i) {
         "SoftGeosphereStsDetector: needs positive noise variance");
   problem_.select(i);
   const std::size_t nc = problem_.nc;
-  if (level_enum_.size() != nc) {
-    level_enum_.assign(nc, enum_proto_);
-    current_.assign(nc, 0);
-    partial_.assign(nc + 1, 0.0);
-    best_.assign(nc, 0);
+  search_.resize(nc, enum_proto_);
+  if (ml_best_.size() != nc) {
     ml_best_.assign(nc, 0);
     ml_word_.assign(nc, 0);
     radius_epoch_.assign(nc, 0);
@@ -62,52 +59,9 @@ void SoftGeosphereStsDetector::do_select_prepared(std::size_t i) {
   lambda_bar_.assign(nc * constellation().bits_per_symbol(), kInf);
 }
 
-SoftGeosphereStsDetector::Search SoftGeosphereStsDetector::search_ml(
-    const cf64* yhat, cf64 root_center, DetectionStats& stats_out) {
-  const std::size_t nc = problem_.nc;
-  const Constellation& cons = constellation();
-  DetectionStats stats;  // Search-local, added to the caller's once.
-  ++stats.tree_searches;
-
-  Search out;
-  out.best_dist = kInf;
-  partial_[nc] = 0.0;
-
-  const auto center_at = [&](std::size_t l) {
-    return sphere::tree_center(problem_.r, yhat, l, current_.data(), cons,
-                               problem_.diag[l]);
-  };
-
-  std::size_t level = nc - 1;
-  level_enum_[level].reset(root_center, stats);
-
-  for (;;) {
-    const double budget = (out.best_dist - partial_[level + 1]) / problem_.scale[level];
-    const auto child = level_enum_[level].next(budget, stats);
-    if (!child) {
-      ++level;
-      if (level == nc) break;
-      continue;
-    }
-    ++stats.visited_nodes;
-    current_[level] = cons.index_from_levels(child->li, child->lq);
-    partial_[level] = partial_[level + 1] + problem_.scale[level] * child->cost_grid;
-    if (level == 0) {
-      out.best_dist = partial_[0];
-      std::copy(current_.begin(), current_.end(), best_.begin());
-      out.found = true;
-    } else {
-      --level;
-      level_enum_[level].reset(center_at(level), stats);
-    }
-  }
-  stats_out += stats;
-  return out;
-}
-
 inline double SoftGeosphereStsDetector::masked_row_max(std::size_t j) const {
   const unsigned bits = constellation().bits_per_symbol();
-  const unsigned diff = bit_word_[current_[j]] ^ ml_word_[j];
+  const unsigned diff = bit_word_[search_.current[j]] ^ ml_word_[j];
   const double* row = lambda_bar_.data() + j * bits;
   // Decided row: this subtree can only serve bits whose path value already
   // differs from the ML candidate's -- other bits' counter-hypotheses live
@@ -137,14 +91,14 @@ inline void SoftGeosphereStsDetector::set_radius(std::size_t level, double decid
 inline void SoftGeosphereStsDetector::leaf_update(DetectionStats& stats) {
   const std::size_t nc = problem_.nc;
   const unsigned bits = constellation().bits_per_symbol();
-  const double d = partial_[0];
+  const double d = search_.partial[0];
 
   if (!ml_found_) {
     // First leaf: becomes the ML candidate; no other visited leaf exists
     // yet, so the counter table stays empty.
     for (std::size_t k = 0; k < nc; ++k) {
-      ml_best_[k] = current_[k];
-      ml_word_[k] = bit_word_[current_[k]];
+      ml_best_[k] = search_.current[k];
+      ml_word_[k] = bit_word_[search_.current[k]];
     }
     lambda_ml_ = d;
     ml_found_ = true;
@@ -165,7 +119,7 @@ inline void SoftGeosphereStsDetector::leaf_update(DetectionStats& stats) {
 
   const bool flip = d < lambda_ml_;
   for (std::size_t k = 0; k < nc; ++k) {
-    const unsigned w = bit_word_[current_[k]];
+    const unsigned w = bit_word_[search_.current[k]];
     unsigned diff = w ^ ml_word_[k];
     bool row_changed = false;
     for (; diff != 0; diff &= diff - 1) {
@@ -189,7 +143,7 @@ inline void SoftGeosphereStsDetector::leaf_update(DetectionStats& stats) {
     }
     if (row_changed) refresh_row(k);
     if (flip) {
-      ml_best_[k] = current_[k];
+      ml_best_[k] = search_.current[k];
       ml_word_[k] = w;
     }
   }
@@ -214,15 +168,15 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
   // epoch_ = 1 with all stamps at 0 marks every cached radius stale.
   epoch_ = 1;
   std::fill(radius_epoch_.begin(), radius_epoch_.end(), 0);
-  partial_[nc] = 0.0;
+  search_.partial[nc] = 0.0;
 
   const auto center_at = [&](std::size_t l) {
-    return sphere::tree_center(problem_.r, yhat, l, current_.data(), cons,
+    return sphere::tree_center(problem_.r, yhat, l, search_.current.data(), cons,
                                problem_.diag[l]);
   };
 
   std::size_t level = nc - 1;
-  level_enum_[level].reset(root_center, stats);
+  search_.level_enum[level].reset(root_center, stats);
 
   for (;;) {
     // A level's radius is set on descent; a table or ML change since then
@@ -234,16 +188,17 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
       set_radius(level, decided);
     }
     const double budget =
-        (radius_cache_[level] - partial_[level + 1]) / problem_.scale[level];
-    const auto child = level_enum_[level].next(budget, stats);
+        (radius_cache_[level] - search_.partial[level + 1]) / problem_.scale[level];
+    const auto child = search_.level_enum[level].next(budget, stats);
     if (!child) {
       ++level;
       if (level == nc) break;
       continue;
     }
     ++stats.visited_nodes;
-    current_[level] = cons.index_from_levels(child->li, child->lq);
-    partial_[level] = partial_[level + 1] + problem_.scale[level] * child->cost_grid;
+    search_.current[level] = cons.index_from_levels(child->li, child->lq);
+    search_.partial[level] =
+        search_.partial[level + 1] + problem_.scale[level] * child->cost_grid;
     if (level == 0) {
       leaf_update(stats);
     } else {
@@ -251,7 +206,7 @@ void SoftGeosphereStsDetector::sts_search(const cf64* yhat, cf64 root_center,
       // (set above at this epoch): the child's decided part adds one row.
       const double decided = std::max(decided_max_[level], masked_row_max(level));
       --level;
-      level_enum_[level].reset(center_at(level), stats);
+      search_.level_enum[level].reset(center_at(level), stats);
       set_radius(level, decided);
     }
   }
@@ -294,10 +249,11 @@ void SoftGeosphereStsDetector::do_solve_batch(const linalg::CMatrix& y_batch,
   out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    if (!search_ml(problem_.yhat_t.row_data(v), problem_.root_centers[v], stats).found)
+    if (!search_.run(problem_, problem_.yhat_t.row_data(v), problem_.root_centers[v],
+                     constellation(), stats))
       throw std::runtime_error(
           "SoftGeosphereStsDetector: no solution found (unbounded search)");
-    std::copy(best_.begin(), best_.end(),
+    std::copy(search_.best.begin(), search_.best.end(),
               out.indices.begin() + static_cast<std::ptrdiff_t>(v * nc));
   }
   out.stats = stats;

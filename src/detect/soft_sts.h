@@ -1,10 +1,12 @@
 // Single-tree-search (STS) soft-output MIMO detection.
 //
-// The repeated-tree-search detector (soft_output.h) prices every received
-// vector at one unconstrained Geosphere search plus ~streams*Q constrained
-// counter-hypothesis re-searches. The STS strategy (Studer et al., IEEE
-// JSAC 2008, adapted here to Geosphere's zigzag enumeration) collapses all
-// of them into ONE depth-first enumeration pass that maintains
+// The repeated-tree-search strategy prices every received vector at one
+// unconstrained Geosphere search plus ~streams*Q constrained
+// counter-hypothesis re-searches. It is this detector's test reference
+// (tests/reference/soft_output.h), not a registry detector. The STS
+// strategy (Studer et al., IEEE JSAC 2008, adapted here to Geosphere's
+// zigzag enumeration) collapses all of them into ONE depth-first
+// enumeration pass that maintains
 //
 //   * the running ML candidate x^ML with distance lambda_ml, and
 //   * a per-bit counter-hypothesis PED table lambda_bar[k][b]
@@ -53,7 +55,7 @@
 // SIMD-batched Q^H Y rotation and packed root-center divides
 // (src/detect/sphere/simd/), and the one-shot solve() and solve_soft()
 // are batches of one. DetectionStats::tree_searches records the collapse:
-// 1 per vector here vs 1 + streams*Q for soft-geosphere.
+// 1 per vector here vs 1 + streams*Q for the reference.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +64,7 @@
 #include "common/types.h"
 #include "constellation/constellation.h"
 #include "detect/detector.h"
+#include "detect/sphere/depth_first.h"
 #include "detect/sphere/enumerators.h"
 #include "detect/sphere/tree_problem.h"
 #include "linalg/matrix.h"
@@ -72,7 +75,7 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
  public:
   /// `llr_clamp`: LLR magnitudes saturate at +/- llr_clamp; the clamp also
   /// bounds the search (leaves beyond lambda_ml + llr_clamp * N0 cannot
-  /// change any output bit). Same semantics and default as soft-geosphere.
+  /// change any output bit). Same semantics and default as the reference.
   explicit SoftGeosphereStsDetector(const Constellation& c, double llr_clamp = 30.0);
 
   SoftDetector* soft() override { return this; }
@@ -84,9 +87,9 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
  protected:
   /// Hard decisions only: the shared SIMD-batched Q^H Y rotation and
   /// packed root centers (TreeProblem::rotate), then the plain
-  /// unconstrained Geosphere search per column (no counter-hypothesis
-  /// table) -- same ML solution as the hard detector, identical to the
-  /// soft-geosphere hard batch path.
+  /// unconstrained Geosphere search per column (depth_first.h; no
+  /// counter-hypothesis table) -- the hard Geosphere detector's search,
+  /// so the same decisions and counters.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
 
   /// Hard decisions plus max-log LLRs: the same shared rotation and root
@@ -105,23 +108,13 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   Detector& owner() override { return *this; }
 
  private:
-  struct Search {
-    double best_dist = 0.0;
-    bool found = false;
-  };
-
-  /// Plain unconstrained depth-first search (hard decisions; identical
-  /// arithmetic sequence to the soft-geosphere / SphereDecoder search).
-  /// Leaves the winning path in best_.
-  Search search_ml(const cf64* yhat, cf64 root_center, DetectionStats& stats);
-
   /// The single tree search: one enumeration pass filling ml_best_ /
   /// lambda_ml_ / lambda_bar_ for the rotated vector `yhat`. Throws
   /// std::runtime_error when it reaches no leaf.
   void sts_search(const cf64* yhat, cf64 root_center, DetectionStats& stats);
 
-  /// Applies the STS leaf-update rules for the leaf in current_ at
-  /// distance partial_[0], refreshing row_max_ and open_max_ where the
+  /// Applies the STS leaf-update rules for the leaf in search_.current at
+  /// distance search_.partial[0], refreshing row_max_ and open_max_ where the
   /// table changed. Inlined into sts_search.
   void leaf_update(DetectionStats& stats);
 
@@ -148,12 +141,9 @@ class SoftGeosphereStsDetector final : public Detector, public SoftDetector {
   /// updates diff whole symbols with one XOR.
   std::vector<unsigned> bit_word_;
 
-  // Per-search workspaces.
+  // Per-search workspaces, shared by the plain and the single tree search.
   sphere::GeoEnumerator enum_proto_;  ///< Attached prototype (zigzag + pruning).
-  std::vector<sphere::GeoEnumerator> level_enum_;
-  std::vector<unsigned> current_;
-  std::vector<double> partial_;
-  std::vector<unsigned> best_;  ///< Best path of the last search_ml.
+  sphere::DepthFirstSearch<sphere::GeoEnumerator> search_;
 
   // STS state (valid between sts_search and emit_llrs).
   bool ml_found_ = false;

@@ -6,7 +6,6 @@
 #include "detect/ml_exhaustive.h"
 #include "detect/mmse.h"
 #include "detect/mmse_sic.h"
-#include "detect/soft_output.h"
 #include "detect/soft_sts.h"
 #include "detect/sphere/sphere_decoder.h"
 #include "detect/zero_forcing.h"
@@ -59,21 +58,6 @@ std::vector<DetectorInfo> build_registry() {
                       [](const Constellation& c) {
                         return std::make_unique<MlExhaustiveDetector>(c);
                       }));
-
-  out.push_back(DetectorInfo{
-      .name = "soft-geosphere",
-      .summary = "Geosphere with max-log LLR output (repeated tree search)",
-      .decision = DecisionMode::kSoft,
-      .soft_capable = true,
-      .takes_param = true,
-      .param_name = "CLAMP",
-      .min_param = 1,
-      .max_param = 1000,
-      .default_param = 30,
-      .make = [](const Constellation& c, unsigned clamp) {
-        return std::make_unique<SoftGeosphereDetector>(c, static_cast<double>(clamp));
-      },
-  });
 
   out.push_back(DetectorInfo{
       .name = "soft-geosphere-sts",
@@ -147,7 +131,7 @@ DetectorSpec DetectorSpec::parse(const std::string& text) {
 
   unsigned param = info->default_param;
   if (has_param_text) {
-    // Strict parse: all digits, bounded -- "soft-geosphere:30x" and
+    // Strict parse: all digits, bounded -- "soft-geosphere-sts:30x" and
     // overflowing values must not silently configure a different detector.
     const bool all_digits = !param_text.empty() &&
                             param_text.find_first_not_of("0123456789") ==
@@ -162,8 +146,8 @@ DetectorSpec DetectorSpec::parse(const std::string& text) {
   }
 
   // Canonical form always spells the resolved parameter out, so an
-  // omitted optional parameter ("soft-geosphere") and its explicit
-  // default ("soft-geosphere:30") are one configuration -- one text(),
+  // omitted optional parameter ("soft-geosphere-sts") and its explicit
+  // default ("soft-geosphere-sts:30") are one configuration -- one text(),
   // one per-worker cache entry.
   const std::string canonical =
       info->takes_param ? info->name + ":" + std::to_string(param) : info->name;

@@ -8,9 +8,13 @@
 // Detector instances through DetectorSpec::create().
 //
 // Grammar: "name" or "name:PARAM" (decimal integer). Examples:
-//   "geosphere"           hard ML detection
-//   "soft-geosphere"      max-log LLR output (decision mode: soft)
-//   "soft-geosphere:50"   same, with the LLR clamp raised to 50
+//   "geosphere"               hard ML detection
+//   "soft-geosphere-sts"      max-log LLR output (decision mode: soft)
+//   "soft-geosphere-sts:50"   same, with the LLR clamp raised to 50
+//
+// The repeated-tree-search soft detector, which gives soft-geosphere-sts's
+// LLRs bit for bit, is not registered: it is that detector's test reference
+// (tests/reference/).
 #pragma once
 
 #include <functional>
@@ -54,10 +58,10 @@ class DetectorSpec {
   /// outside the registry entry's bounds.
   static DetectorSpec parse(const std::string& text);
 
-  /// The registry name, e.g. "soft-geosphere".
+  /// The registry name, e.g. "soft-geosphere-sts".
   const std::string& base() const { return info_->name; }
 
-  /// The canonical text form, e.g. "soft-geosphere:30" or "geosphere".
+  /// The canonical text form, e.g. "soft-geosphere-sts:30" or "geosphere".
   /// Identifies the detector *instance* configuration (decision mode
   /// excluded: the same instance serves both modes when soft_capable).
   const std::string& text() const { return text_; }
@@ -65,7 +69,7 @@ class DetectorSpec {
   unsigned param() const { return param_; }
 
   /// The decision mode this spec runs in. Defaults to the registry
-  /// entry's native mode ("soft-geosphere" parses as kSoft).
+  /// entry's native mode ("soft-geosphere-sts" parses as kSoft).
   DecisionMode decision() const { return decision_; }
 
   bool soft_capable() const { return info_->soft_capable; }

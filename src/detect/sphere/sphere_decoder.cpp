@@ -1,11 +1,7 @@
 #include "detect/sphere/sphere_decoder.h"
 
-#include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
-
-#include "detect/sphere/center.h"
 
 namespace geosphere::sphere {
 
@@ -71,62 +67,7 @@ void SphereDecoder<Enumerator>::do_select_prepared(std::size_t i) {
     perm_.resize(nc);
     std::iota(perm_.begin(), perm_.end(), std::size_t{0});
   }
-  if (level_enum_.size() != nc) {
-    level_enum_.assign(nc, prototype_);
-    partial_dist_.assign(nc + 1, 0.0);
-    current_.assign(nc, 0);
-    best_.assign(nc, 0);
-  }
-}
-
-template <class Enumerator>
-bool SphereDecoder<Enumerator>::search(const cf64* yhat, DetectionStats& stats_out,
-                                       cf64 root_center) {
-  const std::size_t nc = problem_.nc;
-  const Constellation& cons = constellation();
-  DetectionStats stats;  // Search-local, added to the caller's once.
-  ++stats.tree_searches;
-
-  double radius_sq = std::numeric_limits<double>::infinity();
-  bool found = false;
-  partial_dist_[nc] = 0.0;
-
-  // Center of level l given decisions above it, in grid units (the shared
-  // bit-exact kernel; see center.h).
-  const auto center_at = [&](std::size_t l) {
-    return tree_center(problem_.r, yhat, l, current_.data(), cons, problem_.diag[l]);
-  };
-
-  std::size_t level = nc - 1;
-  level_enum_[level].reset(root_center, stats);
-
-  for (;;) {
-    const double budget = (radius_sq - partial_dist_[level + 1]) / problem_.scale[level];
-    const std::optional<Child> child = level_enum_[level].next(budget, stats);
-    if (!child) {
-      ++level;  // Backtrack.
-      if (level == nc) break;
-      continue;
-    }
-    ++stats.visited_nodes;
-    current_[level] = cons.index_from_levels(child->li, child->lq);
-    partial_dist_[level] =
-        partial_dist_[level + 1] + problem_.scale[level] * child->cost_grid;
-
-    if (level == 0) {
-      // Leaf inside the sphere: tighten the radius (Section 2.1) and keep
-      // searching; the enumerator's sorted order guarantees the sibling
-      // scan terminates immediately when nothing closer remains.
-      radius_sq = partial_dist_[0];
-      std::copy(current_.begin(), current_.end(), best_.begin());
-      found = true;
-    } else {
-      --level;
-      level_enum_[level].reset(center_at(level), stats);
-    }
-  }
-  stats_out += stats;
-  return found;
+  search_.resize(nc, prototype_);
 }
 
 template <class Enumerator>
@@ -143,11 +84,12 @@ void SphereDecoder<Enumerator>::do_solve_batch(const linalg::CMatrix& y_batch,
   out.indices.resize(count * nc);
   DetectionStats stats;
   for (std::size_t v = 0; v < count; ++v) {
-    if (!search(problem_.yhat_t.row_data(v), stats, problem_.root_centers[v]))
+    if (!search_.run(problem_, problem_.yhat_t.row_data(v), problem_.root_centers[v],
+                     constellation(), stats))
       throw std::runtime_error(name_ + ": no solution found (unbounded search)");
     // Undo the detection-order permutation.
     unsigned* dst = out.indices.data() + v * nc;
-    for (std::size_t j = 0; j < nc; ++j) dst[perm_[j]] = best_[j];
+    for (std::size_t j = 0; j < nc; ++j) dst[perm_[j]] = search_.best[j];
   }
   out.stats = stats;
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "detect/detector.h"
+#include "detect/sphere/depth_first.h"
 #include "detect/sphere/enumerators.h"
 #include "detect/sphere/tree_problem.h"
 
@@ -45,11 +46,12 @@ class SphereDecoder final : public Detector {
 
  protected:
   /// The shared SIMD-batched Q^H Y rotation and packed root centers
-  /// (TreeProblem::rotate), then one search per row. Every tier's rotation
-  /// row and root center is bit-identical to the scalar per-vector
-  /// arithmetic, so a vector's result does not depend on the tier, its
-  /// column or the batch size. A search that reaches no leaf throws
-  /// std::runtime_error naming this instance.
+  /// (TreeProblem::rotate), then one depth-first search per row
+  /// (depth_first.h). Every tier's rotation row and root center is
+  /// bit-identical to the scalar per-vector arithmetic, so a vector's
+  /// result does not depend on the tier, its column or the batch size. A
+  /// search that reaches no leaf throws std::runtime_error naming this
+  /// instance.
   void do_solve_batch(const linalg::CMatrix& y_batch, BatchResult& out) override;
   /// Packed Householder QR across the batch (TreeProblem::prepare_batch),
   /// with per-slot column orders and permuted copies first when sorted QR
@@ -61,24 +63,13 @@ class SphereDecoder final : public Detector {
   void do_select_prepared(std::size_t i) override;
 
  private:
-  /// Depth-first search against the prepared channel, from an unbounded
-  /// radius, reading the rotated received vector from `yhat` (length n_c)
-  /// and its packed root-level center; leaves the winning path in best_ and
-  /// accumulates counters into `stats`. Returns false if the search
-  /// reaches no leaf.
-  bool search(const cf64* yhat, DetectionStats& stats, cf64 root_center);
-
   Enumerator prototype_;
   const std::string name_;  ///< Declared before problem_, which keeps its c_str().
   SphereConfig config_;
   TreeProblem problem_;  ///< The prepared channel.
   std::vector<std::size_t> perm_;  ///< Detection-order column permutation.
 
-  // Per-level search state, reused across searches to avoid allocation.
-  std::vector<Enumerator> level_enum_;
-  std::vector<double> partial_dist_;    ///< partial_dist_[l] = d(s^(l)); [nc] = 0.
-  std::vector<unsigned> current_;       ///< Symbol index per level on the path.
-  std::vector<unsigned> best_;
+  DepthFirstSearch<Enumerator> search_;  ///< Reused across searches.
 
   // Sorted QR only: per-slot detection orders and the permuted copies the
   // QR factorizes, rewritten in place by every prepare_batch().

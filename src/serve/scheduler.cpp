@@ -1,12 +1,12 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "coding/spec.h"
 #include "common/rng.h"
 #include "link/rate_adapt.h"
-#include "link/user_selection.h"
 
 namespace geosphere::serve {
 
@@ -82,28 +82,20 @@ CellSchedule CellScheduler::schedule_tti(std::uint64_t tti) {
   CellSchedule out;
   out.tti = tti;
 
-  // Backlogged users only: zero-demand users are never scheduled.
+  // Backlogged users only: zero-demand users are never scheduled. Those
+  // inside the closed SNR window around the cell's SNR are ranked (keeps
+  // the group's condition number small, the paper's Section 5.2 method).
+  // An empty window must not starve the cell: fall back to every
+  // backlogged user.
   candidates_.clear();
-  candidate_snrs_.clear();
+  ranked_.clear();
   for (std::size_t u = 0; u < spec_.users; ++u) {
-    if (queue_[u] > 0) {
-      candidates_.push_back(u);
-      candidate_snrs_.push_back(snr_db_[u]);
-    }
+    if (queue_[u] == 0) continue;
+    candidates_.push_back(u);
+    if (std::abs(snr_db_[u] - spec_.snr_db) <= spec_.window_db) ranked_.push_back(u);
   }
   if (candidates_.empty()) return out;
-
-  // SNR-windowed selection (keeps the group's condition number small, the
-  // paper's Section 5.2 method). An empty window must not starve the cell:
-  // fall back to every backlogged user.
-  const std::vector<std::size_t> in_window =
-      link::select_in_snr_range(candidate_snrs_, spec_.snr_db, spec_.window_db);
-  ranked_.clear();
-  if (in_window.empty()) {
-    ranked_ = candidates_;
-  } else {
-    for (const std::size_t i : in_window) ranked_.push_back(candidates_[i]);
-  }
+  if (ranked_.empty()) ranked_ = candidates_;
 
   // Longest-unserved-first round robin, user index as the deterministic
   // tie-break; stable ordering for any candidate arrangement.

@@ -1,5 +1,5 @@
 // Per-TTI, per-cell scheduling for the streaming serving layer: traffic
-// arrivals feed per-user frame queues, link::user_selection picks which
+// arrivals feed per-user frame queues, the scheduler picks which
 // backlogged users transmit (SNR-windowed, longest-unserved-first round
 // robin, index tie-break -- fully deterministic), and link::best_rate
 // picks the group's QAM order from the cell's candidate list by probing
@@ -56,10 +56,12 @@ class CellScheduler {
 
   /// Advances one TTI: Bernoulli(load) arrivals per user, then selection
   /// and rate choice over the backlogged users. TTIs must be fed in
-  /// ascending order. Selection: users inside the spec's SNR window around
-  /// snr_db (paper Section 5.2's user-selection method; falls back to all
-  /// backlogged users when the window is empty), ranked longest-unserved
-  /// first with user-index tie-break, truncated to the antenna count.
+  /// ascending order. Selection: users whose mean SNR lies within the
+  /// spec's window of snr_db, boundary included (paper Section 5.2's
+  /// user-selection method; falls back to all backlogged users when the
+  /// window is empty), ranked longest-unserved first with user-index
+  /// tie-break, truncated to the antenna count. Once warm, a TTI without a
+  /// rate probe allocates only the returned user list.
   CellSchedule schedule_tti(std::uint64_t tti);
 
   /// Decode-outcome feedback: a delivered frame leaves its user's queue, a
@@ -97,9 +99,8 @@ class CellScheduler {
   std::map<std::size_t, std::unique_ptr<const channel::ChannelModel>> channels_;
 
   // Per-TTI scratch, reused.
-  std::vector<std::size_t> candidates_;
-  std::vector<double> candidate_snrs_;
-  std::vector<std::size_t> ranked_;
+  std::vector<std::size_t> candidates_;  ///< Backlogged users.
+  std::vector<std::size_t> ranked_;      ///< Backlogged users in the SNR window.
 };
 
 }  // namespace geosphere::serve

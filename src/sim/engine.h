@@ -57,7 +57,7 @@ struct SweepSpec {
   double snr_jitter_db = 5.0;  ///< The paper's +/-5 dB SNR selection window.
   std::uint64_t seed = 1;
   /// Decision mode override for every detector in the sweep. Unset: each
-  /// detector runs in its native mode ("soft-geosphere" runs soft,
+  /// detector runs in its native mode ("soft-geosphere-sts" runs soft,
   /// everything else hard). Setting kSoft requires every detector to be
   /// soft-capable; kHard forces hard decisions everywhere.
   std::optional<DecisionMode> decision;

@@ -3,7 +3,8 @@
 // the one-shot solve() / solve_soft() run it on a batch of one:
 //  * solve_batch(Y) equals N one-shot solves of Y's columns -- N batches
 //    of one -- bit for bit: same decisions, same summed counters, for
-//    EVERY registry detector across batch sizes {1, 3, ofdm_symbols}. So a
+//    EVERY registry detector and the soft reference across batch sizes
+//    {1, 3, ofdm_symbols}. So a
 //    vector's result does not depend on its lane or tail position,
 //  * solve_soft_batch matches N one-shot solve_soft() calls including
 //    every LLR bit,
@@ -34,6 +35,7 @@
 #include "detect/spec.h"
 #include "link/link_simulator.h"
 #include "phy/frame.h"
+#include "reference/test_detector_spec.h"
 #include "sim/engine.h"
 #include "test_util.h"
 
@@ -67,6 +69,8 @@ namespace {
 
 using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
+using geosphere::testing::test_detector_names;
+using geosphere::testing::TestDetectorSpec;
 using geosphere::testing::transmit;
 
 void expect_same_stats(const DetectionStats& a, const DetectionStats& b,
@@ -106,7 +110,7 @@ std::size_t link_batch_size() {
 class BatchSolveRegistry : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BatchSolveRegistry, BatchMatchesLoopBitExactly) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   const auto loop_det = spec.create(c);
   const auto batch_det = spec.create(c);
@@ -154,7 +158,7 @@ TEST_P(BatchSolveRegistry, BatchSizeAndStreamChangesAcrossPreparesAreSafe) {
   // Same instance, alternating channels with different stream counts AND
   // different batch sizes: every per-batch workspace must be fully
   // re-shaped, so results equal those of a fresh instance.
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   const auto reused = spec.create(c);
   const double n0 = db_to_lin(-14.0);
@@ -190,7 +194,7 @@ TEST_P(BatchSolveRegistry, BatchSizeAndStreamChangesAcrossPreparesAreSafe) {
 }
 
 TEST_P(BatchSolveRegistry, SolveBatchBeforePrepareThrows) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const auto det = spec.create(Constellation::qam(16));
   BatchResult out;
   EXPECT_THROW(det->solve_batch(linalg::CMatrix(4, 2), out), std::logic_error)
@@ -204,7 +208,7 @@ TEST_P(BatchSolveRegistry, SolveBatchBeforePrepareThrows) {
 
 TEST_P(BatchSolveRegistry, WrongRowCountThrowsInvalidArgument) {
   // A received vector or batch must have n_a rows, at every entry point.
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   const auto det = spec.create(c);
   Rng rng(1414);
@@ -226,7 +230,7 @@ TEST_P(BatchSolveRegistry, WrongRowCountThrowsInvalidArgument) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, BatchSolveRegistry,
-                         ::testing::ValuesIn(detector_names()),
+                         ::testing::ValuesIn(test_detector_names()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name)
@@ -237,8 +241,8 @@ INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, BatchSolveRegistry,
 // Warm solves allocate nothing: after one pass over a prepared batch, a
 // second pass over the same channels and received vectors makes no global
 // operator new call in solve_batch or, where the detector has one,
-// solve_soft_batch. Every registry detector; prepare and select are not
-// counted.
+// solve_soft_batch. Every registry detector and the soft reference; prepare
+// and select are not counted.
 TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
   constexpr std::size_t kChannels = 4, kVectors = 5;
   for (unsigned qam : {16u, 64u}) {
@@ -251,8 +255,8 @@ TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
       hs.push_back(random_channel(rng, 4, 3));
       ys.push_back(make_batch(rng, hs.back(), c, kVectors, n0));
     }
-    for (const std::string& text : detector_names()) {
-      const auto det = DetectorSpec::parse(text).create(c);
+    for (const std::string& text : test_detector_names()) {
+      const auto det = TestDetectorSpec::parse(text).create(c);
       SoftDetector* soft = det->soft();
       det->prepare_batch(hs, n0);
       BatchResult out;
@@ -279,7 +283,8 @@ TEST(BatchSolveRegistry, WarmSolvesAllocateNothing) {
 // Warm frames allocate nothing: after one prepare_batch, select and solve
 // pass over a frame's 48 channels, a second pass over the same channels and
 // received vectors makes no global operator new call in prepare_batch, any
-// select_prepared or any solve_batch. Every registry detector.
+// select_prepared or any solve_batch. Every registry detector and the soft
+// reference.
 TEST(BatchSolveRegistry, WarmPrepareAllocatesNothing) {
   constexpr std::size_t kChannels = 48, kVectors = 2;
   const Constellation& c = Constellation::qam(16);
@@ -289,8 +294,8 @@ TEST(BatchSolveRegistry, WarmPrepareAllocatesNothing) {
   for (std::size_t s = 0; s < kChannels; ++s) hs.push_back(random_channel(rng, 4, 4));
   std::vector<linalg::CMatrix> ys;
   for (const linalg::CMatrix& h : hs) ys.push_back(make_batch(rng, h, c, kVectors, n0));
-  for (const std::string& text : detector_names()) {
-    const auto det = DetectorSpec::parse(text).create(c);
+  for (const std::string& text : test_detector_names()) {
+    const auto det = TestDetectorSpec::parse(text).create(c);
     BatchResult out;
     std::size_t allocs = 0;
     for (int pass = 0; pass < 2; ++pass) {
@@ -308,7 +313,7 @@ TEST(BatchSolveRegistry, WarmPrepareAllocatesNothing) {
 }
 
 TEST(BatchSolve, SoftBatchMatchesLoopBitExactlyIncludingLlrs) {
-  const DetectorSpec spec = DetectorSpec::parse("soft-geosphere");
+  const TestDetectorSpec spec = TestDetectorSpec::parse("soft-geosphere");
   const Constellation& c = Constellation::qam(16);
   const auto loop_det = spec.create(c);
   const auto batch_det = spec.create(c);
@@ -348,7 +353,7 @@ TEST(BatchSolve, SoftBatchMatchesLoopBitExactlyIncludingLlrs) {
 
 TEST(BatchSolve, HardBatchOfSoftDetectorMatchesLoop) {
   // The soft detector's hard solve_batch (unconstrained searches only).
-  const DetectorSpec spec = DetectorSpec::parse("soft-geosphere");
+  const TestDetectorSpec spec = TestDetectorSpec::parse("soft-geosphere");
   const Constellation& c = Constellation::qam(16);
   const auto det = spec.create(c);
   const auto loop_det = spec.create(c);
@@ -399,7 +404,7 @@ TEST(BatchSolve, LinkAccountingCountsBatchOfNAsNDetections) {
   link::LinkSimulator sim(spec, 2, 4, scenario);
   const std::size_t frames = 3;
   for (const char* name : {"geosphere", "soft-geosphere"}) {
-    const DetectorSpec ds = DetectorSpec::parse(name);
+    const TestDetectorSpec ds = TestDetectorSpec::parse(name);
     const auto det = ds.create(Constellation::qam(16));
     const link::LinkStats stats = sim.run(*det, ds.decision(), frames, /*seed=*/7);
     EXPECT_EQ(stats.detection_calls, frames * nsc * syms) << name;
@@ -436,7 +441,7 @@ TEST(BatchSolve, LinkStatsMatchPreBatchingGoldensBitForBit) {
       {"soft-geosphere", 0, 0, 0, 153168, 43140, 55622, 139431, 41885, 180296},
   };
   for (const GoldenLink& g : goldens) {
-    const DetectorSpec ds = DetectorSpec::parse(g.detector);
+    const TestDetectorSpec ds = TestDetectorSpec::parse(g.detector);
     const auto det = ds.create(c);
     const link::LinkStats s = sim.run(*det, ds.decision(), frames, seed);
     EXPECT_EQ(s.frames, frames) << g.detector;
@@ -466,7 +471,7 @@ TEST(BatchSolve, BatchedLinkIsThreadCountInvariant) {
   const link::LinkSimulator sim(channel::ChannelSpec::parse("kronecker:0.6"), 2, 4, scenario);
   sim::Engine one(1);
   sim::Engine four(4);
-  for (const char* name : {"geosphere", "soft-geosphere", "soft-geosphere-sts"}) {
+  for (const char* name : {"geosphere", "soft-geosphere-sts"}) {
     const DetectorSpec ds = DetectorSpec::parse(name);
     const link::LinkStats a = one.run_link(sim, ds, 8, /*seed=*/5);
     const link::LinkStats b = four.run_link(sim, ds, 8, /*seed=*/5);

@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "detect/soft_output.h"
+#include "detect/soft_sts.h"
+#include "reference/soft_output.h"
+#include "reference/test_detector_spec.h"
 
 namespace geosphere {
 namespace {
@@ -62,7 +64,10 @@ TEST(DetectorSpec, RejectsMalformedParameters) {
 }
 
 TEST(DetectorSpec, SoftGeosphereIsARegistryDetector) {
-  const DetectorSpec spec = DetectorSpec::parse("soft-geosphere");
+  // The registry's soft Geosphere is the single tree search. The repeated
+  // tree search is its test reference (tests/reference/), not a registry
+  // detector: its name is unknown here.
+  const DetectorSpec spec = DetectorSpec::parse("soft-geosphere-sts");
   EXPECT_EQ(spec.decision(), DecisionMode::kSoft);
   EXPECT_TRUE(spec.soft_capable());
   EXPECT_TRUE(spec.supports(DecisionMode::kHard));
@@ -70,30 +75,49 @@ TEST(DetectorSpec, SoftGeosphereIsARegistryDetector) {
 
   const auto det = spec.create(Constellation::qam(16));
   ASSERT_NE(det, nullptr);
-  EXPECT_EQ(det->name(), "soft-geosphere");
+  EXPECT_EQ(det->name(), "soft-geosphere-sts");
   ASSERT_NE(det->soft(), nullptr);
   // The default LLR clamp matches the optional-parameter default.
-  const auto* soft = dynamic_cast<SoftGeosphereDetector*>(det.get());
+  const auto* soft = dynamic_cast<SoftGeosphereStsDetector*>(det.get());
   ASSERT_NE(soft, nullptr);
   EXPECT_DOUBLE_EQ(soft->llr_clamp(), 30.0);
+
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere", "unknown detector \"soft-geosphere\""));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere:30", "unknown detector"));
 }
 
 TEST(DetectorSpec, SoftGeosphereOptionalClampParameter) {
   // An omitted optional parameter is the same configuration as its
   // explicit default: one canonical text, equal specs (and therefore one
   // per-worker cache entry in the engine).
-  EXPECT_EQ(DetectorSpec::parse("soft-geosphere").text(), "soft-geosphere:30");
-  EXPECT_TRUE(DetectorSpec::parse("soft-geosphere") ==
-              DetectorSpec::parse("soft-geosphere:30"));
+  EXPECT_EQ(DetectorSpec::parse("soft-geosphere-sts").text(), "soft-geosphere-sts:30");
+  EXPECT_TRUE(DetectorSpec::parse("soft-geosphere-sts") ==
+              DetectorSpec::parse("soft-geosphere-sts:30"));
 
-  const DetectorSpec spec = DetectorSpec::parse("soft-geosphere:50");
-  EXPECT_EQ(spec.text(), "soft-geosphere:50");
+  const DetectorSpec spec = DetectorSpec::parse("soft-geosphere-sts:50");
+  EXPECT_EQ(spec.text(), "soft-geosphere-sts:50");
   const auto det = spec.create(Constellation::qam(4));
-  const auto* soft = dynamic_cast<SoftGeosphereDetector*>(det.get());
+  const auto* soft = dynamic_cast<SoftGeosphereStsDetector*>(det.get());
   ASSERT_NE(soft, nullptr);
   EXPECT_DOUBLE_EQ(soft->llr_clamp(), 50.0);
-  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere:0", "[1, 1000]"));
-  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere:30dB", "[1, 1000]"));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:0", "[1, 1000]"));
+  EXPECT_TRUE(parse_fails_mentioning("soft-geosphere-sts:30dB", "[1, 1000]"));
+
+  // The tests name the reference with the same CLAMP grammar.
+  using testing::TestDetectorSpec;
+  EXPECT_EQ(TestDetectorSpec::parse("soft-geosphere").text(), "soft-geosphere:30");
+  EXPECT_EQ(TestDetectorSpec::parse("soft-geosphere").decision(), DecisionMode::kSoft);
+  const TestDetectorSpec ref = TestDetectorSpec::parse("soft-geosphere:50");
+  EXPECT_EQ(ref.text(), "soft-geosphere:50");
+  EXPECT_EQ(ref.base(), "soft-geosphere");
+  const auto ref_det = ref.create(Constellation::qam(4));
+  EXPECT_EQ(ref_det->name(), "soft-geosphere");
+  const auto* ref_soft = dynamic_cast<SoftGeosphereDetector*>(ref_det.get());
+  ASSERT_NE(ref_soft, nullptr);
+  EXPECT_DOUBLE_EQ(ref_soft->llr_clamp(), 50.0);
+  EXPECT_THROW(TestDetectorSpec::parse("soft-geosphere:0"), std::invalid_argument);
+  EXPECT_THROW(TestDetectorSpec::parse("soft-geosphere:30dB"), std::invalid_argument);
+  EXPECT_EQ(TestDetectorSpec::parse("soft-geosphere-sts").text(), "soft-geosphere-sts:30");
 }
 
 TEST(DetectorSpec, WithDecisionValidatesCapability) {
@@ -101,7 +125,7 @@ TEST(DetectorSpec, WithDecisionValidatesCapability) {
   EXPECT_THROW(zf.with_decision(DecisionMode::kSoft), std::invalid_argument);
   EXPECT_EQ(zf.with_decision(DecisionMode::kHard).decision(), DecisionMode::kHard);
 
-  const DetectorSpec soft = DetectorSpec::parse("soft-geosphere");
+  const DetectorSpec soft = DetectorSpec::parse("soft-geosphere-sts");
   const DetectorSpec hardened = soft.with_decision(DecisionMode::kHard);
   EXPECT_EQ(hardened.decision(), DecisionMode::kHard);
   EXPECT_EQ(hardened.text(), soft.text());  // Same instance configuration.
@@ -112,14 +136,14 @@ TEST(DetectorSpec, RegistryListsEveryDetectorOnce) {
   // detector_names() is the registry's names in registry order, and every
   // one of them parses as it is.
   const std::vector<std::string> expected = {
-      "zf",     "mmse",    "mmse-sic", "geosphere",      "geosphere-2dzz",    "geosphere-sqrd",
-      "eth-sd", "shabany", "ml",       "soft-geosphere", "soft-geosphere-sts"};
+      "zf",     "mmse",    "mmse-sic", "geosphere", "geosphere-2dzz", "geosphere-sqrd",
+      "eth-sd", "shabany", "ml",       "soft-geosphere-sts"};
   EXPECT_EQ(detector_names(), expected);
   EXPECT_EQ(detector_registry().size(), expected.size());
   for (const std::string& name : expected) EXPECT_EQ(DetectorSpec::parse(name).base(), name);
   EXPECT_TRUE(parse_fails_mentioning(
       "nope", "(valid forms: zf mmse mmse-sic geosphere geosphere-2dzz geosphere-sqrd "
-              "eth-sd shabany ml soft-geosphere[:CLAMP] soft-geosphere-sts[:CLAMP])"));
+              "eth-sd shabany ml soft-geosphere-sts[:CLAMP])"));
 }
 
 }  // namespace

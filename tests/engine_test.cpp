@@ -242,7 +242,7 @@ TEST(Engine, SoftRunLinkBitIdenticalAcrossThreadsAndMatchesSequential) {
   scenario.frame.payload_bytes = 60;
   link::LinkSimulator sim(ch, scenario);
 
-  const DetectorSpec spec = DetectorSpec::parse("soft-geosphere");
+  const DetectorSpec spec = DetectorSpec::parse("soft-geosphere-sts");
   ASSERT_EQ(spec.decision(), DecisionMode::kSoft);
   const auto det = spec.create(Constellation::qam(16));
   const link::LinkStats direct = sim.run(*det, DecisionMode::kSoft, 10, /*seed=*/33);
@@ -345,7 +345,7 @@ TEST(Engine, CodedSweepBitIdenticalAcrossThreadCountsAndKernelTiers) {
 TEST(Engine, RunSweepSupportsSoftDetectors) {
   channel::RayleighChannel ch(4, 2);
   SweepSpec spec;
-  spec.detectors = {"soft-geosphere"};
+  spec.detectors = {"soft-geosphere-sts"};
   spec.snr_grid_db = {12.0};
   spec.candidate_qams = {4};
   spec.frames = 4;
@@ -364,7 +364,7 @@ TEST(Engine, RunSweepSupportsSoftDetectors) {
   spec.decision = DecisionMode::kSoft;
   EXPECT_THROW(engine.run_sweep(ch, spec), std::invalid_argument);
   // ...and forcing the soft detector to hard mode is allowed.
-  spec.detectors = {"soft-geosphere"};
+  spec.detectors = {"soft-geosphere-sts"};
   spec.decision = DecisionMode::kHard;
   const auto hard_cells = engine.run_sweep(ch, spec);
   ASSERT_EQ(hard_cells.size(), 1u);

@@ -1,11 +1,10 @@
-// Edge cases of the link-layer policies the serving scheduler leans on:
-// SNR-window user selection with boundary / empty / oversubscribed
-// populations, random-subset determinism, and rate adaptation with
-// single-candidate lists and throughput ties (candidate order is the
-// deterministic tie-break: strictly greater net throughput wins, so the
-// first candidate keeps a tie). best_rate's branch-and-bound search is
-// checked bit for bit against an exhaustive reference over a grid of
-// detectors, candidate orders, SNRs, frame counts, codes and stream counts.
+// Edge cases of the link-layer policy the serving scheduler leans on: rate
+// adaptation with single-candidate lists and throughput ties (candidate
+// order is the deterministic tie-break: strictly greater net throughput
+// wins, so the first candidate keeps a tie). best_rate's branch-and-bound
+// search is checked bit for bit against an exhaustive reference over a grid
+// of detectors, candidate orders, SNRs, frame counts, codes and stream
+// counts.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -23,7 +22,6 @@
 #include "detect/spec.h"
 #include "link/rate_adapt.h"
 #include "link/throughput.h"
-#include "link/user_selection.h"
 
 namespace geosphere::link {
 namespace {
@@ -34,43 +32,6 @@ LinkScenario probe_scenario(unsigned qam, double snr_db) {
   s.frame.payload_bytes = 60;
   s.snr_db = snr_db;
   return s;
-}
-
-TEST(UserSelectionEdge, WindowBoundaryIsInclusive) {
-  // |snr - target| == window must select: the scheduler's "snr +/- window"
-  // grammar documents a closed interval.
-  const std::vector<double> snrs{17.0, 20.0, 23.0, 23.0001};
-  const auto sel = select_in_snr_range(snrs, 20.0, 3.0);
-  EXPECT_EQ(sel, (std::vector<std::size_t>{0, 1, 2}));
-}
-
-TEST(UserSelectionEdge, EmptyPopulationAndEmptyWindow) {
-  EXPECT_TRUE(select_in_snr_range({}, 20.0, 3.0).empty());
-  // A window that matches nobody returns empty rather than throwing -- the
-  // scheduler falls back to the full backlog in that case.
-  EXPECT_TRUE(select_in_snr_range({1.0, 2.0}, 50.0, 3.0).empty());
-}
-
-TEST(UserSelectionEdge, MoreUsersThanAntennasReturnsAllInWindow) {
-  // Selection reports every in-window user; truncating to the antenna
-  // count is the scheduler's job, not the policy's.
-  const std::vector<double> snrs(12, 20.0);
-  EXPECT_EQ(select_in_snr_range(snrs, 20.0, 1.0).size(), 12u);
-}
-
-TEST(UserSelectionEdge, RandomSubsetDegenerateSizes) {
-  Rng rng(7);
-  EXPECT_TRUE(select_random(5, 0, rng).empty());
-  const auto all = select_random(4, 4, rng);
-  EXPECT_EQ(all, (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_TRUE(select_random(0, 0, rng).empty());
-  EXPECT_THROW(select_random(0, 1, rng), std::invalid_argument);
-}
-
-TEST(UserSelectionEdge, RandomSubsetIsSeedDeterministic) {
-  Rng a(99);
-  Rng b(99);
-  for (int t = 0; t < 20; ++t) EXPECT_EQ(select_random(9, 3, a), select_random(9, 3, b));
 }
 
 TEST(RateAdaptEdge, SingleCandidateListIsReturnedVerbatim) {

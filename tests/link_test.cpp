@@ -13,7 +13,7 @@
 #include "link/rate_adapt.h"
 #include "link/snr_search.h"
 #include "link/throughput.h"
-#include "link/user_selection.h"
+#include "reference/test_detector_spec.h"
 
 namespace geosphere::link {
 namespace {
@@ -113,7 +113,8 @@ TEST(LinkSimulator, SoftModeNeedsSoftCapableDetector) {
   LinkSimulator sim(ch, small_scenario(16, 20.0));
   EXPECT_THROW(sim.run(*hard, DecisionMode::kSoft, 1, /*seed=*/5), std::invalid_argument);
 
-  const auto soft = DetectorSpec::parse("soft-geosphere").create(Constellation::qam(16));
+  const auto soft =
+      testing::TestDetectorSpec::parse("soft-geosphere").create(Constellation::qam(16));
   EXPECT_NE(soft->soft(), nullptr);
   const LinkStats stats = sim.run(*soft, DecisionMode::kSoft, 2, /*seed=*/5);
   EXPECT_EQ(stats.frames, 2u);
@@ -245,24 +246,6 @@ TEST(SnrSearch, FindsTargetFerOperatingPoint) {
   const double fer = sim.run(*det, DecisionMode::kHard, 120, /*seed=*/12).fer();
   EXPECT_GT(fer, 0.01);
   EXPECT_LT(fer, 0.45);
-}
-
-TEST(UserSelection, SnrRange) {
-  const std::vector<double> snrs{12.0, 18.0, 21.0, 25.0, 31.0};
-  const auto sel = select_in_snr_range(snrs, 20.0, 5.0);
-  EXPECT_EQ(sel, (std::vector<std::size_t>{1, 2, 3}));
-  EXPECT_TRUE(select_in_snr_range(snrs, 50.0, 2.0).empty());
-}
-
-TEST(UserSelection, RandomSubsetProperties) {
-  Rng rng(13);
-  for (int t = 0; t < 50; ++t) {
-    const auto sel = select_random(10, 4, rng);
-    EXPECT_EQ(sel.size(), 4u);
-    for (std::size_t i = 1; i < sel.size(); ++i) EXPECT_LT(sel[i - 1], sel[i]);
-    for (const auto v : sel) EXPECT_LT(v, 10u);
-  }
-  EXPECT_THROW(select_random(3, 4, rng), std::invalid_argument);
 }
 
 }  // namespace

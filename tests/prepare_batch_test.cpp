@@ -8,9 +8,9 @@
 //    {1, W-1, W, 48}, on healthy and degenerate channels (PrepareDrivers),
 //  * batch-prepared solves are BIT-identical to a prepare() loop pinned to
 //    the scalar kernel tier -- decisions, symbols, LLRs and counters -- for
-//    every registry detector, at 16/64/256-QAM, for batch sizes
-//    {1, W-1, W, nsc} at every supported tier (GEOSPHERE_KERNEL override
-//    hook),
+//    every registry detector and the soft reference, at 16/64/256-QAM, for
+//    batch sizes {1, W-1, W, nsc} at every supported tier (GEOSPHERE_KERNEL
+//    override hook),
 //  * slots select in any order and re-select cleanly,
 //  * a shape change between batches leaves no stale workspace behind,
 //  * an empty batch prepares nothing and select fails loudly,
@@ -43,6 +43,7 @@
 #include "linalg/solve.h"
 #include "link/link_simulator.h"
 #include "phy/frame.h"
+#include "reference/test_detector_spec.h"
 #include "test_util.h"
 
 namespace geosphere {
@@ -50,6 +51,8 @@ namespace {
 
 using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
+using geosphere::testing::test_detector_names;
+using geosphere::testing::TestDetectorSpec;
 using geosphere::testing::transmit;
 
 /// RAII kernel-tier override (restores env/auto selection on scope exit).
@@ -157,7 +160,7 @@ void expect_slot_matches(Detector& det, const Problem& p, const Reference& ref,
 class PrepareBatchRegistry : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PrepareBatchRegistry, BatchMatchesScalarLoopAtEveryKernelTierAndSize) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   // nsc of the default frame: the link layer's real batch size.
   const std::size_t nsc = phy::FrameConfig{}.data_subcarriers;
 
@@ -191,7 +194,7 @@ TEST_P(PrepareBatchRegistry, BatchMatchesScalarLoopAtEveryKernelTierAndSize) {
 }
 
 TEST_P(PrepareBatchRegistry, SlotsSelectInAnyOrderAndReselect) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   const Problem p = make_problem(16, 5, 4, 4, /*seed=*/77);
 
@@ -213,7 +216,7 @@ TEST_P(PrepareBatchRegistry, ShapeChangeBetweenBatchesLeavesNoStaleState) {
   // Batch at 4x4, then batch the SAME instance at 4x2 and back: every
   // workspace dimension must be rewritten by the new batch (the batched
   // analogue of RepreparingReusesTheInstanceSafely).
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   const Problem big = make_problem(16, 3, 4, 4, /*seed=*/31);
   const Problem small = make_problem(16, 3, 4, 2, /*seed=*/32);
@@ -234,7 +237,7 @@ TEST_P(PrepareBatchRegistry, ShapeChangeBetweenBatchesLeavesNoStaleState) {
 }
 
 TEST_P(PrepareBatchRegistry, EmptyBatchAndOutOfRangeSelectFailLoudly) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const auto det = spec.create(Constellation::qam(16));
 
   det->prepare_batch(std::vector<linalg::CMatrix>{}, 0.01);
@@ -267,7 +270,7 @@ std::string thrown_signature(F&& fn) {
 }
 
 TEST_P(PrepareBatchRegistry, FailingSlotRethrowsAtSelectLeavingOthersSelectable) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   Problem p = make_problem(16, 3, 4, 4, /*seed=*/41);
   // Slot 1 is exactly rank deficient (duplicated column). Detectors that
@@ -305,7 +308,7 @@ TEST_P(PrepareBatchRegistry, FailingSlotRethrowsAtSelectLeavingOthersSelectable)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, PrepareBatchRegistry,
-                         ::testing::ValuesIn(detector_names()),
+                         ::testing::ValuesIn(test_detector_names()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name)
@@ -331,7 +334,7 @@ TEST(PrepareBatch, LinkCountsOneBatchPerFrameAndOneSelectPerSubcarrier) {
   const std::size_t frames = 3;
 
   for (const char* name : {"zf", "geosphere", "soft-geosphere"}) {
-    const DetectorSpec spec = DetectorSpec::parse(name);
+    const TestDetectorSpec spec = TestDetectorSpec::parse(name);
     const auto det = spec.create(Constellation::qam(16));
     const link::LinkStats stats = sim.run(*det, spec.decision(), frames, /*seed=*/7);
     EXPECT_EQ(stats.detection.prepare_batch_calls, frames) << name;

@@ -1,8 +1,8 @@
 // Tests for the two-phase prepare/solve detection contract:
 //  * prepare(h, n0) once + solve(y) repeatedly is bit-exactly equivalent
-//    to the one-shot detect(y, h, n0) for EVERY registry detector (hard
-//    and soft), so the link layer's per-subcarrier amortization can never
-//    change results,
+//    to the one-shot detect(y, h, n0) for EVERY registry detector and the
+//    soft reference (hard and soft), so the link layer's per-subcarrier
+//    amortization can never change results,
 //  * re-preparing the same instance with a different channel (including a
 //    different stream count) leaks no state between channels,
 //  * two live instances of one spec, prepared with different channels and
@@ -20,10 +20,11 @@
 #include "channel/rayleigh.h"
 #include "common/db.h"
 #include "common/rng.h"
-#include "detect/soft_output.h"
 #include "detect/spec.h"
 #include "link/link_simulator.h"
 #include "phy/frame.h"
+#include "reference/soft_output.h"
+#include "reference/test_detector_spec.h"
 #include "test_util.h"
 
 namespace geosphere {
@@ -31,6 +32,8 @@ namespace {
 
 using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
+using geosphere::testing::test_detector_names;
+using geosphere::testing::TestDetectorSpec;
 using geosphere::testing::transmit;
 
 void expect_same_stats_modulo_preprocess(const DetectionStats& a, const DetectionStats& b,
@@ -46,7 +49,7 @@ void expect_same_stats_modulo_preprocess(const DetectionStats& a, const Detectio
 class PrepareSolveRegistry : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PrepareSolveRegistry, PreparedSolvesMatchOneShotBitExactly) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   const auto one_shot = spec.create(c);
   const auto split = spec.create(c);
@@ -79,7 +82,7 @@ TEST_P(PrepareSolveRegistry, RepreparingReusesTheInstanceSafely) {
   // Same instance, alternating channels with different stream counts: the
   // workspace must be fully overwritten by each prepare (stale-state
   // guard), so results equal those of a fresh instance.
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   const auto reused = spec.create(c);
   const double n0 = db_to_lin(-14.0);
@@ -113,7 +116,7 @@ TEST_P(PrepareSolveRegistry, InstancesOfOneSpecShareNoState) {
   // cache may be shared between instances: two live instances prepared
   // with different channels (and stream counts) and solved in interleaved
   // order must each answer exactly as a fresh instance does.
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const Constellation& c = Constellation::qam(16);
   const double n0 = db_to_lin(-14.0);
 
@@ -157,7 +160,7 @@ TEST_P(PrepareSolveRegistry, InstancesOfOneSpecShareNoState) {
 }
 
 TEST_P(PrepareSolveRegistry, SolveBeforePrepareThrows) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const auto det = spec.create(Constellation::qam(16));
   EXPECT_FALSE(det->prepared());
   EXPECT_THROW(det->solve(CVector(4)), std::logic_error) << spec.text();
@@ -168,7 +171,7 @@ TEST_P(PrepareSolveRegistry, SolveBeforePrepareThrows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistryDetectors, PrepareSolveRegistry,
-                         ::testing::ValuesIn(detector_names()),
+                         ::testing::ValuesIn(test_detector_names()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name)
@@ -235,7 +238,7 @@ TEST(PrepareSolve, LinkAmortizesPreparationsPerSubcarrier) {
   const std::size_t frames = 3;
 
   for (const char* name : {"geosphere", "soft-geosphere"}) {
-    const DetectorSpec spec = DetectorSpec::parse(name);
+    const TestDetectorSpec spec = TestDetectorSpec::parse(name);
     const auto det = spec.create(Constellation::qam(16));
     const link::LinkStats stats = sim.run(*det, spec.decision(), frames, /*seed=*/7);
     EXPECT_EQ(stats.detection.preprocess_calls, frames * nsc) << name;

@@ -1,4 +1,4 @@
-#include "detect/soft_output.h"
+#include "reference/soft_output.h"
 
 #include <algorithm>
 #include <limits>

@@ -20,6 +20,11 @@
 // searches per received vector never re-factorize, and neither do the
 // other received vectors on the same subcarrier. The one-shot solve() and
 // solve_soft() are batches of one.
+//
+// This is the test reference for soft-geosphere-sts, which returns the same
+// LLRs bit for bit from one search per vector; it is not in the detector
+// registry. Tests and the soft parity benches build it by name through
+// testing::TestDetectorSpec (reference/test_detector_spec.h).
 #pragma once
 
 #include <cstdint>

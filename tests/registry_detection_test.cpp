@@ -1,6 +1,6 @@
-// Detection properties every registry detector keeps at every registry QAM
-// order (4, 16, 64, 256), one test per (detector, order) so that a failure
-// names both:
+// Detection properties every registry detector, and the soft reference,
+// keeps at every registry QAM order (4, 16, 64, 256), one test per
+// (detector, order) so that a failure names both:
 //  * a noiseless reception is recovered exactly -- the decisions and the
 //    symbols they name -- through square and tall channels, and
 //  * a receiver gain that is a power of two changes no bit: scaling y and
@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "detect/spec.h"
+#include "reference/test_detector_spec.h"
 #include "test_util.h"
 
 namespace geosphere {
@@ -25,6 +26,8 @@ namespace {
 
 using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
+using geosphere::testing::test_detector_names;
+using geosphere::testing::TestDetectorSpec;
 using geosphere::testing::transmit;
 
 /// Registry QAM orders.
@@ -53,7 +56,7 @@ class RegistryOrders : public ::testing::TestWithParam<Param> {};
 
 TEST_P(RegistryOrders, NoiselessReceptionIsRecovered) {
   const auto& [name, order] = GetParam();
-  const DetectorSpec spec = DetectorSpec::parse(name);
+  const TestDetectorSpec spec = TestDetectorSpec::parse(name);
   const Constellation& c = Constellation::qam(order);
   const auto det = spec.create(c);
 
@@ -81,7 +84,7 @@ TEST_P(RegistryOrders, NoiselessReceptionIsRecovered) {
 
 TEST_P(RegistryOrders, PowerOfTwoReceiverGainChangesNoBit) {
   const auto& [name, order] = GetParam();
-  const DetectorSpec spec = DetectorSpec::parse(name);
+  const TestDetectorSpec spec = TestDetectorSpec::parse(name);
   const Constellation& c = Constellation::qam(order);
   const auto reference = spec.create(c);
   const auto gained = spec.create(c);
@@ -116,7 +119,7 @@ TEST_P(RegistryOrders, PowerOfTwoReceiverGainChangesNoBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistryDetectorsAndOrders, RegistryOrders,
-                         ::testing::Combine(::testing::ValuesIn(detector_names()),
+                         ::testing::Combine(::testing::ValuesIn(test_detector_names()),
                                             ::testing::ValuesIn(kOrders)),
                          [](const ::testing::TestParamInfo<Param>& info) {
                            std::string name = std::get<0>(info.param);

@@ -1,17 +1,24 @@
 // Tests for the streaming serving layer (src/serve): the latency
 // histogram's bucket/merge/percentile algebra, the per-cell scheduler's
-// deterministic policies (backlog-only candidates, antenna truncation,
+// deterministic policies (backlog-only candidates, a closed SNR window that
+// falls back to every backlogged user when empty, antenna truncation after
+// the window,
 // longest-unserved round robin with index tie-break, single-candidate
-// rate shortcut, a rate probe at the cell's code), and the Server
-// determinism contract -- every deterministic counter bit-identical for 1
-// vs 4 worker threads, under every kernel tier, and equal to a recorded
-// golden.
+// rate shortcut, a rate probe at the cell's code, one allocation per warm
+// TTI), and the Server determinism contract -- every deterministic counter
+// bit-identical for 1 vs 4 worker threads, under every kernel tier, and
+// equal to a recorded golden.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coding/simd/dispatch.h"
@@ -22,6 +29,28 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/spec.h"
+
+// Every global operator new in this binary is counted, so a test can assert
+// how often a stretch of code allocates. Out of line for the reasons given
+// in batch_solve_test.cpp.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace geosphere::serve {
 namespace {
@@ -163,6 +192,85 @@ TEST(CellScheduler, IdleWithoutBacklog) {
   }
   EXPECT_EQ(sched.backlog(), 0u);
   EXPECT_EQ(sched.arrivals(), 0u);
+}
+
+TEST(CellScheduler, SnrWindowBoundaryIsInclusive) {
+  // A user exactly `window` dB from the cell's SNR is in the window: the
+  // spec's "snr +/- window" is a closed interval. With the window set to
+  // the third-closest user's distance, exactly the three closest users are
+  // eligible, and with an antenna per user all three transmit.
+  CellSpec spec = CellSpec::parse("users=6,antennas=6,load=1.0,snr=20,spread=6,qams=16");
+  const std::vector<double> snrs = CellScheduler(spec, 4, 0).user_snrs_db();
+  std::vector<std::pair<double, std::size_t>> by_distance;
+  for (std::size_t u = 0; u < snrs.size(); ++u)
+    by_distance.emplace_back(std::abs(snrs[u] - spec.snr_db), u);
+  std::sort(by_distance.begin(), by_distance.end());
+  ASSERT_LT(by_distance[2].first, by_distance[3].first);
+  spec.window_db = by_distance[2].first;
+  std::vector<std::size_t> expect = {by_distance[0].second, by_distance[1].second,
+                                     by_distance[2].second};
+  std::sort(expect.begin(), expect.end());
+
+  CellScheduler sched(spec, 4, 0);
+  EXPECT_EQ(sched.schedule_tti(0).users, expect);
+}
+
+TEST(CellScheduler, InWindowUsersRotateWhileOutOfWindowUsersWait) {
+  // More users in the SNR window than antennas: the window is applied
+  // before the round robin truncates to the antenna count. The four users
+  // in the window take turns, two at a time, and the four outside it are
+  // passed over although they were never served, which puts them first in
+  // the round robin's order, for as long as the window holds a backlogged
+  // user.
+  CellSpec spec = CellSpec::parse("users=8,antennas=2,load=1.0,snr=20,spread=6,qams=16");
+  const std::vector<double> snrs = CellScheduler(spec, 4, 0).user_snrs_db();
+  std::vector<std::pair<double, std::size_t>> by_distance;
+  for (std::size_t u = 0; u < snrs.size(); ++u)
+    by_distance.emplace_back(std::abs(snrs[u] - spec.snr_db), u);
+  std::sort(by_distance.begin(), by_distance.end());
+  ASSERT_LT(by_distance[3].first, by_distance[4].first);
+  spec.window_db = by_distance[3].first;
+  std::vector<std::size_t> in_window;
+  for (std::size_t k = 0; k < 4; ++k) in_window.push_back(by_distance[k].second);
+  std::sort(in_window.begin(), in_window.end());
+
+  CellScheduler sched(spec, 4, 0);
+  const std::vector<std::vector<std::size_t>> turns = {{in_window[0], in_window[1]},
+                                                       {in_window[2], in_window[3]}};
+  for (std::uint64_t tti = 0; tti < 6; ++tti)
+    EXPECT_EQ(sched.schedule_tti(tti).users, turns[tti % 2]) << "tti " << tti;
+}
+
+TEST(CellScheduler, EmptySnrWindowFallsBackToEveryBackloggedUser) {
+  // A window that holds no user must not starve the cell: every backlogged
+  // user is eligible instead, in round-robin order.
+  const CellSpec spec =
+      CellSpec::parse("users=6,antennas=2,load=1.0,snr=20,spread=5,window=0.001,qams=16");
+  CellScheduler sched(spec, 11, 0);
+  for (const double snr : sched.user_snrs_db())
+    ASSERT_GT(std::abs(snr - spec.snr_db), spec.window_db);
+  const std::vector<std::vector<std::size_t>> expect = {{0, 1}, {2, 3}, {4, 5}, {0, 1}};
+  for (std::uint64_t tti = 0; tti < expect.size(); ++tti)
+    EXPECT_EQ(sched.schedule_tti(tti).users, expect[tti]) << "tti " << tti;
+}
+
+TEST(CellScheduler, WarmSingleQamTtiAllocatesOnlyItsUserList) {
+  // perfbench serve-short's mmse-sic cell. Once its scratch vectors are
+  // warm, a TTI without a rate probe allocates once: the returned
+  // schedule's user list.
+  const CellSpec spec = CellSpec::parse(
+      "users=16,antennas=4,load=0.5,channel=freq-selective:8,detector=mmse-sic,snr=18,"
+      "qams=16,payload=100");
+  CellScheduler sched(spec, 1, 0);
+  std::uint64_t tti = 0;
+  for (; tti < 20; ++tti) (void)sched.schedule_tti(tti);
+  for (; tti < 120; ++tti) {
+    const std::size_t before = g_allocations.load();
+    const CellSchedule s = sched.schedule_tti(tti);
+    const std::size_t allocs = g_allocations.load() - before;
+    ASSERT_FALSE(s.users.empty()) << "tti " << tti;
+    EXPECT_EQ(allocs, 1u) << "tti " << tti;
+  }
 }
 
 TEST(CellScheduler, RoundRobinWithIndexTieBreak) {
@@ -322,7 +430,7 @@ TEST(Server, CountsAndLatencyBookkeepingAreConsistent) {
 
 TEST(Server, SoftDetectorCellRunsAndIsDeterministic) {
   const ServeSpec spec = ServeSpec::parse(
-      "users=3,antennas=2,load=0.8,payload=30,detector=soft-geosphere,qams=4,snr=12");
+      "users=3,antennas=2,load=0.8,payload=30,detector=soft-geosphere-sts,qams=4,snr=12");
   Server one(spec, 1);
   Server two(spec, 2);
   const ServeResult a = one.run(/*ttis=*/4, /*seed=*/5);

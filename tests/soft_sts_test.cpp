@@ -19,8 +19,8 @@
 
 #include "common/db.h"
 #include "common/rng.h"
-#include "detect/soft_output.h"
 #include "detect/sphere/sphere_decoder.h"
+#include "reference/soft_output.h"
 #include "test_util.h"
 
 namespace geosphere {

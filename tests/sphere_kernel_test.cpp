@@ -28,6 +28,7 @@
 #include "detect/sphere/simd/kernel.h"
 #include "detect/sphere/simd/rotate.h"
 #include "linalg/matrix.h"
+#include "reference/test_detector_spec.h"
 #include "test_util.h"
 
 namespace geosphere {
@@ -36,6 +37,7 @@ namespace {
 using geosphere::testing::hypothesis_distance_sq;
 using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
+using geosphere::testing::TestDetectorSpec;
 using geosphere::testing::transmit;
 namespace simd = geosphere::sphere::simd;
 
@@ -148,7 +150,7 @@ TEST(BatchedRotation, RotateTransposeMatchesLinalgBitExactOnEveryTier) {
 
 // ---------------------------------------------------- full-detector parity --
 
-/// Every tree-search detector in the registry.
+/// Every tree-search detector in the registry, and the soft reference.
 const char* kTreeSearchSpecs[] = {"geosphere", "geosphere-2dzz", "geosphere-sqrd",
                                   "eth-sd",    "shabany",        "soft-geosphere",
                                   "soft-geosphere-sts"};
@@ -156,7 +158,7 @@ const char* kTreeSearchSpecs[] = {"geosphere", "geosphere-2dzz", "geosphere-sqrd
 class TierParity : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TierParity, EveryKernelTierMatchesScalarLoop) {
-  const DetectorSpec spec = DetectorSpec::parse(GetParam());
+  const TestDetectorSpec spec = TestDetectorSpec::parse(GetParam());
   const double n0 = db_to_lin(-25.0);
   // W is the widest supported SIMD width: batch sizes {1, W-1, W, 48}
   // exercise sub-width, exact-width, and multi-round batches.

@@ -1,16 +1,21 @@
 // The decisive correctness properties of the sphere decoders:
 //  * every variant returns the exact maximum-likelihood solution,
 //  * all Schnorr-Euchner variants traverse identical node sequences
-//    (paper Section 5.3), and
-//  * geometric pruning changes the work done, never the answer.
+//    (paper Section 5.3),
+//  * geometric pruning changes the work done, never the answer, and
+//  * the plain search they share (sphere::DepthFirstSearch), run directly,
+//    ends on the ML leaf with every enumerator and gives the same answer
+//    and counters from a workspace reused across level counts.
 #include "detect/sphere/sphere_decoder.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/db.h"
 #include "common/rng.h"
@@ -209,6 +214,100 @@ TEST(SphereDecoder, SortedQrPreprocessingPreservesMl) {
     ml.detect(y, h, 0.06);
     EXPECT_NEAR(hypothesis_distance_sq(y, h, c, r.indices), ml.last_distance_sq(), 1e-9);
   }
+}
+
+// ---- The shared plain search ---------------------------------------------------
+
+/// Runs `search` once on `y` over `h`, through the prepared channel the hard
+/// tree detectors build with sorted QR off: QR, rotation, root center.
+template <class Enumerator>
+bool depth_first_once(sphere::DepthFirstSearch<Enumerator>& search,
+                      const Enumerator& prototype, const linalg::CMatrix& h,
+                      const CVector& y, const Constellation& c, DetectionStats& stats) {
+  sphere::TreeProblem problem("depth-first test", c.scale());
+  problem.prepare_batch(&h, 1);
+  problem.select(0);
+  linalg::CMatrix y_batch(y.size(), 1);
+  y_batch.set_col(0, y);
+  problem.rotate(y_batch);
+  search.resize(problem.nc, prototype);
+  return search.run(problem, problem.yhat_t.row_data(0), problem.root_centers[0], c, stats);
+}
+
+/// The counters a plain search writes.
+std::vector<std::uint64_t> search_counters(const DetectionStats& s) {
+  return {s.ped_computations, s.visited_nodes, s.lb_lookups, s.lb_prunes,
+          s.slicer_ops,       s.queue_ops,     s.tree_searches};
+}
+
+TEST(DepthFirstSearch, ReachesTheExhaustiveMlLeafWithEveryEnumerator) {
+  // The one plain search of the hard tree detectors and of
+  // soft-geosphere-sts's hard decisions, driven directly: whatever the
+  // enumerator, it ends on the ML leaf, and each run adds exactly one tree
+  // search to the caller's counters.
+  const Constellation& c = Constellation::qam(16);
+  const double n0 = db_to_lin(-8.0);
+  MlExhaustiveDetector ml(c);
+  const auto check = [&](auto prototype, const char* label) {
+    prototype.attach(c);
+    sphere::DepthFirstSearch<decltype(prototype)> search;
+    DetectionStats stats;
+    Rng rng(31);
+    constexpr std::uint64_t kTrials = 25;
+    for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
+      const auto h = random_channel(rng, 4, 3);
+      const auto y = transmit(rng, h, c, random_indices(rng, c, 3), n0);
+      ASSERT_TRUE(depth_first_once(search, prototype, h, y, c, stats))
+          << label << " trial " << trial;
+      ASSERT_EQ(search.best.size(), 3u) << label;
+      const auto ml_result = ml.detect(y, h, n0);
+      const double ml_dist = ml.last_distance_sq();
+      EXPECT_NEAR(hypothesis_distance_sq(y, h, c, search.best), ml_dist, 1e-9 * (1.0 + ml_dist))
+          << label << " trial " << trial;
+      EXPECT_EQ(search.best, ml_result.indices) << label << " trial " << trial;
+      EXPECT_EQ(stats.tree_searches, trial + 1) << label;
+    }
+    // At 8 dB the searches backtrack: one greedy descent per vector would
+    // visit exactly 3 nodes.
+    EXPECT_GT(stats.visited_nodes, 3 * kTrials) << label;
+  };
+  check(sphere::GeoEnumerator({.geometric_pruning = true}), "geo");
+  check(sphere::GeoEnumerator({.geometric_pruning = false}), "geo-2dzz");
+  check(sphere::HessEnumerator{}, "hess");
+  check(sphere::ShabanyEnumerator{}, "shabany");
+}
+
+TEST(DepthFirstSearch, ReusedWorkspaceMatchesFreshSearchesAcrossLevelCounts) {
+  // A detector keeps one search workspace across channels of different
+  // stream counts. resize() fits it to each channel's level count, so
+  // `best` holds exactly that many decisions (soft-geosphere-sts copies
+  // all of it), and the reused workspace finds what a fresh one finds, at
+  // the same cost.
+  const Constellation& c = Constellation::qam(64);
+  sphere::GeoEnumerator prototype({.geometric_pruning = true});
+  prototype.attach(c);
+  sphere::DepthFirstSearch<sphere::GeoEnumerator> reused;
+  DetectionStats reused_stats;
+  Rng rng(12);
+  for (const std::size_t nc : {4u, 2u, 2u, 4u, 1u, 3u, 4u}) {
+    const auto h = random_channel(rng, 4, nc);
+    const auto y = transmit(rng, h, c, random_indices(rng, c, nc), db_to_lin(-15.0));
+    const std::vector<std::uint64_t> before = search_counters(reused_stats);
+    ASSERT_TRUE(depth_first_once(reused, prototype, h, y, c, reused_stats)) << nc;
+    sphere::DepthFirstSearch<sphere::GeoEnumerator> fresh;
+    DetectionStats fresh_stats;
+    ASSERT_TRUE(depth_first_once(fresh, prototype, h, y, c, fresh_stats)) << nc;
+
+    EXPECT_EQ(reused.level_enum.size(), nc);
+    EXPECT_EQ(reused.partial.size(), nc + 1);
+    EXPECT_EQ(reused.current.size(), nc);
+    EXPECT_EQ(reused.best.size(), nc);
+    EXPECT_EQ(reused.best, fresh.best) << nc << " streams";
+    std::vector<std::uint64_t> delta = search_counters(reused_stats);
+    for (std::size_t k = 0; k < delta.size(); ++k) delta[k] -= before[k];
+    EXPECT_EQ(delta, search_counters(fresh_stats)) << nc << " streams";
+  }
+  EXPECT_EQ(reused_stats.tree_searches, 7u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "detect/sphere/simd/dispatch.h"
 #include "detect/sphere/sphere_decoder.h"
 #include "link/link_simulator.h"
+#include "reference/test_detector_spec.h"
 #include "test_util.h"
 
 namespace geosphere {
@@ -29,6 +30,8 @@ namespace {
 using geosphere::testing::hypothesis_distance_sq;
 using geosphere::testing::random_channel;
 using geosphere::testing::random_indices;
+using geosphere::testing::test_detector_names;
+using geosphere::testing::TestDetectorSpec;
 using geosphere::testing::transmit;
 
 // ---- ML equivalence under severe conditioning -------------------------------
@@ -204,9 +207,9 @@ TEST(Stress, UnboundedSearchWithoutALeafThrows) {
 
   for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
     const TierGuard tier(kernel->name);
-    for (const std::string& text : detector_names()) {
+    for (const std::string& text : test_detector_names()) {
       for (const bool warm : {false, true}) {
-        const auto det = DetectorSpec::parse(text).create(c);
+        const auto det = TestDetectorSpec::parse(text).create(c);
         det->prepare(h, n0);
         SoftDetector* soft = det->soft();
         if (warm) {
@@ -257,7 +260,7 @@ TEST(Stress, NonFiniteChannelThrowsAtSelect) {
   const double n0 = db_to_lin(-20.0);
   const std::set<std::string> no_tree = {"zf", "mmse", "mmse-sic", "ml"};
   std::vector<std::string> specs;
-  for (const std::string& name : detector_names())
+  for (const std::string& name : test_detector_names())
     if (no_tree.count(name) == 0) specs.push_back(name);
   expect_distinct_sphere_decoder_names(c);
 
@@ -270,7 +273,7 @@ TEST(Stress, NonFiniteChannelThrowsAtSelect) {
       hs[1](2, 1) = cf64{bad, 0.0};
       for (const std::string& text : specs) {
         const std::string who = text + " tier=" + kernel->name + " entry=" + std::to_string(bad);
-        const auto det = DetectorSpec::parse(text).create(c);
+        const auto det = TestDetectorSpec::parse(text).create(c);
         det->prepare_batch(hs, n0);
         const std::string batched = thrown_message<std::domain_error>(
             [&] { det->select_prepared(1); }, who + " batched");
@@ -283,6 +286,61 @@ TEST(Stress, NonFiniteChannelThrowsAtSelect) {
         if (kSphereDecoders.count(text) != 0) {
           for (const std::string& what : {batched, one_shot})
             EXPECT_NE(what.find(det->name() + ": "), std::string::npos) << who << ": " << what;
+        }
+      }
+    }
+  }
+}
+
+// ---- Non-finite received vectors ----------------------------------------------
+
+TEST(Stress, NonFiniteReceivedVectorThrowsAtSolve) {
+  // One NaN, +inf or -inf entry, real or imaginary, in column 1 of a 4x4
+  // 16-QAM batch of three. Unchecked, a NaN let every tree search visit the
+  // whole tree and return a decision that depended on its enumerator, an
+  // infinity tripped the tree searches' no-leaf rule, and the linear and
+  // exhaustive detectors returned level 0. Every solve entry point, hard
+  // and soft, one-shot and batched, throws domain_error naming the detector
+  // instead, and leaves it prepared: a clean batch still solves.
+  const Constellation& c = Constellation::qam(16);
+  Rng rng(10);
+  const double n0 = db_to_lin(-20.0);
+  const auto h = random_channel(rng, 4, 4);
+  linalg::CMatrix clean(4, 3);
+  for (std::size_t v = 0; v < 3; ++v)
+    clean.set_col(v, transmit(rng, h, c, random_indices(rng, c, 4), n0));
+
+  for (const sphere::simd::Kernel* kernel : sphere::simd::supported_kernels()) {
+    const TierGuard tier(kernel->name);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      for (const bool imag : {false, true}) {
+        linalg::CMatrix y_batch = clean;
+        y_batch(2, 1) = imag ? cf64{y_batch(2, 1).real(), bad} : cf64{bad, y_batch(2, 1).imag()};
+        CVector y;
+        y_batch.col_into(1, y);
+        for (const std::string& text : test_detector_names()) {
+          const auto det = TestDetectorSpec::parse(text).create(c);
+          det->prepare(h, n0);
+          const std::string who = text + " tier=" + kernel->name + " entry=" +
+                                  std::to_string(bad) + (imag ? "i" : "") + " ";
+          const auto expect_throws = [&](const char* entry, const std::function<void()>& run) {
+            const std::string what = thrown_message<std::domain_error>(run, who + entry);
+            EXPECT_NE(what.find(det->name() + ": "), std::string::npos)
+                << who << entry << ": " << what;
+          };
+          expect_throws("solve", [&] { det->solve(y); });
+          expect_throws("solve_batch", [&] { det->solve_batch(y_batch); });
+          if (SoftDetector* soft = det->soft()) {
+            expect_throws("solve_soft", [&] { soft->solve_soft(y); });
+            expect_throws("solve_soft_batch", [&] {
+              SoftBatchResult out;
+              soft->solve_soft_batch(y_batch, out);
+            });
+          }
+          EXPECT_TRUE(det->prepared()) << who;
+          EXPECT_NO_THROW(det->solve_batch(clean)) << who;
         }
       }
     }
@@ -361,7 +419,7 @@ TEST(Stress, AllDetectorsHandleSingleAntennaSingleStream) {
   for (const char* name :
        {"zf", "mmse", "mmse-sic", "geosphere", "geosphere-2dzz", "geosphere-sqrd",
         "eth-sd", "shabany", "soft-geosphere"}) {
-    const auto det = DetectorSpec::parse(name).create(c);
+    const auto det = TestDetectorSpec::parse(name).create(c);
     EXPECT_EQ(det->detect(y, h, 1e-12).indices, sent) << det->name();
   }
 }

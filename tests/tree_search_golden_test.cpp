@@ -1,5 +1,5 @@
 // Recorded counters and outputs of the tree searches: every enumerator-based
-// hard and soft search the detector registry holds.
+// hard and soft search the detector registry holds, and the soft reference.
 //
 // The sweep golden prints PED/sc to one decimal, the STS parity tests
 // compare two detectors that share one enumerator, and the serve golden's
@@ -30,11 +30,11 @@
 
 #include "common/db.h"
 #include "common/rng.h"
-#include "detect/spec.h"
 #include "detect/sphere/center.h"
 #include "detect/sphere/simd/dispatch.h"
 #include "detect/sphere/simd/kernel.h"
 #include "linalg/qr.h"
+#include "reference/test_detector_spec.h"
 #include "test_util.h"
 
 namespace geosphere {
@@ -129,7 +129,7 @@ struct CellRun {
 
 /// Solves the cell's fixed input set on the active kernel tier.
 CellRun run_cell(const std::string& spec_text, unsigned qam, bool soft) {
-  const DetectorSpec spec = DetectorSpec::parse(spec_text);
+  const testing::TestDetectorSpec spec = testing::TestDetectorSpec::parse(spec_text);
   const auto det = spec.create(Constellation::qam(qam));
   CellRun run;
   Fnv1a fnv;

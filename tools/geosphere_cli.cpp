@@ -8,13 +8,13 @@
 //   geosphere_cli list-rates
 //   geosphere_cli conditioning [--links N] [--subcarriers N]
 //   geosphere_cli throughput --clients N --antennas N --snr DB
-//                 [--detector zf|geosphere|soft-geosphere|...]
+//                 [--detector zf|geosphere|soft-geosphere-sts|...]
 //                 [--channel indoor|rayleigh|kronecker:RHO|trace:FILE|...]
 //                 [--code none|1/2|2/3|3/4] [--viterbi double|quantized]
 //   geosphere_cli complexity --clients N --antennas N --qam M --snr DB
 //                 [--channel NAME]
 //   geosphere_cli sweep --clients N --antennas N
-//                 [--detectors zf,geosphere,soft-geosphere] [--snrs 15,20,25]
+//                 [--detectors zf,geosphere,soft-geosphere-sts] [--snrs 15,20,25]
 //                 [--qams 4,16,64] [--decision auto|hard|soft]
 //                 [--channel NAME] [--code 1/2,3/4,...] [--viterbi double|quantized]
 //   geosphere_cli serve --spec "users=32,load=0.6;users=8,detector=mmse"
@@ -260,7 +260,7 @@ int cmd_sweep(const Args& args) {
   // --decision soft narrows the default detector list to the
   // soft-capable registry entries; hard-only defaults would refuse it.
   spec.detectors = split_list(
-      args.get("detectors", decision == "soft" ? "soft-geosphere" : "zf,geosphere"));
+      args.get("detectors", decision == "soft" ? "soft-geosphere-sts" : "zf,geosphere"));
   // Validate eagerly so a typo'd detector fails here with the registry's
   // valid forms instead of surfacing mid-sweep.
   for (const auto& d : spec.detectors) DetectorSpec::parse(d);
@@ -491,7 +491,7 @@ int cmd_list_detectors() {
     if (info.takes_param) {
       form += "[:" + info.param_name + "]";
       // Parameters resolve to a default; spell it out so users don't have
-      // to read spec.cpp to learn what bare "soft-geosphere" means.
+      // to read spec.cpp to learn what bare "soft-geosphere-sts" means.
       bounds = " (" + info.param_name + " in [" + std::to_string(info.min_param) + ", " +
                std::to_string(info.max_param) + "], default " +
                std::to_string(info.default_param) + ")";
